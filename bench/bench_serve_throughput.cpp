@@ -1,25 +1,55 @@
 // Serving-throughput comparison: naive per-query vs persistent session vs
 // session + multi-source batching, over the same deterministic 64-request
-// trace — then the sharded fleet at 1 and 4 shards on the same trace. The
-// serving layer's pitch in one table: the naive column pays allocation +
-// full topology staging per query, the session column stages once, the
-// batched column folds compatible BFS/SSSP requests into shared
+// trace — then the fleet at 1 and 4 shards on a burst trace. The serving
+// layer's pitch in one table: the naive row (no serving layer, a FIFO loop
+// of one-shot runs) pays allocation + full topology staging per query, the
+// session row (one shard, max_batch = 1) stages once, the batched row (one
+// shard, default max_batch) folds compatible BFS/SSSP requests into shared
 // multi-source launches, and the sharded rows show the fleet's scaling
 // under a saturating load (4 shards must clear at least twice the
 // throughput of 1).
 //
 // Emits BENCH_serve.json (one JSON object per row) next to the table.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "serve/engine.hpp"
+#include "core/framework.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "util/table.hpp"
 
 using namespace eta;
+
+namespace {
+
+/// The no-serving-layer baseline: each request, in arrival order, gets a
+/// fresh device (allocate, stage the full topology, run, tear down) on one
+/// timeline. RunReport::total_ms is that query's whole bill.
+serve::ServeReport ServeNaive(const graph::Csr& csr, const std::vector<serve::Request>& trace) {
+  serve::ServeReport report;
+  report.mode = "naive";
+  report.total_requests = trace.size();
+  double now = 0;
+  for (const serve::Request& r : trace) {
+    now = std::max(now, r.arrival_ms);
+    const core::RunReport run = core::EtaGraph().Run(csr, r.algo, r.source);
+    const double latency_ms = now + run.total_ms - r.arrival_ms;
+    report.latency_us.Add(static_cast<uint64_t>(std::llround(latency_ms * 1000.0)));
+    report.batch_occupancy.Add(1);
+    report.reached_total += run.activated;
+    ++report.batches;
+    ++report.completed;
+    now += run.total_ms;
+  }
+  report.makespan_ms = now;
+  return report;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   auto env = bench::ParseBenchArgs(argc, argv, {"slashdot"});
@@ -44,16 +74,15 @@ int main(int argc, char** argv) {
   trace_options.seed = seed;
   const auto trace = serve::GenerateTrace(csr.NumVertices(), trace_options);
 
-  const serve::ServeMode modes[] = {serve::ServeMode::kNaivePerQuery,
-                                    serve::ServeMode::kSession,
-                                    serve::ServeMode::kSessionBatched};
-  std::vector<std::string> labels;
+  std::vector<std::string> labels = {"naive"};
   std::vector<serve::ServeReport> reports;
-  for (serve::ServeMode mode : modes) {
-    serve::ServeOptions options;
-    options.mode = mode;
-    labels.push_back(serve::ServeModeName(mode));
-    reports.push_back(serve::ServeEngine(options).Serve(csr, trace));
+  reports.push_back(ServeNaive(csr, trace));
+  for (uint32_t max_batch : {1u, 16u}) {
+    serve::ShardedOptions options;
+    options.shards = 1;
+    options.base.max_batch = max_batch;
+    reports.push_back(serve::ShardedEngine(options).Serve(csr, trace));
+    labels.push_back(reports.back().mode);
   }
   // The sharded rows replay a burst trace (near-simultaneous arrivals):
   // with the default arrival spacing the trace span itself floors the

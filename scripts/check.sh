@@ -545,13 +545,14 @@ if [[ "$OVERLOAD" == "1" ]]; then
   echo "== legacy byte-stability (no overload flags => no overload output) =="
   # A classless run must not mention the overload machinery anywhere: the
   # new report rows, JSON keys, and metric families appear only when the
-  # feature is active.
+  # feature is active. ("memo" must not match the "memory budget" help
+  # text of the per-shard eviction counter.)
   "$BUILD_DIR/src/etagraph_serve" --dataset=rmat --scale=0.1 --requests=32 \
     --metrics-out="$OV_DIR/legacy.prom" > "$OV_DIR/legacy.txt"
-  if grep -Eiq "slo|shed|brownout|breaker|retry_budget|memo|edf|autoscale|scale_event|shards_active|deadline" \
+  if grep -Eiq "slo|shed|brownout|breaker|retry_budget|memo([^r]|$)|edf|autoscale|scale_event|shards_active|deadline" \
       "$OV_DIR/legacy.txt" "$OV_DIR/legacy.prom"; then
     echo "check.sh: overload output leaked into a legacy run:" >&2
-    grep -Ein "slo|shed|brownout|breaker|retry_budget|memo|edf|autoscale|scale_event|shards_active|deadline" \
+    grep -Ein "slo|shed|brownout|breaker|retry_budget|memo([^r]|$)|edf|autoscale|scale_event|shards_active|deadline" \
       "$OV_DIR/legacy.txt" "$OV_DIR/legacy.prom" >&2
     exit 1
   fi

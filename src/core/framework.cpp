@@ -694,16 +694,24 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
       report = std::move(attempt_report);
       break;
     }
+    // Repair a UECC before deciding whether to retry: the corruption is in
+    // resident buffers every later query reads, so even a query that gives
+    // up here must leave the session clean behind it.
+    if (failure.status == sim::LaunchStatus::kEccUncorrectable) {
+      const uint64_t restaged_before = faults.restaged_buffers;
+      RestageCorrupted(&faults);
+      rec.restaged = faults.restaged_buffers > restaged_before;
+    }
     if (attempt + 1 >= max_attempts) {
       faults.exhausted = true;
       if (trace) attempt_log.push_back(rec);
       report = std::move(attempt_report);
       break;
     }
-    // Fleet-wide retry budget: one token per retry (the token also covers
-    // the re-stage a UECC retry needs). A dry bucket ends recovery exactly
-    // like exhausting max_retries — the caller's degraded path takes over —
-    // so a sticky-fault storm cannot multiply offered load.
+    // Fleet-wide retry budget: one token per retry. A dry bucket ends
+    // recovery exactly like exhausting max_retries — the caller's degraded
+    // path takes over — so a sticky-fault storm cannot multiply offered
+    // load.
     if (options_.recovery.budget != nullptr && !options_.recovery.budget->TryAcquireRetry()) {
       faults.exhausted = true;
       if (trace) {
@@ -712,11 +720,6 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
       }
       report = std::move(attempt_report);
       break;
-    }
-    if (failure.status == sim::LaunchStatus::kEccUncorrectable) {
-      const uint64_t restaged_before = faults.restaged_buffers;
-      RestageCorrupted(&faults);
-      rec.restaged = faults.restaged_buffers > restaged_before;
     }
     const double delay = options_.recovery.backoff_base_ms *
                          std::pow(options_.recovery.backoff_multiplier, attempt);

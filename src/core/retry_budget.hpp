@@ -8,8 +8,8 @@
 // CPU fallback instead of hammering the device).
 //
 // Lives in core (not serve) because ResidentGraph's attempt loop is the
-// innermost consumer; the serving engines create one bucket per fleet and
-// share it into every shard's EtaGraphOptions. Refills are driven
+// innermost consumer; the serving engine creates one bucket per fleet and
+// shares it into every shard's EtaGraphOptions. Refills are driven
 // explicitly via Advance(now_ms) from whoever owns the clock — the bucket
 // itself never reads time, so double runs replay bit-identically.
 #pragma once
@@ -54,8 +54,9 @@ class RetryBudget {
     last_refill_ms_ = now_ms;
   }
 
-  /// Draw one token for a fault retry (which covers any re-stage the retry
-  /// needs). Returns false — and counts the denial — when the bucket is dry.
+  /// Draw one token for a fault retry. Returns false — and counts the
+  /// denial — when the bucket is dry. (The re-stage after an uncorrectable
+  /// ECC error runs whether or not the retry is granted.)
   bool TryAcquireRetry() { return TryAcquire(&stats_.retries_granted, &stats_.retries_denied); }
 
   /// Draw one token for a session rebuild (teardown + full re-stage).

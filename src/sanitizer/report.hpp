@@ -82,8 +82,8 @@ struct SanitizerReport {
   uint64_t WarningCount() const;
   bool Clean() const { return ErrorCount() == 0; }
 
-  /// Folds another report in (serve-layer aggregation across sessions or
-  /// per-query engines), re-aggregating duplicate findings.
+  /// Folds another report in (serve-layer aggregation across sessions),
+  /// re-aggregating duplicate findings.
   void Merge(const SanitizerReport& other);
 
   /// compute-sanitizer-style text block; empty string when there is

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -199,13 +200,18 @@ bool ParseArrivalSpec(const std::string& spec, ArrivalOptions* options,
     const std::string value = kv.substr(eq + 1);
     char* end = nullptr;
     const double num = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(num)) {
       *error = "bad number '" + value + "' for arrival key '" + key + "'";
       return false;
     }
+    // Integer-valued keys: a fraction, or a value the target type cannot
+    // hold, is out of range (casting it would be undefined behaviour).
+    auto integral_in = [num](double lo, double hi) {
+      return num == std::floor(num) && num >= lo && num <= hi;
+    };
     if (key == "rate" && num > 0) {
       options->rate_qps = num;
-    } else if (key == "n" && num >= 1) {
+    } else if (key == "n" && integral_in(1, kMaxArrivalRequests)) {
       options->num_requests = static_cast<uint32_t>(num);
     } else if (key == "on" && num > 0) {
       options->on_ms = num;
@@ -217,11 +223,11 @@ bool ParseArrivalSpec(const std::string& spec, ArrivalOptions* options,
       options->period_ms = num;
     } else if (key == "trough" && num >= 0 && num <= 1) {
       options->trough_scale = num;
-    } else if (key == "graphs" && num >= 1) {
+    } else if (key == "graphs" && integral_in(1, std::numeric_limits<uint32_t>::max())) {
       options->num_graphs = static_cast<uint32_t>(num);
     } else if (key == "hot" && num >= 0 && num <= 1) {
       options->hot_graph_fraction = num;
-    } else if (key == "tenants" && num >= 1) {
+    } else if (key == "tenants" && integral_in(1, kMaxArrivalTenants)) {
       // K tenants with deterministically spread algo mixes and unequal
       // weights, so multi-tenant runs exercise the weighted pick.
       const uint32_t k = static_cast<uint32_t>(num);
@@ -249,7 +255,7 @@ bool ParseArrivalSpec(const std::string& spec, ArrivalOptions* options,
       options->silver_deadline_ms = num;
     } else if (key == "bd" && num > 0) {
       options->bronze_deadline_ms = num;
-    } else if (key == "seed" && num >= 0) {
+    } else if (key == "seed" && integral_in(0, 0x1.fffffffffffffp63)) {  // < 2^64
       options->seed = static_cast<uint64_t>(num);
     } else {
       *error = "unknown or out-of-range arrival key '" + key + "'";

@@ -84,13 +84,21 @@ struct ArrivalOptions {
 std::vector<Request> GenerateArrivals(graph::VertexId num_vertices,
                                       const ArrivalOptions& options);
 
+/// Upper bounds ParseArrivalSpec accepts for the sized keys: `n` (requests
+/// in the generated trace) and `tenants`.
+inline constexpr uint32_t kMaxArrivalRequests = 1u << 20;
+inline constexpr uint32_t kMaxArrivalTenants = 1024;
+
 /// Parses a CLI arrival spec: "profile:key=value,key=value,...", e.g.
 /// "poisson:rate=2000,n=512,gold=0.25,seed=7" or
 /// "bursty:rate=1500,on=10,off=90,offscale=0" or
 /// "diurnal:rate=800,period=500,trough=0.1,graphs=4,hot=0.7".
 /// Keys: rate, n, on, off, offscale, period, trough, graphs, hot, tenants,
 /// slo (0/1), gold, silver, gd, sd, bd (per-class deadlines ms), seed.
-/// Returns false and sets *error on a malformed spec.
+/// Every value must be a finite number in its key's range; n, graphs,
+/// tenants and seed must be integers that fit their fields (n at most
+/// kMaxArrivalRequests, tenants at most kMaxArrivalTenants). Returns false
+/// and sets *error on a malformed or out-of-range spec.
 bool ParseArrivalSpec(const std::string& spec, ArrivalOptions* options,
                       std::string* error);
 

@@ -1,8 +1,7 @@
 // etatrace serve-side finalizers (DESIGN.md section 14): fold the
 // per-request tracer, the always-on flight recorder, and the burn-rate
-// alert evaluation into a finished ServeReport. Shared by ServeEngine and
-// ShardedEngine so both render traces, blackbox dumps, exemplars, and
-// alerts identically.
+// alert evaluation into a finished ServeReport (called by ShardedEngine at
+// the end of every replay).
 #pragma once
 
 #include "serve/report.hpp"

@@ -24,7 +24,7 @@ std::string ServeReport::Render(const std::string& title) const {
   auto row = [&](const std::string& name, const std::string& value) {
     table.AddRow({name, value});
   };
-  row("mode", ServeModeName(mode));
+  row("mode", mode);
   if (async_dispatch) row("dispatch", "async (streams)");
   if (edf) row("queue order", "edf (deadline - service estimate)");
   if (traced) row("traced requests", std::to_string(request_traces.size()));
@@ -238,7 +238,7 @@ std::string ServeReport::Json() const {
           ",\"restaged_bytes\":%" PRIu64 ",\"backoff_ms\":%.4f,\"device_lost\":%s"
           ",\"check_launches\":%" PRIu64 ",\"check_errors\":%" PRIu64
           ",\"check_warnings\":%" PRIu64,
-          util::JsonEscape(ServeModeName(mode)).c_str(), total_requests, completed,
+          util::JsonEscape(mode).c_str(), total_requests, completed,
           rejected, timed_out, degraded, batches, session_rebuilds, load_ms, makespan_ms,
           ThroughputQps(), LatencyPercentileMs(0.50), LatencyPercentileMs(0.95),
           LatencyPercentileMs(0.99), LatencyPercentileMs(0.999), MeanBatchOccupancy(),

@@ -39,9 +39,8 @@ struct CostObservation {
   double mean_cycles = 0;        // device cycles attributed per query
 };
 
-/// Per-shard accounting of a sharded-fleet replay (serve::ShardedEngine).
-/// Empty in single-engine reports; rendered only when present, so legacy
-/// report output is byte-identical with or without the fleet layer built.
+/// Per-shard accounting of a fleet replay (serve::ShardedEngine), one row
+/// per shard. Rendered only when present.
 struct ShardStat {
   uint32_t shard = 0;
   uint64_t dispatches = 0;  // batches this shard executed
@@ -129,7 +128,10 @@ struct OverloadStats {
 };
 
 struct ServeReport {
-  ServeMode mode = ServeMode::kSessionBatched;
+  /// How dispatches were formed: "session+batch" when the fleet folds
+  /// queued requests (max_batch > 1), "session" when it runs one query per
+  /// dispatch. Baselines outside the fleet may name their own mode.
+  std::string mode = "session+batch";
   /// True when the replay ran the stream-based async dispatcher
   /// (ShardedOptions::async_dispatch). Rendered only when set, so sync
   /// report output is byte-identical with or without the stream layer.
@@ -176,7 +178,7 @@ struct ServeReport {
   /// executed (all-zero when ServeOptions::graph.faults is off).
   core::FaultStats faults;
 
-  /// Graph staging time (zero in naive mode, where every query restages).
+  /// Graph staging time of the first session.
   double load_ms = 0;
   /// Simulated time from t=0 to the last completion.
   double makespan_ms = 0;
@@ -236,7 +238,7 @@ struct ServeReport {
 
   /// Always-on flight-recorder dumps: one per trigger (device loss,
   /// breaker open, shard death), plus one end-of-replay snapshot appended
-  /// by the engines, all on the simulated clock. Only rendered on demand
+  /// by the engine, all on the simulated clock. Only rendered on demand
   /// (--blackbox-out), never by Render()/Json().
   std::vector<trace::FlightDump> blackbox;
 
@@ -244,8 +246,8 @@ struct ServeReport {
   /// ServeOptions::slo_alerts.enabled, so legacy output is unchanged.
   std::vector<trace::AlertSeries> alerts;
 
-  /// etacheck findings over every device the replay touched (the session
-  /// device, or each naive per-query device, merged); empty with
+  /// etacheck findings over every session device the replay touched
+  /// (merged); empty with
   /// launches_checked == 0 unless ServeOptions::graph.check enabled a
   /// checker.
   sanitizer::SanitizerReport check;

@@ -40,9 +40,10 @@ std::vector<double> CycleBuckets() {
   return {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9};
 }
 
-/// Per-algo running aggregates — the same estimator the single engine
-/// records into cost_observations, shared fleet-wide so routing on shard 3
-/// learns from dispatches on shard 0.
+/// Per-algo running aggregates behind the cost-model observations: the
+/// estimator is the running mean of per-query device service time, so each
+/// dispatch is predicted from history only (never from itself). Shared
+/// fleet-wide, so routing on shard 3 learns from dispatches on shard 0.
 struct CostAgg {
   uint64_t queries = 0;
   double service_sum = 0;
@@ -154,7 +155,6 @@ ServeReport ShardedEngine::ServeMany(std::span<const graph::Csr* const> graphs,
                                      const std::vector<Request>& trace) const {
   ETA_CHECK(!graphs.empty());
   ETA_CHECK(options_.shards >= 1);
-  ETA_CHECK(options_.base.mode != ServeMode::kNaivePerQuery);
   for (size_t i = 0; i < trace.size(); ++i) {
     if (i > 0) ETA_CHECK(trace[i - 1].arrival_ms <= trace[i].arrival_ms);
     ETA_CHECK(trace[i].graph_id < graphs.size());
@@ -166,7 +166,7 @@ ServeReport ShardedEngine::ServeMany(std::span<const graph::Csr* const> graphs,
   const DagPlant plant = options_.plant;
   ETA_CHECK(plant == DagPlant::kNone || async);
   ServeReport report;
-  report.mode = base.mode;
+  report.mode = base.max_batch > 1 ? "session+batch" : "session";
   report.async_dispatch = async;
   report.total_requests = trace.size();
   report.results.reserve(trace.size());
@@ -209,7 +209,9 @@ ServeReport ShardedEngine::ServeMany(std::span<const graph::Csr* const> graphs,
 
   std::map<core::Algo, CostAgg> cost;
 
-  /// Flat CPU-fallback bill per graph, as in the single engine.
+  /// Simulated cost of answering one query of each graph on the host CPU
+  /// instead of the device — a flat (n + m) / throughput bill,
+  /// deterministic by design.
   std::vector<double> cpu_query_ms(graphs.size());
   for (size_t g = 0; g < graphs.size(); ++g) {
     cpu_query_ms[g] =
@@ -532,9 +534,9 @@ ServeReport ShardedEngine::ServeMany(std::span<const graph::Csr* const> graphs,
     return q;
   };
 
-  /// Records one completed result with the full metrics treatment the
-  /// single engine gives it (the cost model sees `estimate_ms`, the
-  /// prediction made before the dispatch that produced the result).
+  /// Records one completed result with the full metrics treatment (the
+  /// cost model sees `estimate_ms`, the prediction made before the
+  /// dispatch that produced the result).
   auto record_result = [&](const QueryResult& q, double estimate_ms,
                            double cycles_per_query) {
     ++report.completed;
@@ -726,7 +728,7 @@ ServeReport ShardedEngine::ServeMany(std::span<const graph::Csr* const> graphs,
     batch.algo = head->algo;
     batch.graph_id = head->graph_id;
     batch.requests.push_back(*head);
-    if (base.mode == ServeMode::kSessionBatched && Batchable(batch.algo)) {
+    if (Batchable(batch.algo)) {
       // Fold already-queued compatible requests. ExecuteBatch wave-splits
       // past kMaxAttributedSources, so the fold limit is max_batch alone.
       const uint32_t limit = std::max<uint32_t>(base.max_batch, 1);

@@ -1,8 +1,9 @@
-// ShardedEngine — a fleet of GraphSessions behind one admission front.
+// ShardedEngine — the serving engine: a fleet of GraphSessions behind one
+// admission front.
 //
-// The sharded fleet is the serving-layer step past the single-session
-// ServeEngine: N shards, each owning one simulated device, replayed under
-// one deterministic discrete-event loop. Three policies live here:
+// Every trace replay runs here: N shards (N = 1 is the plain single-device
+// server), each owning one simulated device, replayed under one
+// deterministic discrete-event loop. Three policies live here:
 //
 //   Load-aware routing.  An arriving request goes to the live shard with
 //   the lowest estimated backlog: the time until the shard is next free
@@ -34,10 +35,10 @@
 // the event order are all derived from the simulated clock and shard
 // index, never from host time or iteration order of unordered containers;
 // two identically-configured runs render byte-identical reports and
-// replay files. Unlike the single engine, a sharded dispatch folds only
-// already-queued compatible requests (no batch-window hold): the time a
-// shard spends busy is the natural window in which its queue accumulates,
-// and holding N independent windows open would couple the shards' clocks.
+// replay files. A dispatch folds only already-queued compatible requests
+// (no batch-window hold): the time a shard spends busy is the natural
+// window in which its queue accumulates, and holding N independent windows
+// open would couple the shards' clocks.
 //
 // Async dispatch (ShardedOptions::async_dispatch, DESIGN.md section 11):
 // each shard owns a sim::StreamScheduler modelling one compute engine plus
@@ -74,10 +75,8 @@
 namespace eta::serve {
 
 struct ShardedOptions {
-  /// Per-shard serving knobs (mode, queue capacity, max_batch, rebuild
-  /// budget, CPU fallback throughput, graph/device options). The mode must
-  /// be session-based; kNaivePerQuery has no session to shard.
-  /// batch_window_ms is ignored (see the determinism contract above).
+  /// Per-shard serving knobs (queue capacity, max_batch, rebuild budget,
+  /// CPU fallback throughput, graph/device options).
   ServeOptions base{};
   uint32_t shards = 2;
   /// Per-shard resident-graph budget in bytes; 0 = unlimited (no eviction).

@@ -60,13 +60,4 @@ double SloTargetMs(const OverloadOptions& options, SloClass slo) {
   return kNoDeadline;
 }
 
-const char* ServeModeName(ServeMode mode) {
-  switch (mode) {
-    case ServeMode::kNaivePerQuery: return "naive";
-    case ServeMode::kSession: return "session";
-    case ServeMode::kSessionBatched: return "session+batch";
-  }
-  return "?";
-}
-
 }  // namespace eta::serve

@@ -42,10 +42,10 @@ struct Request {
   uint64_t id = 0;
   core::Algo algo = core::Algo::kBfs;
   graph::VertexId source = 0;
-  /// Which graph in the serving catalog this query targets. Single-graph
-  /// engines serve one catalog entry, so the default of 0 always resolves;
-  /// the sharded fleet uses it for residency (eviction/reload) decisions
-  /// and to keep folded batches on one topology.
+  /// Which graph in the serving catalog this query targets. A single-graph
+  /// catalog has one entry, so the default of 0 always resolves; the fleet
+  /// uses it for residency (eviction/reload) decisions and to keep folded
+  /// batches on one topology.
   uint32_t graph_id = 0;
   /// Arrival on the simulated clock (ms).
   double arrival_ms = 0;
@@ -63,10 +63,10 @@ struct Request {
 
   double StartDeadline() const { return arrival_ms + deadline_ms; }
 
-  /// The single boundary rule for deadline expiry, shared by the scheduler
-  /// sweep and the engine's batch-window filter: a request expires only
-  /// when the clock has passed *strictly beyond* its start deadline, so a
-  /// request whose deadline equals `now_ms` is still dispatchable.
+  /// The single boundary rule for deadline expiry, applied by the
+  /// scheduler's sweep: a request expires only when the clock has passed
+  /// *strictly beyond* its start deadline, so a request whose deadline
+  /// equals `now_ms` is still dispatchable.
   bool ExpiredAt(double now_ms) const { return now_ms > StartDeadline(); }
 };
 
@@ -103,18 +103,6 @@ struct QueryResult {
   double QueueMs() const { return start_ms - arrival_ms; }
   double LatencyMs() const { return finish_ms - arrival_ms; }
 };
-
-enum class ServeMode : uint8_t {
-  /// One fresh device per query: allocate, stage the topology, run, tear
-  /// down. The no-serving-layer strawman.
-  kNaivePerQuery,
-  /// One persistent GraphSession; queries run back to back against the
-  /// resident topology.
-  kSession,
-  /// Session plus multi-source batching of compatible requests.
-  kSessionBatched,
-};
-const char* ServeModeName(ServeMode mode);
 
 /// Overload-control knobs (DESIGN.md §13). All default-off: a
 /// default-constructed OverloadOptions leaves every legacy code path — and
@@ -161,14 +149,13 @@ struct OverloadOptions {
 double SloTargetMs(const OverloadOptions& options, SloClass slo);
 
 struct ServeOptions {
-  ServeMode mode = ServeMode::kSessionBatched;
   core::EtaGraphOptions graph{};
   /// Bounded admission queue; arrivals that find it full are rejected.
   size_t queue_capacity = 64;
-  /// How long a forming batch stays open for further compatible arrivals.
-  double batch_window_ms = 2.0;
-  /// Requests folded into one multi-source launch, at most
-  /// core::ResidentGraph::kMaxAttributedSources.
+  /// Already-queued compatible requests folded into one dispatch; 1 turns
+  /// folding off (one query per dispatch). Folds past
+  /// core::ResidentGraph::kMaxAttributedSources run as successive launch
+  /// waves.
   uint32_t max_batch = 16;
   /// How many times the engine may tear down and re-stage an unhealthy
   /// session (device lost, or load failed) before giving up on the device

@@ -21,7 +21,7 @@ namespace eta::trace {
 /// decision sub-reason or the terminal QueryStatus.
 enum class EventKind : uint8_t {
   /// Request entered a queue. a = queue depth after admit,
-  /// b = router backlog estimate at admit (0 single-engine).
+  /// b = router backlog estimate at admit.
   kAdmit = 0,
   /// Rejected at admission (queue full / fleet unavailable).
   /// a = queue depth, b = queue capacity.

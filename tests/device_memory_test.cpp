@@ -12,7 +12,7 @@
 #include "cpu/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
@@ -247,12 +247,13 @@ TEST(DeviceMemoryTest, ServeDegradesWhenEverySessionBuildOoms) {
   trace_options.num_requests = 6;
   auto trace = serve::GenerateTrace(csr.NumVertices(), trace_options);
 
-  serve::ServeOptions options;
+  serve::ShardedOptions options;
+  options.shards = 1;
   // Every session rebuild replays the injector schedule from scratch, so
   // staging allocation #1 fails for the initial build and every rebuild.
-  options.graph.faults.alloc_fail_at = 1;
-  options.max_session_rebuilds = 2;
-  auto report = serve::ServeEngine(options).Serve(csr, trace);
+  options.base.graph.faults.alloc_fail_at = 1;
+  options.base.max_session_rebuilds = 2;
+  auto report = serve::ShardedEngine(options).Serve(csr, trace);
 
   EXPECT_EQ(report.completed, trace.size());
   EXPECT_EQ(report.degraded, trace.size());

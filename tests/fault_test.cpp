@@ -1,19 +1,21 @@
 // Fault injection and recovery tests (DESIGN.md section 8): config parsing,
 // deterministic device-level fault fates, the zero-cost armed-but-silent
 // contract, ResidentGraph retry/re-stage recovery per fault class, and the
-// serving engine's quarantine/rebuild/degrade ladder — every completed
-// request CPU-verified, every replay bit-reproducible.
+// serving fleet's quarantine/rebuild/degrade ladder on one shard — every
+// completed request CPU-verified, every replay bit-reproducible.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/framework.hpp"
+#include "core/retry_budget.hpp"
 #include "core/traversal.hpp"
 #include "cpu/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
@@ -38,6 +40,16 @@ graph::Csr SmallSocialGraph(uint64_t seed = 7) {
 uint64_t CpuReached(const graph::Csr& csr, core::Algo algo, graph::VertexId source) {
   return cpu::CountReached(core::CpuReference(csr, algo, source),
                            core::IsWidest(algo));
+}
+
+/// Replays `trace` on a one-shard fleet — the plain single-device server.
+serve::ServeReport ServeOneShard(const serve::ServeOptions& options,
+                                 const graph::Csr& csr,
+                                 const std::vector<serve::Request>& trace) {
+  serve::ShardedOptions fleet;
+  fleet.base = options;
+  fleet.shards = 1;
+  return serve::ShardedEngine(fleet).Serve(csr, trace);
 }
 
 bool SimIdentical(const core::RunReport& a, const core::RunReport& b) {
@@ -300,6 +312,55 @@ TEST(FaultRecovery, RetryBudgetExhaustionIsReportedNotLooped) {
   EXPECT_EQ(report.faults.retries, 2u);
 }
 
+/// Regression: a UECC that aborts a query's last allowed attempt — retries
+/// exhausted, or the retry budget denies one more — must still re-stage the
+/// corrupted resident buffers. Recovery used to give up before re-staging,
+/// so the damage stayed resident and later fault-free queries answered
+/// wrong with status ok.
+class UeccOnLastAttemptTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(UeccOnLastAttemptTest, LaterCleanQueriesMatchTheCpuReference) {
+  const bool budget_denies = GetParam();
+  graph::Csr csr = SmallSocialGraph();
+  uint64_t restaged = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    core::EtaGraphOptions options;
+    options.faults.seed = seed;
+    options.faults.uecc_at = 2;  // one-shot, inside the first query
+    options.faults.corrupt_words = 64;
+    if (budget_denies) {
+      // An armed bucket with no tokens denies the first retry.
+      options.recovery.budget =
+          std::make_shared<core::RetryBudget>(core::RetryBudget::Config{1.0, 0.0});
+    } else {
+      options.recovery.max_retries = 0;  // the first attempt is the last
+    }
+    core::ResidentGraph session(csr, options);
+    const core::RunReport failed = session.Run(core::Algo::kBfs, 3);
+    ASSERT_TRUE(failed.DeviceFailed()) << "seed " << seed;
+    ASSERT_TRUE(failed.faults.exhausted) << "seed " << seed;
+    ASSERT_EQ(failed.faults.ecc_uncorrectable, 1u) << "seed " << seed;
+    EXPECT_EQ(failed.faults.retries, 0u) << "seed " << seed;
+    restaged += failed.faults.restaged_buffers;
+    for (core::Algo algo : {core::Algo::kBfs, core::Algo::kSssp, core::Algo::kSswp}) {
+      for (graph::VertexId source : {3u, 9u, 21u}) {
+        const core::RunReport r = session.Run(algo, source);
+        ASSERT_FALSE(r.DeviceFailed());
+        EXPECT_EQ(r.labels, core::CpuReference(csr, algo, source))
+            << "seed " << seed << " " << core::AlgoName(algo) << " from " << source;
+      }
+    }
+  }
+  // Some of the seeds must have hit a buffer with a host shadow.
+  EXPECT_GT(restaged, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ExitPaths, UeccOnLastAttemptTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return std::string(param_info.param ? "BudgetDenied"
+                                                               : "RetriesExhausted");
+                         });
+
 TEST(FaultRecovery, DeviceLossEndsTheSession) {
   graph::Csr csr = SmallSocialGraph();
   core::EtaGraphOptions options;
@@ -361,7 +422,7 @@ TEST_P(FaultMatrixTest, AllRequestsCompleteWithVerifiedAnswers) {
 
   serve::ServeOptions options;
   options.graph.faults = *faults;
-  auto report = serve::ServeEngine(options).Serve(csr, trace);
+  auto report = ServeOneShard(options, csr, trace);
 
   // No deadlines and a large queue: every request must be answered.
   EXPECT_EQ(report.completed, trace.size()) << GetParam().name;
@@ -377,7 +438,7 @@ TEST_P(FaultMatrixTest, AllRequestsCompleteWithVerifiedAnswers) {
   }
 
   // Determinism: replaying the identical trace reproduces everything.
-  auto again = serve::ServeEngine(options).Serve(csr, trace);
+  auto again = ServeOneShard(options, csr, trace);
   EXPECT_EQ(report.Json(), again.Json()) << GetParam().name;
   ASSERT_EQ(report.results.size(), again.results.size());
   for (size_t i = 0; i < report.results.size(); ++i) {
@@ -409,7 +470,7 @@ TEST(ServeFaults, DeviceLossTriggersRebuildThenRecovers) {
   serve::ServeOptions options;
   options.graph.faults.lost_at = 3;  // each session's 3rd launch kills it
   options.max_session_rebuilds = 3;
-  auto report = serve::ServeEngine(options).Serve(csr, trace);
+  auto report = ServeOneShard(options, csr, trace);
 
   EXPECT_EQ(report.completed, trace.size());
   EXPECT_GE(report.session_rebuilds, 1u);
@@ -428,7 +489,7 @@ TEST(ServeFaults, RebuildBudgetExhaustionDegradesToCpu) {
   serve::ServeOptions options;
   options.graph.faults.device_loss_rate = 1.0;  // every launch loses the device
   options.max_session_rebuilds = 1;
-  auto report = serve::ServeEngine(options).Serve(csr, trace);
+  auto report = ServeOneShard(options, csr, trace);
 
   EXPECT_EQ(report.completed, trace.size());
   EXPECT_EQ(report.session_rebuilds, 1u);
@@ -495,8 +556,8 @@ TEST(ServeFaults, FaultsOffServeReportIsBitIdenticalToSeedBehavior) {
   serve::ServeOptions armed = plain;
   armed.graph.faults.ecc_at = 1000000000;  // attached, never fires
 
-  auto off = serve::ServeEngine(plain).Serve(csr, trace);
-  auto on = serve::ServeEngine(armed).Serve(csr, trace);
+  auto off = ServeOneShard(plain, csr, trace);
+  auto on = ServeOneShard(armed, csr, trace);
   EXPECT_EQ(off.Json(), on.Json());
   EXPECT_EQ(off.makespan_ms, on.makespan_ms);
   ASSERT_EQ(off.results.size(), on.results.size());

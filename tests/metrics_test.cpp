@@ -10,7 +10,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "serve/metrics.hpp"
 #include "serve/trace.hpp"
 #include "util/json.hpp"
@@ -200,15 +200,15 @@ graph::Csr RandomGraph(uint64_t seed) {
 
 TEST(ServeMetrics, ReplayPopulatesRegistryAndCostObservations) {
   graph::Csr csr = RandomGraph(31);
-  ServeOptions options;
-  options.mode = ServeMode::kSessionBatched;
+  ShardedOptions options;
+  options.shards = 1;
 
   TraceOptions trace_options;
   trace_options.num_requests = 24;
   trace_options.seed = 3;
   auto trace = GenerateTrace(csr.NumVertices(), trace_options);
 
-  ServeEngine engine(options);
+  ShardedEngine engine(options);
   auto report = engine.Serve(csr, trace);
   ASSERT_EQ(report.completed, 24u);
   EXPECT_FALSE(report.metrics.Empty());
@@ -247,7 +247,7 @@ TEST(ServeMetrics, ReplayPopulatesRegistryAndCostObservations) {
   EXPECT_NE(text.find("serve_queries_total{algo=\"BFS\",status=\"ok\"}"),
             std::string::npos);
   EXPECT_NE(text.find("serve_batch_size_bucket"), std::string::npos);
-  auto again = ServeEngine(options).Serve(csr, trace);
+  auto again = ShardedEngine(options).Serve(csr, trace);
   EXPECT_EQ(again.metrics.RenderPrometheus(), text);
 
   // Report renderers carry the split: text table and JSON (which must parse).

@@ -14,7 +14,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "serve/arrivals.hpp"
-#include "serve/engine.hpp"
 #include "serve/overload.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
@@ -265,6 +264,65 @@ TEST(Arrivals, ParseSpecRoundTripsAndRejectsGarbage) {
     EXPECT_FALSE(ParseArrivalSpec(bad, &scratch, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
+}
+
+TEST(Arrivals, ParseSpecRangeChecksEveryKey) {
+  // Per key: values the key accepts, then values it must reject with an
+  // error (out of range, fractional for integer keys, not finite) — never
+  // an abort, a bad_alloc, or an out-of-range cast.
+  struct KeyCase {
+    const char* key;
+    std::vector<const char*> good;
+    std::vector<const char*> bad;
+  };
+  const std::vector<KeyCase> cases = {
+      {"rate", {"0.5", "4000"}, {"0", "-1", "inf", "nan"}},
+      {"n", {"1", "1048576"}, {"0", "2.5", "1048577", "4294967296", "1e12", "inf"}},
+      {"on", {"0.1"}, {"0", "-3", "inf"}},
+      {"off", {"0", "90"}, {"-1", "inf"}},
+      {"offscale", {"0", "0.25"}, {"-0.5", "inf"}},
+      {"period", {"500"}, {"0", "-1", "inf"}},
+      {"trough", {"0", "1"}, {"-0.1", "1.5", "nan"}},
+      {"graphs", {"1", "4294967295"}, {"0", "1.5", "4294967296", "1e10"}},
+      {"hot", {"0", "0.7", "1"}, {"-0.1", "1.1"}},
+      {"tenants", {"1", "1024"}, {"0", "2.5", "1025", "1e10", "-inf"}},
+      {"slo", {"0", "1"}, {"0.5", "2", "-1"}},
+      {"cc", {"0", "0.3"}, {"-0.1", "1.5"}},
+      {"pr", {"0", "0.3"}, {"-0.1", "1.5"}},
+      {"gold", {"0", "0.25"}, {"-0.1", "1.5"}},
+      {"silver", {"0", "0.25"}, {"-0.1", "1.5"}},
+      {"gd", {"5"}, {"0", "-5", "inf"}},
+      {"sd", {"5"}, {"0", "-5", "inf"}},
+      {"bd", {"5"}, {"0", "-5", "inf"}},
+      {"seed", {"0", "42", "18446744073709549568"},
+       {"-1", "0.5", "18446744073709551616", "1e30", "inf"}},
+  };
+  std::string error;
+  for (const KeyCase& c : cases) {
+    for (const char* value : c.good) {
+      const std::string spec = std::string("poisson:") + c.key + "=" + value;
+      ArrivalOptions options;
+      error.clear();
+      EXPECT_TRUE(ParseArrivalSpec(spec, &options, &error)) << spec << ": " << error;
+    }
+    for (const char* value : c.bad) {
+      const std::string spec = std::string("poisson:") + c.key + "=" + value;
+      ArrivalOptions options;
+      error.clear();
+      EXPECT_FALSE(ParseArrivalSpec(spec, &options, &error)) << spec;
+      EXPECT_FALSE(error.empty()) << spec;
+    }
+  }
+  // Accepted integer values land in their fields exactly.
+  ArrivalOptions options;
+  ASSERT_TRUE(ParseArrivalSpec(
+      "diurnal:n=1048576,graphs=4294967295,tenants=3,seed=18446744073709549568", &options,
+      &error))
+      << error;
+  EXPECT_EQ(options.num_requests, kMaxArrivalRequests);
+  EXPECT_EQ(options.num_graphs, 4294967295u);
+  EXPECT_EQ(options.tenants.size(), 3u);
+  EXPECT_EQ(options.seed, 18446744073709549568u);  // the largest double below 2^64
 }
 
 // --- Retry budget -------------------------------------------------------------
@@ -629,7 +687,7 @@ TEST(Overload, RetryBudgetBoundsStickyFaultAmplification) {
   unbounded.shards = 1;
   // Unbatched, so every queued query dispatches (and fails) on its own —
   // the per-query shape of the amplification.
-  unbounded.base.mode = ServeMode::kSession;
+  unbounded.base.max_batch = 1;
   unbounded.base.queue_capacity = 256;
   unbounded.base.graph.faults.ecc_uncorrectable_rate = 1.0;
   ServeReport legacy = ShardedEngine(unbounded).Serve(csr, trace);
@@ -655,15 +713,16 @@ TEST(Overload, RetryBudgetBoundsStickyFaultAmplification) {
   EXPECT_EQ(capped.overload.retry_granted, capped.faults.retries);
 }
 
-TEST(Overload, RetryBudgetAppliesToTheSingleEngineToo) {
+TEST(Overload, RetryBudgetBoundsBatchedDispatchesToo) {
   graph::Csr csr = RandomGraph(40);
   std::vector<Request> trace = ClassedBurst(16, csr.NumVertices(), SloClass::kNone);
-  ServeOptions options;
-  options.queue_capacity = 256;
-  options.graph.faults.ecc_uncorrectable_rate = 1.0;
-  options.overload.retry_tokens_per_s = 10;
-  options.overload.retry_burst = 1;
-  ServeReport report = ServeEngine(options).Serve(csr, trace);
+  ShardedOptions options;
+  options.shards = 1;  // folding on (default max_batch)
+  options.base.queue_capacity = 256;
+  options.base.graph.faults.ecc_uncorrectable_rate = 1.0;
+  options.base.overload.retry_tokens_per_s = 10;
+  options.base.overload.retry_burst = 1;
+  ServeReport report = ShardedEngine(options).Serve(csr, trace);
   ASSERT_EQ(report.results.size(), trace.size());
   EXPECT_GT(report.overload.retry_denied + report.overload.rebuild_denied, 0u);
   const double horizon_s = report.makespan_ms / 1000.0;

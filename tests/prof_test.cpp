@@ -14,7 +14,7 @@
 #include "graph/generators.hpp"
 #include "prof/summary.hpp"
 #include "prof/trace_export.hpp"
-#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "sim/fault.hpp"
 #include "sim/profiler.hpp"
@@ -234,16 +234,16 @@ TEST(TraceExport, EscapesSpanNames) {
 
 TEST(TraceExport, ServeReplayMergesQueueBatcherAndDeviceSpans) {
   graph::Csr csr = RandomGraph(28);
-  serve::ServeOptions options;
-  options.mode = serve::ServeMode::kSessionBatched;
-  options.graph.profile = true;
+  serve::ShardedOptions options;
+  options.shards = 1;
+  options.base.graph.profile = true;
 
   serve::TraceOptions trace_options;
   trace_options.num_requests = 16;
   trace_options.seed = 5;
   auto trace = serve::GenerateTrace(csr.NumVertices(), trace_options);
 
-  serve::ServeEngine engine(options);
+  serve::ShardedEngine engine(options);
   auto report = engine.Serve(csr, trace);
   ASSERT_FALSE(report.trace_spans.empty());
 
@@ -251,7 +251,7 @@ TEST(TraceExport, ServeReplayMergesQueueBatcherAndDeviceSpans) {
   bool has_device_kernel = false;
   for (const prof::TraceSpan& s : report.trace_spans) {
     if (s.track.rfind("serve/", 0) == 0) has_serve = true;
-    if (s.track == "device/kernels") has_device_kernel = true;
+    if (s.track == "shard0/kernels") has_device_kernel = true;
     EXPECT_GE(s.end_ms, s.start_ms);
     EXPECT_GE(s.start_ms, 0.0);
   }
@@ -263,9 +263,9 @@ TEST(TraceExport, ServeReplayMergesQueueBatcherAndDeviceSpans) {
   EXPECT_TRUE(util::JsonParse(json, &error).has_value()) << error;
 
   // Profiling off: no spans are collected.
-  serve::ServeOptions plain = options;
-  plain.graph.profile = false;
-  auto unprofiled = serve::ServeEngine(plain).Serve(csr, trace);
+  serve::ShardedOptions plain = options;
+  plain.base.graph.profile = false;
+  auto unprofiled = serve::ShardedEngine(plain).Serve(csr, trace);
   EXPECT_TRUE(unprofiled.trace_spans.empty());
   // And the replay itself is unchanged (zero-cost contract at serve level).
   EXPECT_EQ(unprofiled.makespan_ms, report.makespan_ms);

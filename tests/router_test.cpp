@@ -1,5 +1,5 @@
 // Tests for the sharded serving fleet (serve::ShardedEngine): answer
-// equivalence against the single engine, replay determinism, load-aware
+// equivalence across shard counts, replay determinism, load-aware
 // routing, fault-aware draining of a quarantined shard, and LRU
 // eviction/reload under a per-device memory budget.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "cpu/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
@@ -55,43 +54,45 @@ const ShardStat& StatFor(const ServeReport& report, uint32_t shard) {
 
 // --- Answer equivalence -------------------------------------------------------
 
-TEST(ShardedEngine, MatchesSingleEngineAnswers) {
+TEST(ShardedEngine, ShardCountDoesNotChangeAnswers) {
   graph::Csr csr = RandomGraph(21);
 
   TraceOptions trace_options;
   trace_options.num_requests = 48;
+  trace_options.mean_interarrival_ms = 0.05;  // queues build, batches fold
   trace_options.seed = 9;
   std::vector<Request> trace = GenerateTrace(csr.NumVertices(), trace_options);
 
-  ServeOptions base;
-  base.mode = ServeMode::kSession;
-  base.queue_capacity = 128;
-
-  ServeReport single = ServeEngine(base).Serve(csr, trace);
   ShardedOptions options;
-  options.base = base;
-  options.shards = 2;
-  ServeReport fleet = ShardedEngine(options).Serve(csr, trace);
+  options.base.queue_capacity = 128;
+  options.shards = 1;
+  ServeReport one = ShardedEngine(options).Serve(csr, trace);
+  options.shards = 3;
+  ServeReport three = ShardedEngine(options).Serve(csr, trace);
 
-  ASSERT_EQ(single.results.size(), trace.size());
-  ASSERT_EQ(fleet.results.size(), trace.size());
-  EXPECT_EQ(fleet.completed, trace.size());
-  EXPECT_EQ(fleet.rejected, 0u);
-  EXPECT_EQ(fleet.timed_out, 0u);
-  EXPECT_EQ(fleet.degraded, 0u);
+  ASSERT_EQ(one.results.size(), trace.size());
+  ASSERT_EQ(three.results.size(), trace.size());
+  EXPECT_EQ(three.completed, trace.size());
+  EXPECT_EQ(three.rejected, 0u);
+  EXPECT_EQ(three.timed_out, 0u);
+  EXPECT_EQ(three.degraded, 0u);
+  // The three-shard fleet spreads the work; the single shard folds more.
+  for (const ShardStat& s : three.shard_stats) EXPECT_GT(s.dispatches, 0u);
+  EXPECT_GT(one.batch_occupancy.Max(), 1u);
   for (size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(single.results[i].id, fleet.results[i].id);
-    ASSERT_EQ(single.results[i].status, QueryStatus::kOk);
-    ASSERT_EQ(fleet.results[i].status, QueryStatus::kOk);
-    // Which shard served a query must not change its answer.
-    EXPECT_EQ(fleet.results[i].reached_vertices, single.results[i].reached_vertices)
-        << "request " << fleet.results[i].id;
+    ASSERT_EQ(one.results[i].id, three.results[i].id);
+    ASSERT_EQ(one.results[i].status, QueryStatus::kOk);
+    ASSERT_EQ(three.results[i].status, QueryStatus::kOk);
+    // Which shard served a query, and what it was folded with, must not
+    // change its answer.
+    EXPECT_EQ(three.results[i].reached_vertices, one.results[i].reached_vertices)
+        << "request " << three.results[i].id;
+    EXPECT_EQ(one.results[i].reached_vertices,
+              CpuReached(csr, one.results[i].algo, one.results[i].source))
+        << "request " << one.results[i].id;
   }
-  EXPECT_EQ(fleet.shard_stats.size(), 2u);
-  // Single-engine reports carry no shard table (legacy byte-stability).
-  EXPECT_TRUE(single.shard_stats.empty());
-  EXPECT_EQ(single.Json().find("\"shards\""), std::string::npos);
-  EXPECT_NE(fleet.Json().find("\"shards\""), std::string::npos);
+  EXPECT_EQ(one.shard_stats.size(), 1u);
+  EXPECT_EQ(three.shard_stats.size(), 3u);
 }
 
 // --- Determinism --------------------------------------------------------------
@@ -382,7 +383,7 @@ TEST(ShardedEngine, MemoHitsAreBitIdenticalAcrossRebuildEpochs) {
   ShardedOptions options;
   options.shards = 1;
   options.device_mem_budget_bytes = max_estimate;
-  options.base.mode = ServeMode::kSession;
+  options.base.max_batch = 1;
   options.base.memo_window_ms = 1e9;
 
   // cc g0 (compute), cc g0 (hit), cc g1 (evicts g0: epoch ends), cc g1

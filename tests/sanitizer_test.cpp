@@ -13,7 +13,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sanitizer/sanitizer.hpp"
-#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "sim/device.hpp"
 
@@ -561,13 +561,13 @@ TEST(CleanGateExtensions, PageRankIsClean) {
 
 TEST(CleanGateServe, FullTraceReplayIsClean) {
   graph::Csr csr = SmallSocialGraph();
-  serve::ServeOptions options;
-  options.mode = serve::ServeMode::kSessionBatched;
-  options.graph.check = Config::All();
+  serve::ShardedOptions options;
+  options.shards = 1;
+  options.base.graph.check = Config::All();
   serve::TraceOptions trace_options;
   trace_options.num_requests = 64;
   auto trace = serve::GenerateTrace(csr.NumVertices(), trace_options);
-  serve::ServeReport report = serve::ServeEngine(options).Serve(csr, trace);
+  serve::ServeReport report = serve::ShardedEngine(options).Serve(csr, trace);
   EXPECT_EQ(report.completed, 64u);
   EXPECT_TRUE(report.check.findings.empty()) << report.check.Render(true);
   EXPECT_GT(report.check.launches_checked, 0u);

@@ -1,6 +1,7 @@
-// Tests for the query-serving engine: per-source attribution exactness,
-// persistent-session reuse, batching equivalence, deadline/overflow
-// handling, and report determinism.
+// Tests for the query-serving layer: per-source attribution exactness,
+// persistent-session reuse, the scheduler, and — on a one-shard fleet —
+// batching equivalence, deadline/overflow handling, and report
+// determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "serve/batcher.hpp"
-#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
@@ -32,6 +33,15 @@ uint64_t CountReached(core::Algo algo, const std::vector<graph::Weight>& labels)
   uint64_t reached = 0;
   for (graph::Weight label : labels) reached += core::Reached(algo, label) ? 1 : 0;
   return reached;
+}
+
+/// Replays `trace` on a one-shard fleet — the plain single-device server.
+ServeReport ServeOneShard(const ServeOptions& options, const graph::Csr& csr,
+                          const std::vector<Request>& trace) {
+  ShardedOptions fleet;
+  fleet.base = options;
+  fleet.shards = 1;
+  return ShardedEngine(fleet).Serve(csr, trace);
 }
 
 // --- Per-source attribution (the batcher's demux primitive) -------------------
@@ -443,20 +453,22 @@ TEST(QueryScheduler, DeepQueueReplayMatchesScanEraseReference) {
   EXPECT_EQ(ref.Depth(), 0u);
 }
 
-// --- Engine end-to-end --------------------------------------------------------
+// --- One-shard fleet end-to-end ------------------------------------------------
 
-TEST(ServeEngine, BatchedResultsMatchSequentialSession) {
+TEST(SingleShardServe, BatchedResultsMatchSequentialSession) {
   graph::Csr csr = RandomGraph(14);
   TraceOptions trace_options;
   trace_options.num_requests = 32;
+  // Arrivals closer together than a query's service time, so requests
+  // queue behind the busy shard and the dispatcher has something to fold.
+  trace_options.mean_interarrival_ms = 0.01;
   auto trace = GenerateTrace(csr.NumVertices(), trace_options);
 
   ServeOptions sequential;
-  sequential.mode = ServeMode::kSession;
+  sequential.max_batch = 1;
   ServeOptions batched;
-  batched.mode = ServeMode::kSessionBatched;
-  auto seq_report = ServeEngine(sequential).Serve(csr, trace);
-  auto bat_report = ServeEngine(batched).Serve(csr, trace);
+  auto seq_report = ServeOneShard(sequential, csr, trace);
+  auto bat_report = ServeOneShard(batched, csr, trace);
 
   ASSERT_EQ(seq_report.completed, trace.size());
   ASSERT_EQ(bat_report.completed, trace.size());
@@ -472,7 +484,7 @@ TEST(ServeEngine, BatchedResultsMatchSequentialSession) {
   }
 }
 
-TEST(ServeEngine, ExpiredDeadlinesBecomeTimeouts) {
+TEST(SingleShardServe, ExpiredDeadlinesBecomeTimeouts) {
   graph::Csr csr = RandomGraph(15);
   // All requests arrive while the graph is still loading; the impatient
   // ones can never be dispatched before their start deadline.
@@ -487,8 +499,8 @@ TEST(ServeEngine, ExpiredDeadlinesBecomeTimeouts) {
     trace.push_back(r);
   }
   ServeOptions options;
-  options.mode = ServeMode::kSession;
-  auto report = ServeEngine(options).Serve(csr, trace);
+  options.max_batch = 1;
+  auto report = ServeOneShard(options, csr, trace);
   EXPECT_EQ(report.completed, 1u);
   EXPECT_EQ(report.timed_out, 3u);
   EXPECT_EQ(report.results[0].status, QueryStatus::kOk);
@@ -500,10 +512,10 @@ TEST(ServeEngine, ExpiredDeadlinesBecomeTimeouts) {
 // EDF tentpole claim (DESIGN.md section 15): on a constructed mixed-deadline
 // burst, EDF-on meets strictly more deadlines than the legacy FIFO+priority
 // order, and no request is ever lost either way.
-TEST(ServeEngine, EdfMeetsStrictlyMoreDeadlinesOnMixedBurst) {
+TEST(SingleShardServe, EdfMeetsStrictlyMoreDeadlinesOnMixedBurst) {
   graph::Csr csr = RandomGraph(21);
   ServeOptions options;
-  options.mode = ServeMode::kSession;
+  options.max_batch = 1;
   options.queue_capacity = 64;
 
   // Probe replay: learn the first-dispatch time, the cold (first-touch)
@@ -513,7 +525,7 @@ TEST(ServeEngine, EdfMeetsStrictlyMoreDeadlinesOnMixedBurst) {
     probe_trace.push_back(
         {.id = i, .algo = core::Algo::kBfs, .source = 1, .arrival_ms = 0});
   }
-  ServeReport probe = ServeEngine(options).Serve(csr, probe_trace);
+  ServeReport probe = ServeOneShard(options, csr, probe_trace);
   ASSERT_EQ(probe.results.size(), 2u);
   const double start0 = probe.results[0].start_ms;
   const double cold_ms = probe.results[0].finish_ms - probe.results[0].start_ms;
@@ -538,9 +550,9 @@ TEST(ServeEngine, EdfMeetsStrictlyMoreDeadlinesOnMixedBurst) {
     trace.push_back(r);
   }
 
-  ServeReport fifo = ServeEngine(options).Serve(csr, trace);
+  ServeReport fifo = ServeOneShard(options, csr, trace);
   options.edf = true;
-  ServeReport edf = ServeEngine(options).Serve(csr, trace);
+  ServeReport edf = ServeOneShard(options, csr, trace);
 
   EXPECT_GT(fifo.timed_out, 0u);
   EXPECT_EQ(edf.timed_out, 0u);
@@ -556,7 +568,7 @@ TEST(ServeEngine, EdfMeetsStrictlyMoreDeadlinesOnMixedBurst) {
   }
 }
 
-TEST(ServeEngine, OverflowingQueueRejectsExplicitly) {
+TEST(SingleShardServe, OverflowingQueueRejectsExplicitly) {
   graph::Csr csr = RandomGraph(16);
   std::vector<Request> trace;
   for (uint64_t i = 0; i < 4; ++i) {
@@ -564,9 +576,9 @@ TEST(ServeEngine, OverflowingQueueRejectsExplicitly) {
                      .source = static_cast<graph::VertexId>(i), .arrival_ms = 0});
   }
   ServeOptions options;
-  options.mode = ServeMode::kSession;
+  options.max_batch = 1;
   options.queue_capacity = 1;
-  auto report = ServeEngine(options).Serve(csr, trace);
+  auto report = ServeOneShard(options, csr, trace);
   EXPECT_EQ(report.completed, 1u);
   EXPECT_EQ(report.rejected, 3u);
   EXPECT_EQ(report.results[0].status, QueryStatus::kOk);
@@ -606,11 +618,11 @@ TEST(ExecuteBatch, WaveSplitsPastAttributionCap) {
   EXPECT_DOUBLE_EQ(out.results[39].finish_ms, 1.0 + out.duration_ms);
 }
 
-TEST(ServeEngine, MaxBatchBeyondAttributionCapServesAndMatchesCapped) {
-  // Satellite regression: --max-batch 64 used to drive RunBatch into the
-  // kMaxAttributedSources ETA_CHECK abort. It must serve, and answer
-  // bit-identically to max_batch = 32 (the engine's fold limit clamps at
-  // the cap, so the wider setting changes nothing).
+TEST(SingleShardServe, MaxBatchBeyondAttributionCapWaveSplitsWithExactAnswers) {
+  // Regression: --max-batch 64 used to drive RunBatch into the
+  // kMaxAttributedSources ETA_CHECK abort. A 48-request fold must serve as
+  // attribution-cap-sized launch waves and answer every request exactly as
+  // max_batch = 32 (two separate dispatches) does.
   graph::Csr csr = RandomGraph(19);
   std::vector<Request> trace;
   for (uint64_t i = 0; i < 48; ++i) {
@@ -622,30 +634,38 @@ TEST(ServeEngine, MaxBatchBeyondAttributionCapServesAndMatchesCapped) {
     trace.push_back(r);
   }
   ServeOptions wide;
-  wide.mode = ServeMode::kSessionBatched;
   wide.queue_capacity = 64;
   wide.max_batch = 64;
   ServeOptions capped = wide;
   capped.max_batch = 32;
-  auto wide_report = ServeEngine(wide).Serve(csr, trace);
-  auto capped_report = ServeEngine(capped).Serve(csr, trace);
-  EXPECT_EQ(wide_report.completed, trace.size());
-  EXPECT_LE(wide_report.batch_occupancy.Max(),
-            core::ResidentGraph::kMaxAttributedSources);
-  EXPECT_EQ(wide_report.Render("replay"), capped_report.Render("replay"));
-  EXPECT_EQ(wide_report.Json(), capped_report.Json());
+  auto wide_report = ServeOneShard(wide, csr, trace);
+  auto capped_report = ServeOneShard(capped, csr, trace);
+  ASSERT_EQ(wide_report.completed, trace.size());
+  ASSERT_EQ(capped_report.completed, trace.size());
+  EXPECT_EQ(wide_report.batches, 1u);
+  EXPECT_EQ(capped_report.batches, 2u);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const QueryResult& q = wide_report.results[i];
+    EXPECT_EQ(q.status, QueryStatus::kOk);
+    EXPECT_LE(q.batch_size, core::ResidentGraph::kMaxAttributedSources);
+    EXPECT_EQ(q.reached_vertices, capped_report.results[i].reached_vertices)
+        << "request " << i;
+    EXPECT_EQ(q.reached_vertices,
+              CountReached(q.algo, core::CpuReference(csr, q.algo, q.source)))
+        << "request " << i;
+  }
 }
 
-TEST(ServeEngine, ReportIsDeterministic) {
+TEST(SingleShardServe, ReportIsDeterministic) {
   graph::Csr csr = RandomGraph(17);
   TraceOptions trace_options;
   trace_options.num_requests = 24;
   trace_options.deadline_ms = 50.0;
   auto trace = GenerateTrace(csr.NumVertices(), trace_options);
 
-  ServeOptions options;  // kSessionBatched default
-  auto first = ServeEngine(options).Serve(csr, trace);
-  auto second = ServeEngine(options).Serve(csr, trace);
+  ServeOptions options;  // folding on by default
+  auto first = ServeOneShard(options, csr, trace);
+  auto second = ServeOneShard(options, csr, trace);
   EXPECT_EQ(first.Render("replay"), second.Render("replay"));
   EXPECT_EQ(first.Json(), second.Json());
   ASSERT_EQ(first.results.size(), second.results.size());

@@ -31,7 +31,6 @@
 #include "core/pagerank.hpp"
 #include "graph/datasets.hpp"
 #include "serve/arrivals.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "serve/trace_file.hpp"
@@ -347,13 +346,12 @@ uint64_t ServeScenario(const std::string& what) {
   trace_options.seed = 3;
   const std::vector<serve::Request> trace =
       serve::GenerateTrace(social.NumVertices(), trace_options);
-  if (what == "naive" || what == "session" || what == "batched") {
-    serve::ServeOptions options;
-    options.queue_capacity = trace.size();
-    options.mode = what == "naive"     ? serve::ServeMode::kNaivePerQuery
-                   : what == "session" ? serve::ServeMode::kSession
-                                       : serve::ServeMode::kSessionBatched;
-    Fold(d, serve::ServeEngine(options).Serve(social, trace));
+  if (what == "session" || what == "batched") {
+    serve::ShardedOptions options;
+    options.shards = 1;
+    options.base.queue_capacity = trace.size();
+    if (what == "session") options.base.max_batch = 1;
+    Fold(d, serve::ShardedEngine(options).Serve(social, trace));
   } else if (what == "sharded-faults") {
     serve::ShardedOptions options;
     options.shards = 2;
@@ -425,7 +423,7 @@ std::vector<std::pair<std::string, std::function<uint64_t()>>> Scenarios() {
     out.emplace_back(std::string("oversub/uk2006/") + fw,
                      [=] { return FrameworkScenario(fw, "uk2006", util::kMiB / 2); });
   }
-  for (const char* what : {"naive", "session", "batched"}) {
+  for (const char* what : {"session", "batched"}) {
     out.emplace_back(std::string("serve/") + what, [=] { return ServeScenario(what); });
   }
   for (const char* what : {"sharded-faults", "async-catalog", "overload"}) {

@@ -16,7 +16,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "serve/arrivals.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "trace/alerts.hpp"

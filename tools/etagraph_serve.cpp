@@ -1,9 +1,9 @@
 // etagraph_serve — replay a deterministic synthetic query trace against the
-// query-serving engine and print the fleet report.
+// query-serving fleet and print the fleet report.
 //
-//   etagraph_serve --dataset=slashdot --requests=64 --mode=batched
-//   etagraph_serve --graph=path/to/graph.gr --mode=session --deadline=5
-//   etagraph_serve --dataset=rmat --scale=0.25 --mode=naive --requests=16
+//   etagraph_serve --dataset=slashdot --requests=64
+//   etagraph_serve --graph=path/to/graph.gr --max-batch=1 --deadline=5
+//   etagraph_serve --dataset=rmat --scale=0.25 --shards=4 --requests=16
 //
 // Flags:
 //   --dataset       one of the seven stand-ins  (or use --graph)
@@ -11,9 +11,8 @@
 //   --scale         dataset stand-in scale in (0,1]             (default 1)
 //   --requests      trace length                                (default 64)
 //   --mean-arrival  mean inter-arrival time in ms               (default 1.5)
-//   --mode          naive | session | batched                   (default batched)
-//   --window        batching window in ms                       (default 2)
-//   --max-batch     max requests folded per launch              (default 16)
+//   --max-batch     max queued requests folded per dispatch;
+//                   1 = one query per dispatch                   (default 16)
 //   --queue-cap     admission queue capacity                    (default 64)
 //   --deadline      per-request queueing deadline in ms; 0=none (default 0)
 //   --bfs-frac      fraction of BFS requests                    (default 0.5)
@@ -43,12 +42,12 @@
 //   --metrics-out   write the serve metrics registry (latency split, batch
 //                   sizes, cost-model error) as Prometheus text exposition
 //                   to this path
-//   --shards        serve on a sharded fleet of N device sessions behind one
+//   --shards        serve on a fleet of N device sessions behind one
 //                   load/fault-aware admission front (DESIGN.md section 10);
-//                   0 = the single-session engine                (default 0)
-//   --device-mem-budget  with --shards: per-shard resident-graph budget in
-//                   bytes, LRU-evicting past it; 0 = unlimited   (default 0)
-//   --async         with --shards: stream-based async dispatch (DESIGN.md
+//                   must be >= 1                                 (default 1)
+//   --device-mem-budget  per-shard resident-graph budget in bytes,
+//                   LRU-evicting past it; 0 = unlimited          (default 0)
+//   --async         stream-based async dispatch (DESIGN.md
 //                   section 11) — staging runs on a copy stream overlapping
 //                   compute, dispatches pipeline as event DAGs. Answers are
 //                   bit-identical to the sync dispatcher; on a single-graph
@@ -57,7 +56,7 @@
 //                   scaled-down variants of the primary --dataset and the
 //                   generated trace round-robins graph ids across them, so
 //                   staging/eviction/pre-staging actually exercise.
-//                   Requires --shards and --dataset                (default 1)
+//                   Requires --dataset                             (default 1)
 //   --verify-dag    with --async: run etaverify (DESIGN.md section 12) over
 //                   every shard's recorded stream DAG — static
 //                   happens-before checks for unordered conflicting
@@ -78,7 +77,7 @@
 //                   e.g. --arrivals=poisson:rate=2000,n=512,gold=0.25
 //                   The catalog size (--catalog) supplies the graph count;
 //                   graph 0 is hot. Incompatible with --trace.
-//   --slo-shed      with --shards: enable the SLO admission controller —
+//   --slo-shed      enable the SLO admission controller —
 //                   predictively shed classed requests that provably cannot
 //                   meet their class target (gold is never shed)
 //   --slo-targets   gold[,silver[,bronze]] class targets in ms
@@ -99,12 +98,12 @@
 //                   class the scheduler pops earliest effective deadline
 //                   (start deadline minus the running-mean service estimate,
 //                   frozen at admission) first. Off: legacy (priority, seq)
-//   --memo-window   with --shards: whole-graph memo window in simulated ms —
+//   --memo-window   whole-graph memo window in simulated ms —
 //                   identical CC/PageRank requests against the same graph
 //                   inside the window are answered from the per-shard memo
 //                   table at zero device cost (0 = off). Arrivals gain
 //                   whole-graph traffic via the cc=/pr= arrival keys
-//   --autoscale     with --shards: min_shards,backlog_ms — backlog
+//   --autoscale     min_shards,backlog_ms — backlog
 //                   autoscaling (DESIGN.md section 15): start with
 //                   min_shards active, scale the active count through a
 //                   hysteresis ladder over the mean active-shard backlog
@@ -138,7 +137,6 @@
 #include "prof/trace_export.hpp"
 #include "sanitizer/config.hpp"
 #include "serve/arrivals.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "sim/fault.hpp"
 #include "serve/trace.hpp"
@@ -188,8 +186,6 @@ int main(int argc, char** argv) {
   const double scale = cl->GetDouble("scale", 1.0);
   const auto requests = static_cast<uint32_t>(cl->GetInt("requests", 64));
   const double mean_arrival = cl->GetDouble("mean-arrival", 1.5);
-  const std::string mode_name = cl->GetString("mode", "batched");
-  const double window = cl->GetDouble("window", 2.0);
   const auto max_batch = static_cast<uint32_t>(cl->GetInt("max-batch", 16));
   const auto queue_cap = static_cast<size_t>(cl->GetInt("queue-cap", 64));
   const double deadline = cl->GetDouble("deadline", 0.0);
@@ -205,7 +201,7 @@ int main(int argc, char** argv) {
   const bool profile = cl->GetBool("profile", false);
   const std::string trace_json = cl->GetString("trace-json", "");
   const std::string metrics_out = cl->GetString("metrics-out", "");
-  const auto shards = static_cast<uint32_t>(cl->GetInt("shards", 0));
+  const int64_t shards_flag = cl->GetInt("shards", 1);
   const auto mem_budget = static_cast<uint64_t>(cl->GetInt("device-mem-budget", 0));
   const bool async = cl->GetBool("async", false);
   const auto catalog_n = static_cast<uint32_t>(cl->GetInt("catalog", 1));
@@ -256,8 +252,9 @@ int main(int argc, char** argv) {
                   "' (drop-ready-wait | swap-record-wait | double-prestage)");
     }
   }
+  if (shards_flag < 1) return Fail("--shards must be >= 1");
+  const auto shards = static_cast<uint32_t>(shards_flag);
   if (catalog_n < 1) return Fail("--catalog must be >= 1");
-  if (catalog_n > 1 && shards == 0) return Fail("--catalog requires --shards");
   if (catalog_n > 1 && dataset.empty()) {
     return Fail("--catalog requires --dataset (scaled variants of one dataset)");
   }
@@ -289,34 +286,6 @@ int main(int argc, char** argv) {
 
   // Validate flags before the (potentially slow) graph load.
   serve::ServeOptions options;
-  if (mode_name == "naive") {
-    options.mode = serve::ServeMode::kNaivePerQuery;
-  } else if (mode_name == "session") {
-    options.mode = serve::ServeMode::kSession;
-  } else if (mode_name == "batched") {
-    options.mode = serve::ServeMode::kSessionBatched;
-  } else {
-    return Fail("unknown --mode '" + mode_name + "' (naive | session | batched)");
-  }
-  if (shards > 0 && options.mode == serve::ServeMode::kNaivePerQuery) {
-    return Fail("--shards requires a session mode (--mode=session or --mode=batched)");
-  }
-  if (mem_budget > 0 && shards == 0) {
-    return Fail("--device-mem-budget requires --shards");
-  }
-  if (async && shards == 0) {
-    return Fail("--async requires --shards");
-  }
-  // Overload control (DESIGN.md section 13). The admission controller,
-  // ladders, and breaker live in the sharded router; the retry budget also
-  // applies to the single-session engine.
-  if (shards == 0 && (slo_shed || !shed_backlog.empty() || !brownout_spec.empty() ||
-                      !breaker_spec.empty())) {
-    return Fail("--slo-shed/--shed-backlog/--brownout/--breaker require --shards");
-  }
-  if (shards == 0 && (memo_window > 0 || !autoscale_spec.empty())) {
-    return Fail("--memo-window/--autoscale require --shards");
-  }
   if (memo_window < 0) return Fail("--memo-window must be >= 0");
   serve::ShardedOptions::AutoscaleOptions autoscale{};
   if (!autoscale_spec.empty()) {
@@ -366,7 +335,6 @@ int main(int argc, char** argv) {
     }
   }
   options.queue_capacity = queue_cap;
-  options.batch_window_ms = window;
   options.max_batch = max_batch;
   options.edf = edf;
   options.memo_window_ms = memo_window;
@@ -460,19 +428,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  serve::ServeReport report;
-  if (shards > 0) {
-    serve::ShardedOptions sharded;
-    sharded.base = options;
-    sharded.shards = shards;
-    sharded.device_mem_budget_bytes = mem_budget;
-    sharded.async_dispatch = async;
-    sharded.plant = plant;
-    sharded.autoscale = autoscale;
-    report = serve::ShardedEngine(sharded).ServeMany(graphs, trace);
-  } else {
-    report = serve::ServeEngine(options).Serve(csr, trace);
-  }
+  serve::ShardedOptions sharded;
+  sharded.base = options;
+  sharded.shards = shards;
+  sharded.device_mem_budget_bytes = mem_budget;
+  sharded.async_dispatch = async;
+  sharded.plant = plant;
+  sharded.autoscale = autoscale;
+  const serve::ServeReport report = serve::ShardedEngine(sharded).ServeMany(graphs, trace);
   std::printf("%s\n", report.Render("etagraph serve — trace replay").c_str());
 
   if (detail) {
@@ -527,7 +490,7 @@ int main(int argc, char** argv) {
     const std::string json = prof::RenderChromeTrace(
         report.trace_spans,
         {{"dataset", !dataset.empty() ? dataset : graph_path},
-         {"mode", mode_name}});
+         {"mode", report.mode}});
     std::string parse_error;
     if (!util::JsonParse(json, &parse_error)) {
       return Fail("trace JSON failed self-validation: " + parse_error);
