@@ -1,15 +1,19 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself —
 // host-side performance of the pieces every experiment leans on (cache
 // probes, coalesced vs scattered gathers, UDC transform, R-MAT generation,
-// CSR construction). These track the *simulator's* speed, not simulated
-// GPU time; they exist so regressions in the hot paths show up.
+// CSR construction, baseline preprocessing). These track the *simulator's*
+// speed, not simulated GPU time; they exist so regressions in the hot paths
+// show up.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 #include <vector>
 
+#include "baselines/cusha.hpp"
+#include "baselines/tigr.hpp"
 #include "core/udc.hpp"
 #include "graph/builder.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
@@ -174,6 +178,34 @@ void BM_BuildCsr(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1 << 18));
 }
 BENCHMARK(BM_BuildCsr);
+
+// Baseline preprocessing (untimed in the paper's methodology, but host
+// time here): both builds are linear in |E|, so edges/s on the full-scale
+// slashdot stand-in should not fall with graph size.
+const graph::Csr& Slashdot() {
+  static const graph::Csr csr = graph::BuildDataset("slashdot");
+  return csr;
+}
+
+void BM_CushaBuildShards(benchmark::State& state) {
+  const graph::Csr& csr = Slashdot();
+  for (auto _ : state) {
+    auto shards = baselines::Cusha::BuildShards(csr, baselines::CushaOptions{}.window_vertices);
+    benchmark::DoNotOptimize(shards.src.data());
+  }
+  state.SetItemsProcessed(state.iterations() * csr.NumEdges());
+}
+BENCHMARK(BM_CushaBuildShards)->Unit(benchmark::kMillisecond);
+
+void BM_TigrBuildVst(benchmark::State& state) {
+  const graph::Csr& csr = Slashdot();
+  for (auto _ : state) {
+    auto vst = baselines::Tigr::BuildVst(csr, baselines::TigrOptions{}.split_degree);
+    benchmark::DoNotOptimize(vst.owner.data());
+  }
+  state.SetItemsProcessed(state.iterations() * csr.NumEdges());
+}
+BENCHMARK(BM_TigrBuildVst)->Unit(benchmark::kMillisecond);
 
 void BM_UnifiedMemoryTouch(benchmark::State& state) {
   sim::DeviceSpec spec;

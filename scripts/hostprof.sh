@@ -5,7 +5,8 @@
 # instrumentation into build-prof/, runs one untraced workload for the given
 # number of seconds, and prints the gprof flat profile's top entries plus the
 # self time summed per host layer: sector caches, coalescer, unified memory,
-# warp operations, kernel bodies, serving, CPU reference, graph building.
+# warp operations, kernel bodies, baseline preprocessing (CuSha's G-Shards,
+# Tigr's VST), serving, CPU reference, graph building.
 # Time is host time (what the simulator costs to run), never simulated time.
 #
 #   scripts/hostprof.sh [workload] [seconds]
@@ -47,15 +48,18 @@ echo "self time by host layer:"
 grep -E '^ +[0-9]' flat.txt | awk '
   {
     self = $3
-    # The function name: strip the numeric columns, then the argument list.
+    # The function name: strip the numeric columns, then the argument list
+    # (after renaming "(anonymous namespace)", whose parenthesis is not one).
     fn = $0
     sub(/^ *([0-9.]+ +)+/, "", fn)
+    gsub(/\(anonymous namespace\)/, "anon", fn)
     sub(/\(.*/, "", fn)
     if (fn ~ /SectorCache|ReadSectors|WriteSectors/) layer = "sector caches"
     else if (fn ~ /CoalesceSectors|MaxLaneMultiplicity/) layer = "coalescer"
     else if (fn ~ /UnifiedMemory|TouchManaged/) layer = "unified memory"
     else if (fn ~ /WarpCtx::/) layer = "warp operations"
     else if (fn ~ /Kernel|::Run$/) layer = "kernel bodies"
+    else if (fn ~ /eta::baselines::/) layer = "baselines"
     else if (fn ~ /eta::serve::/) layer = "serving"
     else if (fn ~ /eta::cpu::/) layer = "cpu reference"
     else if (fn ~ /eta::graph::/) layer = "graph build"

@@ -2,9 +2,10 @@
 // built on G-Shards and Concatenated Windows (CW).
 //
 // Modeled fidelity:
-//   - edges are preprocessed (host side, excluded from timing) into shards:
-//     sorted by destination window, then by source — so the kernel's reads
-//     of shard entries and its writes into the destination window are fully
+//   - edges are preprocessed (host side, excluded from timing, and only once
+//     the device allocations have succeeded) into shards: sorted by
+//     destination window, then by source — so the kernel's reads of shard
+//     entries and its writes into the destination window are fully
 //     coalesced, CuSha's core contribution;
 //   - every iteration streams *all* shards (no frontier): per-edge work is
 //     cheap but total work is |E| x iterations, which loses badly on
@@ -41,8 +42,8 @@ class Cusha {
   core::RunReport Run(const graph::Csr& csr, core::Algo algo,
                       graph::VertexId source) const;
 
-  /// Host-side shard construction, exposed for tests: returns edge order
-  /// (indices into the CSR edge sequence) sorted by (dst window, src).
+  /// Host-side shard construction, exposed for tests and benches: the edges
+  /// ordered by (dst window, src, dst), ties kept in CSR order.
   struct Shards {
     std::vector<graph::VertexId> src;
     std::vector<graph::VertexId> dst;

@@ -1,6 +1,9 @@
 #include "graph/datasets.hpp"
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 
 #include "graph/builder.hpp"
@@ -184,14 +187,19 @@ Csr BuildDatasetCached(const std::string& name, const std::string& cache_dir,
   namespace fs = std::filesystem;
   fs::create_directories(cache_dir);
   char key[64];
-  std::snprintf(key, sizeof(key), "%s_s%04d.gr", name.c_str(),
-                static_cast<int>(std::lround(scale * 1000)));
+  std::snprintf(key, sizeof(key), "%s_s%04d_v%u.gr", name.c_str(),
+                static_cast<int>(std::lround(scale * 1000)), kDatasetGeneratorVersion);
   fs::path path = fs::path(cache_dir) / key;
   if (fs::exists(path)) {
-    return ReadGaloisGr(path.string());
+    std::string error;
+    if (std::optional<Csr> cached = ReadGaloisGr(path.string(), &error)) return *std::move(cached);
+    ETA_LOG(Warn) << "rebuilding dataset " << name << ": " << error;
   }
   Csr csr = BuildDataset(name, scale);
-  WriteGaloisGr(csr, path.string());
+  // Write then rename, so a reader never sees a partly written file.
+  const fs::path tmp = path.string() + ".tmp" + std::to_string(::getpid());
+  WriteGaloisGr(csr, tmp.string());
+  fs::rename(tmp, path);
   ETA_LOG(Info) << "cached dataset " << name << " at " << path.string();
   return csr;
 }

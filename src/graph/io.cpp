@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "graph/builder.hpp"
@@ -17,9 +18,9 @@ void WriteRaw(std::ofstream& out, const void* data, size_t bytes) {
   ETA_CHECK(out.good());
 }
 
-void ReadRaw(std::ifstream& in, void* data, size_t bytes) {
+bool ReadRaw(std::ifstream& in, void* data, size_t bytes) {
   in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  ETA_CHECK(in.good());
+  return in.good();
 }
 
 }  // namespace
@@ -53,38 +54,74 @@ void WriteGaloisGr(const Csr& csr, const std::string& path) {
   }
 }
 
-Csr ReadGaloisGr(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  ETA_CHECK(in.is_open());
+std::optional<Csr> ReadGaloisGr(const std::string& path, std::string* error) {
+  auto fail = [&](const std::string& message) -> std::optional<Csr> {
+    if (error != nullptr) *error = path + ": " + message;
+    return std::nullopt;
+  };
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) return fail("cannot open file");
+  const uint64_t file_bytes = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
 
-  uint64_t version = 0, edge_data_size = 0, num_nodes = 0, num_edges = 0;
-  ReadRaw(in, &version, 8);
-  ReadRaw(in, &edge_data_size, 8);
-  ReadRaw(in, &num_nodes, 8);
-  ReadRaw(in, &num_edges, 8);
-  ETA_CHECK(version == 1);
-  ETA_CHECK(edge_data_size == 0 || edge_data_size == sizeof(Weight));
+  uint64_t header[4] = {};
+  if (file_bytes < sizeof(header) || !ReadRaw(in, header, sizeof(header))) {
+    return fail("truncated header (" + std::to_string(file_bytes) + " bytes)");
+  }
+  const auto [version, edge_data_size, num_nodes, num_edges] = header;
+  if (version != 1) return fail("unsupported .gr version " + std::to_string(version));
+  if (edge_data_size != 0 && edge_data_size != sizeof(Weight)) {
+    return fail("unsupported edge data size " + std::to_string(edge_data_size));
+  }
+  if (num_nodes > std::numeric_limits<VertexId>::max() ||
+      num_edges > std::numeric_limits<EdgeId>::max()) {
+    return fail("header claims " + std::to_string(num_nodes) + " nodes and " +
+                std::to_string(num_edges) + " edges, beyond 32-bit ids");
+  }
+  // Every section's size follows from the header, so the file size is
+  // checked before any array is sized from it.
+  const uint64_t expected_bytes = sizeof(header) + 8 * num_nodes +
+                                  sizeof(VertexId) * (num_edges + num_edges % 2) +
+                                  edge_data_size * num_edges;
+  if (file_bytes != expected_bytes) {
+    return fail("header claims " + std::to_string(num_nodes) + " nodes and " +
+                std::to_string(num_edges) + " edges (" + std::to_string(expected_bytes) +
+                " bytes) but the file has " + std::to_string(file_bytes) + " bytes");
+  }
 
   std::vector<EdgeId> offsets(num_nodes + 1, 0);
   for (uint64_t v = 0; v < num_nodes; ++v) {
     uint64_t end = 0;
-    ReadRaw(in, &end, 8);
-    ETA_CHECK(end <= num_edges);
+    if (!ReadRaw(in, &end, 8)) return fail("read error in the offset array");
+    if (end < offsets[v] || end > num_edges) {
+      return fail("row end offset " + std::to_string(end) + " of node " + std::to_string(v) +
+                  " out of order or beyond " + std::to_string(num_edges) + " edges");
+    }
     offsets[v + 1] = static_cast<EdgeId>(end);
   }
+  if (offsets.back() != num_edges) {
+    return fail("last row ends at " + std::to_string(offsets.back()) + ", not at edge " +
+                std::to_string(num_edges));
+  }
   std::vector<VertexId> targets(num_edges);
-  ReadRaw(in, targets.data(), num_edges * sizeof(VertexId));
+  if (!ReadRaw(in, targets.data(), num_edges * sizeof(VertexId))) {
+    return fail("read error in the destination array");
+  }
+  for (VertexId dst : targets) {
+    if (dst >= num_nodes) return fail("edge target " + std::to_string(dst) + " out of range");
+  }
   if (num_edges % 2 == 1) {
     uint32_t pad = 0;
-    ReadRaw(in, &pad, 4);
+    if (!ReadRaw(in, &pad, 4)) return fail("read error in the padding");
   }
   Csr csr(std::move(offsets), std::move(targets));
   if (edge_data_size != 0) {
     std::vector<Weight> weights(num_edges);
-    ReadRaw(in, weights.data(), num_edges * sizeof(Weight));
+    if (!ReadRaw(in, weights.data(), num_edges * sizeof(Weight))) {
+      return fail("read error in the edge data");
+    }
     csr.SetWeights(std::move(weights));
   }
-  ETA_CHECK(csr.Validate());
   return csr;
 }
 

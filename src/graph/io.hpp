@@ -7,6 +7,7 @@
 // reader/writer for interoperability with SNAP-style downloads.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,11 @@ namespace eta::graph {
 /// Aborts on I/O failure.
 void WriteGaloisGr(const Csr& csr, const std::string& path);
 
-/// Reads a Galois version-1 .gr file. Aborts on malformed input.
-Csr ReadGaloisGr(const std::string& path);
+/// Reads a Galois version-1 .gr file. The header's node and edge counts are
+/// checked against the file size before any array is sized from them. On
+/// unreadable or malformed input returns std::nullopt and, when `error` is
+/// non-null, a message naming the file and the fault.
+std::optional<Csr> ReadGaloisGr(const std::string& path, std::string* error);
 
 /// Writes "src dst [weight]" lines.
 void WriteEdgeListText(const Csr& csr, const std::string& path);

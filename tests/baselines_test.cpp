@@ -2,7 +2,10 @@
 // of their characteristic structures (VST, G-Shards) and OOM behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
 
 #include "baselines/cusha.hpp"
 #include "baselines/gunrock.hpp"
@@ -10,6 +13,7 @@
 #include "core/traversal.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "sim/device.hpp"
 
 namespace eta::baselines {
 namespace {
@@ -121,6 +125,102 @@ TEST(GShards, PreservesMultiset) {
   std::sort(original.begin(), original.end());
   std::sort(sharded.begin(), sharded.end());
   EXPECT_EQ(original, sharded);
+}
+
+/// The comparison-sort G-Shards build the linear builder replaced, run
+/// stably: sort edge indices by (dst window, src, dst), ties in CSR order.
+Cusha::Shards ComparisonSortShards(const graph::Csr& csr, uint32_t window) {
+  const graph::EdgeId m = csr.NumEdges();
+  std::vector<graph::VertexId> src(m);
+  for (graph::VertexId v = 0; v < csr.NumVertices(); ++v) {
+    for (graph::EdgeId e = csr.RowStart(v); e < csr.RowEnd(v); ++e) src[e] = v;
+  }
+  std::span<const graph::VertexId> dst = csr.ColIndices();
+  std::vector<graph::EdgeId> order(m);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](graph::EdgeId a, graph::EdgeId b) {
+    uint32_t wa = dst[a] / window, wb = dst[b] / window;
+    if (wa != wb) return wa < wb;
+    if (src[a] != src[b]) return src[a] < src[b];
+    return dst[a] < dst[b];
+  });
+  Cusha::Shards shards;
+  const uint32_t num_windows = (csr.NumVertices() + window - 1) / window;
+  shards.shard_start.assign(num_windows + 1, 0);
+  for (graph::EdgeId e : order) {
+    shards.src.push_back(src[e]);
+    shards.dst.push_back(dst[e]);
+    if (csr.HasWeights()) shards.weight.push_back(csr.Weights()[e]);
+    ++shards.shard_start[dst[e] / window + 1];
+  }
+  for (uint32_t w = 0; w < num_windows; ++w) shards.shard_start[w + 1] += shards.shard_start[w];
+  return shards;
+}
+
+TEST(GShards, MatchesStableComparisonSortReference) {
+  // Rows with unsorted destinations and duplicate edges carrying different
+  // weights: the order of equal keys is pinned to CSR order.
+  graph::Csr unsorted({0, 5, 5, 9, 12, 12},
+                      {4, 1, 3, 1, 0, 2, 2, 0, 4, 1, 1, 3});
+  unsorted.SetWeights({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  graph::Csr edgeless(std::vector<graph::EdgeId>(6, 0), {});
+  const graph::Csr graphs[] = {TestGraph(), unsorted, edgeless};
+  for (const graph::Csr& csr : graphs) {
+    for (uint32_t window : {1u, 3u, 64u, 2048u, csr.NumVertices() + 1}) {
+      SCOPED_TRACE("n=" + std::to_string(csr.NumVertices()) +
+                   " window=" + std::to_string(window));
+      Cusha::Shards expected = ComparisonSortShards(csr, window);
+      Cusha::Shards shards = Cusha::BuildShards(csr, window);
+      EXPECT_EQ(shards.src, expected.src);
+      EXPECT_EQ(shards.dst, expected.dst);
+      EXPECT_EQ(shards.weight, expected.weight);
+      EXPECT_EQ(shards.shard_start, expected.shard_start);
+    }
+  }
+}
+
+/// The first failing request when Tigr's buffers are allocated in the
+/// order the VST-first build used, sizes taken from a built VST; 0 if all fit.
+uint64_t VstFirstOomRequest(const graph::Csr& csr, const sim::DeviceSpec& spec,
+                            uint32_t split_degree, bool weighted) {
+  const uint64_t num_virtual = Tigr::BuildVst(csr, split_degree).NumVirtual();
+  const uint64_t m = csr.NumEdges(), n = csr.NumVertices();
+  sim::Device device(spec);
+  try {
+    device.Alloc<graph::EdgeId>(num_virtual + 1, sim::MemKind::kDevice, "vst_off");
+    device.Alloc<graph::VertexId>(num_virtual, sim::MemKind::kDevice, "vst_owner");
+    device.Alloc<graph::VertexId>(m, sim::MemKind::kDevice, "col");
+    if (weighted) device.Alloc<graph::Weight>(m, sim::MemKind::kDevice, "weights");
+    device.Alloc<graph::Weight>(n, sim::MemKind::kDevice, "labels");
+    device.Alloc<uint32_t>(n, sim::MemKind::kDevice, "stamp");
+    device.Alloc<uint32_t>(1, sim::MemKind::kDevice, "act_counter");
+    device.Alloc<graph::VertexId>(m, sim::MemKind::kDevice, "vst_staging");
+  } catch (const sim::OomError& e) {
+    return e.requested_bytes;
+  }
+  return 0;
+}
+
+TEST(BaselineOom, TigrAllocatesBeforeTheVstWithTheSameRequests) {
+  graph::Csr csr = TestGraph();
+  const TigrOptions defaults;
+  const uint64_t vst_off_bytes =
+      (Tigr::BuildVst(csr, defaults.split_degree).NumVirtual() + 1) * sizeof(graph::EdgeId);
+  bool vst_too_big = false;
+  for (uint64_t kib : {4, 8, 16, 32, 48, 64, 96, 128, 160, 192, 256, 1024}) {
+    TigrOptions opt;
+    opt.spec.device_memory_bytes = kib * util::kKiB;
+    for (Algo algo : {Algo::kBfs, Algo::kSssp}) {
+      SCOPED_TRACE(std::to_string(kib) + " KiB, algo " + std::to_string(int(algo)));
+      const uint64_t expected =
+          VstFirstOomRequest(csr, opt.spec, opt.split_degree, core::IsWeighted(algo));
+      core::RunReport report = Tigr(opt).Run(csr, algo, 0);
+      EXPECT_EQ(report.oom, expected != 0);
+      EXPECT_EQ(report.oom_request_bytes, expected);
+      vst_too_big |= opt.spec.device_memory_bytes < vst_off_bytes;
+    }
+  }
+  EXPECT_TRUE(vst_too_big);  // the first allocation itself failed somewhere
 }
 
 TEST(BaselineOom, SmallDeviceReportsOom) {

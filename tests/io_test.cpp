@@ -5,8 +5,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
@@ -42,6 +45,24 @@ Csr RandomGraph(uint64_t seed, bool weighted) {
   return csr;
 }
 
+/// Reads a .gr file that must load; fails the test otherwise.
+Csr Load(const std::string& path) {
+  std::string error;
+  std::optional<Csr> csr = ReadGaloisGr(path, &error);
+  EXPECT_TRUE(csr.has_value()) << error;
+  return csr.value_or(Csr());
+}
+
+void WriteBytes(const std::string& path, const void* data, size_t bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 void ExpectCsrEqual(const Csr& a, const Csr& b) {
   ASSERT_EQ(a.NumVertices(), b.NumVertices());
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
@@ -58,13 +79,13 @@ void ExpectCsrEqual(const Csr& a, const Csr& b) {
 TEST_F(IoTest, GaloisRoundTripUnweighted) {
   Csr csr = RandomGraph(1, false);
   WriteGaloisGr(csr, Path("g.gr"));
-  ExpectCsrEqual(csr, ReadGaloisGr(Path("g.gr")));
+  ExpectCsrEqual(csr, Load(Path("g.gr")));
 }
 
 TEST_F(IoTest, GaloisRoundTripWeighted) {
   Csr csr = RandomGraph(2, true);
   WriteGaloisGr(csr, Path("g.gr"));
-  ExpectCsrEqual(csr, ReadGaloisGr(Path("g.gr")));
+  ExpectCsrEqual(csr, Load(Path("g.gr")));
 }
 
 TEST_F(IoTest, GaloisOddEdgeCountPadding) {
@@ -72,7 +93,7 @@ TEST_F(IoTest, GaloisOddEdgeCountPadding) {
   Csr csr = BuildCsr(std::vector<Edge>{{0, 1}, {1, 2}, {2, 0}});
   ASSERT_EQ(csr.NumEdges() % 2, 1u);
   WriteGaloisGr(csr, Path("odd.gr"));
-  ExpectCsrEqual(csr, ReadGaloisGr(Path("odd.gr")));
+  ExpectCsrEqual(csr, Load(Path("odd.gr")));
 }
 
 TEST_F(IoTest, GaloisHeaderLayout) {
@@ -85,6 +106,73 @@ TEST_F(IoTest, GaloisHeaderLayout) {
   EXPECT_EQ(header[1], 0u);  // no edge data
   EXPECT_EQ(header[2], 2u);  // nodes
   EXPECT_EQ(header[3], 1u);  // edges
+}
+
+TEST_F(IoTest, GaloisHugeHeaderIsAnErrorNotAnAllocation) {
+  // A bare 32-byte header claiming 2^48 nodes: rejected from the file size
+  // before any vector is sized.
+  const uint64_t header[4] = {1, 0, uint64_t{1} << 48, 10};
+  WriteBytes(Path("huge.gr"), header, sizeof(header));
+  std::string error;
+  EXPECT_FALSE(ReadGaloisGr(Path("huge.gr"), &error).has_value());
+  EXPECT_NE(error.find("281474976710656 nodes"), std::string::npos) << error;
+
+  // Counts within 32 bits but far beyond the file's 32 bytes.
+  const uint64_t big[4] = {1, 4, 1u << 30, 1u << 31};
+  WriteBytes(Path("big.gr"), big, sizeof(big));
+  EXPECT_FALSE(ReadGaloisGr(Path("big.gr"), &error).has_value());
+  EXPECT_NE(error.find("but the file has 32 bytes"), std::string::npos) << error;
+}
+
+TEST_F(IoTest, GaloisTruncatedFileIsAnError) {
+  Csr csr = RandomGraph(5, true);
+  WriteGaloisGr(csr, Path("g.gr"));
+  const std::string bytes = ReadBytes(Path("g.gr"));
+  for (size_t keep : {size_t{0}, size_t{20}, size_t{32}, bytes.size() / 2, bytes.size() - 1}) {
+    WriteBytes(Path("t.gr"), bytes.data(), keep);
+    std::string error;
+    EXPECT_FALSE(ReadGaloisGr(Path("t.gr"), &error).has_value()) << keep;
+    EXPECT_FALSE(error.empty()) << keep;
+  }
+  // One extra trailing byte is malformed too.
+  WriteBytes(Path("t.gr"), (bytes + '\0').data(), bytes.size() + 1);
+  EXPECT_FALSE(ReadGaloisGr(Path("t.gr"), nullptr).has_value());
+}
+
+TEST_F(IoTest, GaloisBadVersionIsAnError) {
+  Csr csr = RandomGraph(6, false);
+  WriteGaloisGr(csr, Path("g.gr"));
+  std::string bytes = ReadBytes(Path("g.gr"));
+  const uint64_t version = 2;
+  std::memcpy(bytes.data(), &version, sizeof(version));
+  WriteBytes(Path("v2.gr"), bytes.data(), bytes.size());
+  std::string error;
+  EXPECT_FALSE(ReadGaloisGr(Path("v2.gr"), &error).has_value());
+  EXPECT_NE(error.find("unsupported .gr version 2"), std::string::npos) << error;
+}
+
+TEST_F(IoTest, GaloisBadContentsAreErrors) {
+  std::string error;
+  EXPECT_FALSE(ReadGaloisGr(Path("missing.gr"), &error).has_value());
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+
+  Csr csr = BuildCsr(std::vector<Edge>{{0, 1}, {1, 2}});
+  WriteGaloisGr(csr, Path("g.gr"));
+  const std::string good = ReadBytes(Path("g.gr"));
+  // Layout: 32-byte header, 3 row ends (8 bytes each), 2 targets.
+  std::string bad = good;
+  const uint32_t far_target = 7;
+  std::memcpy(bad.data() + 32 + 24, &far_target, 4);
+  WriteBytes(Path("bad.gr"), bad.data(), bad.size());
+  EXPECT_FALSE(ReadGaloisGr(Path("bad.gr"), &error).has_value());
+  EXPECT_NE(error.find("edge target 7 out of range"), std::string::npos) << error;
+
+  bad = good;
+  const uint64_t backwards = 0;
+  std::memcpy(bad.data() + 32 + 8, &backwards, 8);  // row 1 ends before row 0
+  WriteBytes(Path("bad.gr"), bad.data(), bad.size());
+  EXPECT_FALSE(ReadGaloisGr(Path("bad.gr"), &error).has_value());
+  EXPECT_NE(error.find("out of order"), std::string::npos) << error;
 }
 
 TEST_F(IoTest, TextRoundTripUnweighted) {
@@ -114,6 +202,21 @@ TEST_F(IoTest, DatasetCacheHitSkipsGeneration) {
   ASSERT_TRUE(fs::exists(fs::path(cache)));
   Csr second = BuildDatasetCached("slashdot", cache, /*scale=*/0.05);
   ExpectCsrEqual(first, second);
+}
+
+TEST_F(IoTest, DatasetCacheRebuildsTruncatedFile) {
+  std::string cache = (dir_ / "cache").string();
+  BuildDatasetCached("slashdot", cache, /*scale=*/0.05);
+  std::vector<fs::path> files;
+  for (auto& entry : fs::directory_iterator(cache)) files.push_back(entry.path());
+  ASSERT_EQ(files.size(), 1u);  // the renamed file, no temporary left behind
+  const uintmax_t full_size = fs::file_size(files[0]);
+  fs::resize_file(files[0], full_size / 3);
+
+  Csr rebuilt = BuildDatasetCached("slashdot", cache, 0.05);
+  ExpectCsrEqual(BuildDataset("slashdot", 0.05), rebuilt);
+  EXPECT_EQ(fs::file_size(files[0]), full_size);  // rewritten in place
+  ExpectCsrEqual(rebuilt, Load(files[0].string()));
 }
 
 TEST_F(IoTest, DatasetCacheKeyedByScale) {

@@ -60,6 +60,7 @@
 //                 has per-class completion series to evaluate.)
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -318,9 +319,14 @@ int main(int argc, char** argv) {
   // --- Load the graph -------------------------------------------------------
   graph::Csr csr;
   if (!graph_path.empty()) {
-    csr = graph_path.size() > 3 && graph_path.ends_with(".gr")
-              ? graph::ReadGaloisGr(graph_path)
-              : graph::ReadEdgeListText(graph_path);
+    if (graph_path.size() > 3 && graph_path.ends_with(".gr")) {
+      std::string load_error;
+      std::optional<graph::Csr> loaded = graph::ReadGaloisGr(graph_path, &load_error);
+      if (!loaded) return Fail("bad --graph: " + load_error);
+      csr = *std::move(loaded);
+    } else {
+      csr = graph::ReadEdgeListText(graph_path);
+    }
     if (!csr.HasWeights()) csr.DeriveWeights(1);
   } else if (!dataset.empty()) {
     if (!graph::FindDataset(dataset)) return Fail("unknown dataset '" + dataset + "'");

@@ -129,6 +129,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -346,9 +347,14 @@ int main(int argc, char** argv) {
 
   graph::Csr csr;
   if (!graph_path.empty()) {
-    csr = graph_path.size() > 3 && graph_path.ends_with(".gr")
-              ? graph::ReadGaloisGr(graph_path)
-              : graph::ReadEdgeListText(graph_path);
+    if (graph_path.size() > 3 && graph_path.ends_with(".gr")) {
+      std::string load_error;
+      std::optional<graph::Csr> loaded = graph::ReadGaloisGr(graph_path, &load_error);
+      if (!loaded) return Fail("bad --graph: " + load_error);
+      csr = *std::move(loaded);
+    } else {
+      csr = graph::ReadEdgeListText(graph_path);
+    }
   } else if (!dataset.empty()) {
     if (!graph::FindDataset(dataset)) return Fail("unknown dataset '" + dataset + "'");
     csr = graph::BuildDatasetCached(dataset, "eta_dataset_cache", scale);
