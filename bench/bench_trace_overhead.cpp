@@ -19,6 +19,7 @@
 #include "serve/arrivals.hpp"
 #include "serve/router.hpp"
 #include "serve/trace_file.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 using namespace eta;
@@ -44,7 +45,8 @@ int main(int argc, char** argv) {
 
   util::Table table({"Dataset", "Requests", "Identical?", "Traces deterministic?",
                      "Wall off (ms)", "Wall on (ms)", "Host overhead", "Events"});
-  std::string json = "[";
+  util::JsonWriter json;
+  json.BeginArray();
   bool all_ok = true;
 
   for (const std::string& name : env.datasets) {
@@ -111,23 +113,17 @@ int main(int argc, char** argv) {
                   deterministic ? "yes" : "NO", util::FormatDouble(wall_off, 1),
                   util::FormatDouble(wall_on, 1), buf, std::to_string(events)});
 
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "%s{\"dataset\":\"%s\",\"requests\":%zu,\"identical\":%s"
-                  ",\"deterministic\":%s,\"wall_off_ms\":%.3f,\"wall_on_ms\":%.3f"
-                  ",\"events\":%zu}",
-                  json.size() > 1 ? "," : "", name.c_str(), trace.size(),
-                  identical ? "true" : "false", deterministic ? "true" : "false",
-                  wall_off, wall_on, events);
-    json += row;
+    json.BeginObject().Key("dataset").String(name).Key("requests").Uint(trace.size());
+    json.Key("identical").Bool(identical).Key("deterministic").Bool(deterministic);
+    json.Key("wall_off_ms").Double(wall_off, 3).Key("wall_on_ms").Double(wall_on, 3);
+    json.Key("events").Uint(events).EndObject();
   }
-  json += "]\n";
 
   std::printf("%s", table.Render("bench: etatrace overhead (off vs on)").c_str());
   std::printf("\ncontract: traced replay simulation-identical to untraced; traces "
               "byte-identical across double runs\n");
   std::ofstream out(json_path);
-  out << json;
+  out << json.EndArray().Newline().Take();
   std::printf("json: %s\n", json_path.c_str());
   if (!all_ok) {
     std::printf("FAIL: tracing changed the simulation (or traces were "

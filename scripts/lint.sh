@@ -19,6 +19,24 @@ BUILD_DIR="${1:-build}"
 
 SOURCES=$(find src tools bench tests -name '*.cpp' | sort)
 
+# JSON gates: every JSON document is written through util::JsonWriter
+# (src/util/json.hpp). A printf-style JSON key ("key":%...) or an Appendf
+# snprintf helper outside src/util/ means an emitter is being hand-rolled
+# again, with its own escaping, comma placement and buffer sizing.
+PRINTF_JSON=$(grep -rnE '\\"[A-Za-z_]+\\": ?%' src tools bench || true)
+if [[ -n "$PRINTF_JSON" ]]; then
+  echo "lint.sh: printf-formatted JSON; write it with util::JsonWriter:" >&2
+  echo "$PRINTF_JSON" >&2
+  exit 1
+fi
+APPENDF=$(grep -rnwE 'Appendf' src tools bench tests --include='*.cpp' --include='*.hpp' |
+          grep -v '^src/util/' || true)
+if [[ -n "$APPENDF" ]]; then
+  echo "lint.sh: Appendf helper outside src/util/; use util::JsonWriter or std::string:" >&2
+  echo "$APPENDF" >&2
+  exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   echo "lint.sh: clang-tidy ($(clang-tidy --version | head -1))"

@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -142,33 +143,58 @@ void WriteEdgeListText(const Csr& csr, const std::string& path) {
   ETA_CHECK(out.good());
 }
 
-Csr ReadEdgeListText(const std::string& path) {
+std::optional<Csr> ReadEdgeListText(const std::string& path, std::string* error) {
+  size_t line_no = 0;
+  auto fail = [&](const std::string& message) -> std::optional<Csr> {
+    if (error != nullptr) {
+      *error = line_no > 0 ? path + ":" + std::to_string(line_no) : path;
+      *error += ": " + message;
+    }
+    return std::nullopt;
+  };
   std::ifstream in(path);
-  ETA_CHECK(in.is_open());
+  if (!in.is_open()) return fail("cannot open file");
   std::vector<Edge> edges;
   std::vector<Weight> weights;
+  std::optional<bool> weighted;  // set by the first edge line
   std::string line;
-  bool any_weight = false;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
-    uint64_t u = 0, v = 0, w = 0;
-    ETA_CHECK(static_cast<bool>(ls >> u >> v));
-    edges.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v)});
-    if (ls >> w) {
-      any_weight = true;
-      weights.push_back(static_cast<Weight>(w));
-    } else {
-      weights.push_back(0);
+    std::istringstream fields(line);
+    std::string token;
+    uint64_t value[3] = {};
+    size_t count = 0;
+    while (fields >> token) {
+      if (count == 3) return fail("more than three fields in '" + line + "'");
+      const char* end = token.data() + token.size();
+      const auto [ptr, ec] = std::from_chars(token.data(), end, value[count]);
+      if (ptr != end || ec != std::errc()) {
+        return fail("expected 'src dst [weight]' in unsigned decimals, got '" + line + "'");
+      }
+      ++count;
     }
-    ETA_CHECK(!any_weight || weights.back() != 0 || w != 0);
+    if (count == 0) continue;  // whitespace only
+    if (count == 1) return fail("expected 'src dst [weight]', got '" + line + "'");
+    if (value[0] >= kInvalidVertex || value[1] >= kInvalidVertex) {
+      return fail("vertex id beyond " + std::to_string(kInvalidVertex - 1) + " in '" + line + "'");
+    }
+    if (weighted.has_value() && *weighted != (count == 3)) {
+      return fail("weighted and unweighted lines mixed");
+    }
+    weighted = count == 3;
+    if (count == 3 && (value[2] == 0 || value[2] > std::numeric_limits<Weight>::max())) {
+      return fail("weight " + std::to_string(value[2]) + " outside 1.." +
+                  std::to_string(std::numeric_limits<Weight>::max()));
+    }
+    edges.push_back({static_cast<VertexId>(value[0]), static_cast<VertexId>(value[1])});
+    if (count == 3) weights.push_back(static_cast<Weight>(value[2]));
   }
-  if (!any_weight) {
+  if (!weighted.value_or(false)) {
     return BuildCsr(std::move(edges),
                     {.remove_self_loops = false, .remove_duplicates = false});
   }
   // Weighted path: keep weights attached through the (stable) rebuild.
-  ETA_CHECK(weights.size() == edges.size());
   // Build CSR without dedup so the parallel weight array stays aligned.
   VertexId n = 0;
   for (const Edge& e : edges) n = std::max({n, e.src + 1, e.dst + 1});

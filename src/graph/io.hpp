@@ -30,7 +30,10 @@ std::optional<Csr> ReadGaloisGr(const std::string& path, std::string* error);
 void WriteEdgeListText(const Csr& csr, const std::string& path);
 
 /// Reads "src dst [weight]" lines; '#'- or '%'-prefixed lines are comments
-/// (SNAP convention). If any line carries a third column, all must.
-Csr ReadEdgeListText(const std::string& path);
+/// (SNAP convention). If any line carries a third column, all must. Ids
+/// must be below 2^32-1 and weights in 1..2^32-1. On unreadable or
+/// malformed input returns std::nullopt and, when `error` is non-null, a
+/// message naming the file, the line and the fault.
+std::optional<Csr> ReadEdgeListText(const std::string& path, std::string* error);
 
 }  // namespace eta::graph

@@ -1,8 +1,6 @@
 #include "prof/trace_export.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 
 #include "util/json.hpp"
 
@@ -18,36 +16,6 @@ const char* TimelineThread(sim::SpanKind kind) {
     case sim::SpanKind::kStall: return "stall";
   }
   return "?";
-}
-
-std::string FormatNumber(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  return buf;
-}
-
-void Appendf(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_list retry;
-  va_start(args, fmt);
-  va_copy(retry, args);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    if (static_cast<size_t>(n) < sizeof(buf)) {
-      out->append(buf, static_cast<size_t>(n));
-    } else {
-      // Long chunk (e.g. a pathological span label): retry into the string
-      // itself instead of silently truncating.
-      const size_t base = out->size();
-      out->resize(base + static_cast<size_t>(n) + 1);
-      std::vsnprintf(out->data() + base, static_cast<size_t>(n) + 1, fmt, retry);
-      out->resize(base + static_cast<size_t>(n));
-    }
-  }
-  va_end(retry);
 }
 
 }  // namespace
@@ -83,7 +51,8 @@ void AppendKernelSpans(std::span<const sim::KernelProfile> profiles,
     t.args.push_back({"grid_threads", std::to_string(p.grid_threads), true});
     t.args.push_back({"block_size", std::to_string(p.block_size), true});
     if (p.Ok()) {
-      t.args.push_back({"cycles", FormatNumber(p.counters.elapsed_cycles), true});
+      t.args.push_back(
+          {"cycles", util::JsonWriter().Double(p.counters.elapsed_cycles, 3).Take(), true});
       t.args.push_back(
           {"warp_instructions", std::to_string(p.counters.warp_instructions), true});
     } else {
@@ -138,77 +107,50 @@ std::string RenderChromeTrace(
     events.push_back(e);
   }
 
-  std::string out;
-  out.reserve(256 + spans.size() * 160);
-  out += "{\"displayTimeUnit\":\"ms\",";
+  util::JsonWriter w;
+  w.BeginObject().Key("displayTimeUnit").String("ms");
   if (!metadata.empty()) {
-    out += "\"otherData\":{";
-    for (size_t i = 0; i < metadata.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"";
-      out += util::JsonEscape(metadata[i].first);
-      out += "\":\"";
-      out += util::JsonEscape(metadata[i].second);
-      out += "\"";
-    }
-    out += "},";
+    w.Key("otherData").BeginObject();
+    for (const auto& [key, value] : metadata) w.Key(key).String(value);
+    w.EndObject();
   }
-  out += "\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out += ",";
-    first = false;
-  };
+  w.Key("traceEvents").BeginArray();
   for (size_t i = 0; i < processes.size(); ++i) {
-    sep();
-    Appendf(&out,
-            "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\","
-            "\"args\":{\"name\":\"%s\"}}",
-            static_cast<int>(i + 1), util::JsonEscape(processes[i]).c_str());
+    w.BeginObject().Key("ph").String("M").Key("pid").Uint(i + 1).Key("tid").Uint(0);
+    w.Key("name").String("process_name");
+    w.Key("args").BeginObject().Key("name").String(processes[i]).EndObject().EndObject();
   }
   for (size_t i = 0; i < tracks.size(); ++i) {
-    std::string process;
-    std::string track = tracks[i].first;
-    int tid = static_cast<int>(i + 1);
+    const std::string& track = tracks[i].first;
     int pid = 0;
     // Recompute the owning pid (already interned above).
     std::string proc = track.substr(0, track.find('/'));
     for (size_t j = 0; j < processes.size(); ++j) {
       if (processes[j] == proc) pid = static_cast<int>(j + 1);
     }
-    sep();
-    Appendf(&out,
-            "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\","
-            "\"args\":{\"name\":\"%s\"}}",
-            pid, tid, util::JsonEscape(tracks[i].second).c_str());
+    w.BeginObject().Key("ph").String("M").Key("pid").Int(pid).Key("tid").Uint(i + 1);
+    w.Key("name").String("thread_name");
+    w.Key("args").BeginObject().Key("name").String(tracks[i].second).EndObject().EndObject();
   }
   for (const Event& e : events) {
-    sep();
-    Appendf(&out, "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f",
-            e.pid, e.tid, util::JsonEscape(e.span->name).c_str(), e.span->start_ms * 1000.0,
-            (e.span->end_ms - e.span->start_ms) * 1000.0);
+    w.BeginObject().Key("ph").String("X").Key("pid").Int(e.pid).Key("tid").Int(e.tid);
+    w.Key("name").String(e.span->name).Key("ts").Double(e.span->start_ms * 1000.0, 3);
+    w.Key("dur").Double((e.span->end_ms - e.span->start_ms) * 1000.0, 3);
     if (!e.span->args.empty()) {
-      out += ",\"args\":{";
-      for (size_t i = 0; i < e.span->args.size(); ++i) {
-        const TraceArg& arg = e.span->args[i];
-        if (i > 0) out += ",";
-        out += "\"";
-        out += util::JsonEscape(arg.key);
-        out += "\":";
+      w.Key("args").BeginObject();
+      for (const TraceArg& arg : e.span->args) {
+        w.Key(arg.key);
         if (arg.number) {
-          out += arg.value;
+          w.Raw(arg.value);
         } else {
-          out += "\"";
-          out += util::JsonEscape(arg.value);
-          out += "\"";
+          w.String(arg.value);
         }
       }
-      out += "}";
+      w.EndObject();
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]}\n";
-  return out;
+  return w.EndArray().EndObject().Newline().Take();
 }
 
 }  // namespace eta::prof

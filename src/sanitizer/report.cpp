@@ -1,33 +1,8 @@
 #include "sanitizer/report.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "util/json.hpp"
 
 namespace eta::sanitizer {
-
-namespace {
-
-/// snprintf into a std::string, matching the serve-layer JSON style. Long
-/// chunks (e.g. a pathological kernel label) retry into the string itself
-/// instead of silently truncating at the stack-buffer size.
-template <typename... Args>
-void Appendf(std::string& out, const char* fmt, Args... args) {
-  char buf[512];
-  int n = std::snprintf(buf, sizeof(buf), fmt, args...);
-  if (n <= 0) return;
-  if (static_cast<size_t>(n) < sizeof(buf)) {
-    out.append(buf, static_cast<size_t>(n));
-    return;
-  }
-  const size_t base = out.size();
-  out.resize(base + static_cast<size_t>(n) + 1);
-  std::snprintf(out.data() + base, static_cast<size_t>(n) + 1, fmt, args...);
-  out.resize(base + static_cast<size_t>(n));
-}
-
-}  // namespace
 
 const char* CheckerName(Checker checker) {
   switch (checker) {
@@ -115,29 +90,23 @@ const char* KindDescription(FindingKind kind) {
 }  // namespace
 
 std::string Finding::Message() const {
-  std::string out;
-  Appendf(out, "%s [%s] %s: %s", SeverityName(SeverityLevel()),
-          CheckerName(FindingChecker(kind)), FindingKindName(kind),
-          KindDescription(kind));
+  std::string out = std::string(SeverityName(SeverityLevel())) + " [" +
+                    CheckerName(FindingChecker(kind)) + "] " + FindingKindName(kind) + ": " +
+                    KindDescription(kind);
   if (kind == FindingKind::kLeakedBuffer) {
-    Appendf(out, " %s", buffer.c_str());
+    out += " " + buffer;
   } else if (!buffer.empty()) {
-    Appendf(out, " %s[%" PRIu64 "]", buffer.c_str(), elem_index);
+    out += " " + buffer + "[" + std::to_string(elem_index) + "]";
   } else if (kind == FindingKind::kBarrierMismatch) {
-    Appendf(out, " block %" PRIu64, elem_index);
+    out += " block " + std::to_string(elem_index);
   }
-  if (kind == FindingKind::kLeakedBuffer) {
-    if (occurrences > 1) Appendf(out, " (x%" PRIu64 ")", occurrences);
-    if (!note.empty()) out += " — " + note;
-    return out;
+  if (kind != FindingKind::kLeakedBuffer) {
+    if (!kernel.empty()) out += " in '" + kernel + "'";
+    out += " by warp " + std::to_string(warp) + " lane " + std::to_string(lane);
+    if (other_thread != kNoThread) out += " (peer thread " + std::to_string(other_thread) + ")";
+    out += " at step " + std::to_string(step);
   }
-  if (!kernel.empty()) Appendf(out, " in '%s'", kernel.c_str());
-  Appendf(out, " by warp %" PRIu64 " lane %u", warp, lane);
-  if (other_thread != kNoThread) {
-    Appendf(out, " (peer thread %" PRIu64 ")", other_thread);
-  }
-  Appendf(out, " at step %" PRIu64, step);
-  if (occurrences > 1) Appendf(out, " (x%" PRIu64 ")", occurrences);
+  if (occurrences > 1) out += " (x" + std::to_string(occurrences) + ")";
   if (!note.empty()) out += " — " + note;
   return out;
 }
@@ -176,11 +145,10 @@ void SanitizerReport::Merge(const SanitizerReport& other) {
 
 std::string SanitizerReport::Render(bool verbose) const {
   if (findings.empty() && !verbose) return "";
-  std::string out;
-  Appendf(out,
-          "========= etacheck: %" PRIu64 " error(s), %" PRIu64
-          " warning(s) over %" PRIu64 " launch(es), %" PRIu64 " access(es)\n",
-          ErrorCount(), WarningCount(), launches_checked, accesses_checked);
+  std::string out = "========= etacheck: " + std::to_string(ErrorCount()) + " error(s), " +
+                    std::to_string(WarningCount()) + " warning(s) over " +
+                    std::to_string(launches_checked) + " launch(es), " +
+                    std::to_string(accesses_checked) + " access(es)\n";
   for (const Finding& f : findings) {
     out += "=========   " + f.Message() + "\n";
   }
@@ -188,33 +156,20 @@ std::string SanitizerReport::Render(bool verbose) const {
 }
 
 std::string SanitizerReport::Json() const {
-  std::string out = "{\n";
-  Appendf(out, "  \"errors\": %" PRIu64 ",\n", ErrorCount());
-  Appendf(out, "  \"warnings\": %" PRIu64 ",\n", WarningCount());
-  Appendf(out, "  \"launches_checked\": %" PRIu64 ",\n", launches_checked);
-  Appendf(out, "  \"accesses_checked\": %" PRIu64 ",\n", accesses_checked);
-  out += "  \"findings\": [";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {";
-    Appendf(out, "\"checker\": \"%s\", ", CheckerName(FindingChecker(f.kind)));
-    Appendf(out, "\"kind\": \"%s\", ", FindingKindName(f.kind));
-    Appendf(out, "\"severity\": \"%s\", ", SeverityName(f.SeverityLevel()));
-    Appendf(out, "\"kernel\": \"%s\", ", util::JsonEscape(f.kernel).c_str());
-    Appendf(out, "\"buffer\": \"%s\", ", util::JsonEscape(f.buffer).c_str());
-    Appendf(out, "\"elem_index\": %" PRIu64 ", ", f.elem_index);
-    Appendf(out, "\"warp\": %" PRIu64 ", ", f.warp);
-    Appendf(out, "\"lane\": %u, ", f.lane);
-    if (f.other_thread != Finding::kNoThread) {
-      Appendf(out, "\"other_thread\": %" PRIu64 ", ", f.other_thread);
-    }
-    Appendf(out, "\"step\": %" PRIu64 ", ", f.step);
-    Appendf(out, "\"occurrences\": %" PRIu64 "}", f.occurrences);
+  util::JsonWriter w;
+  w.BeginObject().Key("errors").Uint(ErrorCount()).Key("warnings").Uint(WarningCount());
+  w.Key("launches_checked").Uint(launches_checked);
+  w.Key("accesses_checked").Uint(accesses_checked).Key("findings").BeginArray();
+  for (const Finding& f : findings) {
+    w.Newline().BeginObject().Key("checker").String(CheckerName(FindingChecker(f.kind)));
+    w.Key("kind").String(FindingKindName(f.kind));
+    w.Key("severity").String(SeverityName(f.SeverityLevel()));
+    w.Key("kernel").String(f.kernel).Key("buffer").String(f.buffer);
+    w.Key("elem_index").Uint(f.elem_index).Key("warp").Uint(f.warp).Key("lane").Uint(f.lane);
+    if (f.other_thread != Finding::kNoThread) w.Key("other_thread").Uint(f.other_thread);
+    w.Key("step").Uint(f.step).Key("occurrences").Uint(f.occurrences).EndObject();
   }
-  out += findings.empty() ? "]\n" : "\n  ]\n";
-  out += "}";
-  return out;
+  return w.EndArray().EndObject().Take();
 }
 
 }  // namespace eta::sanitizer

@@ -1,8 +1,6 @@
 #include "serve/report.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "trace/tracer.hpp"
 #include "util/json.hpp"
@@ -200,211 +198,149 @@ std::string ServeReport::Render(const std::string& title) const {
   return out;
 }
 
-namespace {
-
-/// snprintf-append, keeping the fixed-precision formatting that makes two
-/// identically-seeded replays byte-identical.
-template <typename... Args>
-void Appendf(std::string& out, const char* fmt, Args... args) {
-  char buf[512];
-  int n = std::snprintf(buf, sizeof(buf), fmt, args...);
-  if (n <= 0) return;
-  if (static_cast<size_t>(n) < sizeof(buf)) {
-    out.append(buf, static_cast<size_t>(n));
-    return;
-  }
-  // Rare long chunk: retry into the string itself rather than truncate.
-  const size_t base = out.size();
-  out.resize(base + static_cast<size_t>(n) + 1);
-  std::snprintf(out.data() + base, static_cast<size_t>(n) + 1, fmt, args...);
-  out.resize(base + static_cast<size_t>(n));
-}
-
-}  // namespace
-
 std::string ServeReport::Json() const {
-  std::string out;
-  out.reserve(2048);
-  Appendf(out,
-          "{\"mode\":\"%s\",\"requests\":%" PRIu64 ",\"completed\":%" PRIu64
-          ",\"rejected\":%" PRIu64 ",\"timed_out\":%" PRIu64 ",\"degraded\":%" PRIu64
-          ",\"dispatches\":%" PRIu64 ",\"session_rebuilds\":%" PRIu64
-          ",\"load_ms\":%.4f,\"makespan_ms\":%.4f,\"throughput_qps\":%.3f"
-          ",\"latency_p50_ms\":%.4f,\"latency_p95_ms\":%.4f,\"latency_p99_ms\":%.4f"
-          ",\"latency_p999_ms\":%.4f"
-          ",\"mean_batch_occupancy\":%.3f,\"reached_total\":%" PRIu64
-          ",\"launch_failures\":%" PRIu64 ",\"query_retries\":%" PRIu64
-          ",\"ecc_corrected\":%" PRIu64 ",\"restaged_buffers\":%" PRIu64
-          ",\"restaged_bytes\":%" PRIu64 ",\"backoff_ms\":%.4f,\"device_lost\":%s"
-          ",\"check_launches\":%" PRIu64 ",\"check_errors\":%" PRIu64
-          ",\"check_warnings\":%" PRIu64,
-          util::JsonEscape(mode).c_str(), total_requests, completed,
-          rejected, timed_out, degraded, batches, session_rebuilds, load_ms, makespan_ms,
-          ThroughputQps(), LatencyPercentileMs(0.50), LatencyPercentileMs(0.95),
-          LatencyPercentileMs(0.99), LatencyPercentileMs(0.999), MeanBatchOccupancy(),
-          reached_total,
-          faults.launch_failures, faults.retries, faults.ecc_corrected,
-          faults.restaged_buffers, faults.restaged_bytes, faults.backoff_ms,
-          faults.device_lost ? "true" : "false", check.launches_checked,
-          static_cast<uint64_t>(check.ErrorCount()),
-          static_cast<uint64_t>(check.WarningCount()));
+  util::JsonWriter w;
+  w.BeginObject().Key("mode").String(mode).Key("requests").Uint(total_requests);
+  w.Key("completed").Uint(completed).Key("rejected").Uint(rejected);
+  w.Key("timed_out").Uint(timed_out).Key("degraded").Uint(degraded);
+  w.Key("dispatches").Uint(batches).Key("session_rebuilds").Uint(session_rebuilds);
+  w.Key("load_ms").Double(load_ms, 4).Key("makespan_ms").Double(makespan_ms, 4);
+  w.Key("throughput_qps").Double(ThroughputQps(), 3);
+  w.Key("latency_p50_ms").Double(LatencyPercentileMs(0.50), 4);
+  w.Key("latency_p95_ms").Double(LatencyPercentileMs(0.95), 4);
+  w.Key("latency_p99_ms").Double(LatencyPercentileMs(0.99), 4);
+  w.Key("latency_p999_ms").Double(LatencyPercentileMs(0.999), 4);
+  w.Key("mean_batch_occupancy").Double(MeanBatchOccupancy(), 3);
+  w.Key("reached_total").Uint(reached_total);
+  w.Key("launch_failures").Uint(faults.launch_failures);
+  w.Key("query_retries").Uint(faults.retries).Key("ecc_corrected").Uint(faults.ecc_corrected);
+  w.Key("restaged_buffers").Uint(faults.restaged_buffers);
+  w.Key("restaged_bytes").Uint(faults.restaged_bytes);
+  w.Key("backoff_ms").Double(faults.backoff_ms, 4).Key("device_lost").Bool(faults.device_lost);
+  w.Key("check_launches").Uint(check.launches_checked);
+  w.Key("check_errors").Uint(check.ErrorCount()).Key("check_warnings").Uint(check.WarningCount());
   // Emitted only on async replays so sync JSON stays byte-identical.
-  if (async_dispatch) out += ",\"async_dispatch\":true";
+  if (async_dispatch) w.Key("async_dispatch").Bool(true);
   // Same contract for the million-user scheduler features (section 15):
   // keys appear only when the feature was configured.
-  if (edf) out += ",\"edf\":true";
-  if (memo_configured) Appendf(out, ",\"memo_hits\":%" PRIu64, memo_hits);
+  if (edf) w.Key("edf").Bool(true);
+  if (memo_configured) w.Key("memo_hits").Uint(memo_hits);
   if (autoscale_configured) {
-    Appendf(out, ",\"autoscale\":{\"shards_active\":%u,\"scale_events\":[", shards_active);
-    for (size_t i = 0; i < scale_events.size(); ++i) {
-      const LadderTransition& tr = scale_events[i];
-      if (i > 0) out += ",";
-      Appendf(out, "{\"at_ms\":%.4f,\"from\":%u,\"to\":%u}", tr.at_ms, tr.from_level,
-              tr.to_level);
+    w.Key("autoscale").BeginObject().Key("shards_active").Uint(shards_active);
+    w.Key("scale_events").BeginArray();
+    for (const LadderTransition& tr : scale_events) {
+      w.BeginObject().Key("at_ms").Double(tr.at_ms, 4).Key("from").Uint(tr.from_level);
+      w.Key("to").Uint(tr.to_level).EndObject();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
   // Emitted only on traced replays (same contract).
-  if (traced) {
-    Appendf(out, ",\"traced\":true,\"traced_requests\":%" PRIu64,
-            static_cast<uint64_t>(request_traces.size()));
-  }
+  if (traced) w.Key("traced").Bool(true).Key("traced_requests").Uint(request_traces.size());
   // Overload-control block: emitted only when an overload feature was
   // configured or the trace carried SLO classes, so legacy JSON stays
   // byte-identical (same contract as async_dispatch).
   if (overload.Active()) {
-    Appendf(out, ",\"shedded\":%" PRIu64, shedded);
-    Appendf(out,
-            ",\"overload\":{\"brownout_level\":%u,\"brownout_max_level\":%u"
-            ",\"brownout_transitions\":%" PRIu64 ",\"brownout_degraded\":%" PRIu64
-            ",\"retry_granted\":%" PRIu64 ",\"retry_denied\":%" PRIu64
-            ",\"rebuild_granted\":%" PRIu64 ",\"rebuild_denied\":%" PRIu64
-            ",\"breaker_opens\":%" PRIu64 ",\"breaker_probes\":%" PRIu64
-            ",\"breaker_probe_failures\":%" PRIu64 "}",
-            overload.brownout_level, overload.brownout_max_level,
-            static_cast<uint64_t>(overload.brownout_transitions.size()),
-            overload.brownout_degraded, overload.retry_granted, overload.retry_denied,
-            overload.rebuild_granted, overload.rebuild_denied, overload.breaker_opens,
-            overload.breaker_probes, overload.breaker_probe_failures);
+    w.Key("shedded").Uint(shedded).Key("overload").BeginObject();
+    w.Key("brownout_level").Uint(overload.brownout_level);
+    w.Key("brownout_max_level").Uint(overload.brownout_max_level);
+    w.Key("brownout_transitions").Uint(overload.brownout_transitions.size());
+    w.Key("brownout_degraded").Uint(overload.brownout_degraded);
+    w.Key("retry_granted").Uint(overload.retry_granted);
+    w.Key("retry_denied").Uint(overload.retry_denied);
+    w.Key("rebuild_granted").Uint(overload.rebuild_granted);
+    w.Key("rebuild_denied").Uint(overload.rebuild_denied);
+    w.Key("breaker_opens").Uint(overload.breaker_opens);
+    w.Key("breaker_probes").Uint(overload.breaker_probes);
+    w.Key("breaker_probe_failures").Uint(overload.breaker_probe_failures).EndObject();
   }
   if (!slo_stats.empty()) {
-    out += ",\"slo\":[";
-    for (size_t i = 0; i < slo_stats.size(); ++i) {
-      const SloStat& s = slo_stats[i];
-      if (i > 0) out += ",";
-      Appendf(out,
-              "{\"class\":\"%s\",\"target_ms\":%.1f,\"offered\":%" PRIu64
-              ",\"ok\":%" PRIu64 ",\"degraded\":%" PRIu64 ",\"shedded\":%" PRIu64
-              ",\"timed_out\":%" PRIu64 ",\"rejected\":%" PRIu64 ",\"slo_met\":%" PRIu64
-              ",\"goodput\":%.4f,\"p50_ms\":%.4f,\"p99_ms\":%.4f}",
-              SloClassName(s.slo), s.slo_target_ms, s.offered, s.ok, s.degraded,
-              s.shedded, s.timed_out, s.rejected, s.slo_met, s.Goodput(), s.p50_ms,
-              s.p99_ms);
+    w.Key("slo").BeginArray();
+    for (const SloStat& s : slo_stats) {
+      w.BeginObject().Key("class").String(SloClassName(s.slo));
+      w.Key("target_ms").Double(s.slo_target_ms, 1).Key("offered").Uint(s.offered);
+      w.Key("ok").Uint(s.ok).Key("degraded").Uint(s.degraded).Key("shedded").Uint(s.shedded);
+      w.Key("timed_out").Uint(s.timed_out).Key("rejected").Uint(s.rejected);
+      w.Key("slo_met").Uint(s.slo_met).Key("goodput").Double(s.Goodput(), 4);
+      w.Key("p50_ms").Double(s.p50_ms, 4).Key("p99_ms").Double(s.p99_ms, 4).EndObject();
     }
-    out += "]";
+    w.EndArray();
   }
 
   // Per-algo latency split + cost-model observations.
-  out += ",\"algos\":[";
-  for (size_t i = 0; i < cost_observations.size(); ++i) {
-    const CostObservation& c = cost_observations[i];
-    if (i > 0) out += ",";
-    Appendf(out, "{\"algo\":\"%s\",\"queries\":%" PRIu64 ",\"mean_service_ms\":%.4f"
-                 ",\"mean_abs_cost_error_ms\":%.4f,\"mean_cycles\":%.1f",
-            util::JsonEscape(c.algo).c_str(), c.queries, c.mean_service_ms,
-            c.mean_abs_error_ms, c.mean_cycles);
+  w.Key("algos").BeginArray();
+  for (const CostObservation& c : cost_observations) {
+    w.BeginObject().Key("algo").String(c.algo).Key("queries").Uint(c.queries);
+    w.Key("mean_service_ms").Double(c.mean_service_ms, 4);
+    w.Key("mean_abs_cost_error_ms").Double(c.mean_abs_error_ms, 4);
+    w.Key("mean_cycles").Double(c.mean_cycles, 1);
     const FixedHistogram* queue =
         metrics.FindHistogram("serve_queue_wait_ms", {{"algo", c.algo}});
     const FixedHistogram* service =
         metrics.FindHistogram("serve_service_ms", {{"algo", c.algo}});
     if (queue != nullptr && service != nullptr) {
-      Appendf(out,
-              ",\"queue_wait_p50_ms\":%.4f,\"queue_wait_p95_ms\":%.4f"
-              ",\"queue_wait_p99_ms\":%.4f,\"queue_wait_p999_ms\":%.4f"
-              ",\"service_p50_ms\":%.4f,\"service_p95_ms\":%.4f"
-              ",\"service_p99_ms\":%.4f,\"service_p999_ms\":%.4f",
-              queue->Percentile(50), queue->Percentile(95), queue->Percentile(99),
-              queue->Percentile(99.9), service->Percentile(50), service->Percentile(95),
-              service->Percentile(99), service->Percentile(99.9));
+      w.Key("queue_wait_p50_ms").Double(queue->Percentile(50), 4);
+      w.Key("queue_wait_p95_ms").Double(queue->Percentile(95), 4);
+      w.Key("queue_wait_p99_ms").Double(queue->Percentile(99), 4);
+      w.Key("queue_wait_p999_ms").Double(queue->Percentile(99.9), 4);
+      w.Key("service_p50_ms").Double(service->Percentile(50), 4);
+      w.Key("service_p95_ms").Double(service->Percentile(95), 4);
+      w.Key("service_p99_ms").Double(service->Percentile(99), 4);
+      w.Key("service_p999_ms").Double(service->Percentile(99.9), 4);
     }
     if (traced) {
       auto it = latency_exemplars.find(c.algo);
-      if (it != latency_exemplars.end()) {
-        Appendf(out, ",\"exemplar_request\":%" PRIu64, it->second);
-      }
+      if (it != latency_exemplars.end()) w.Key("exemplar_request").Uint(it->second);
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]";
+  w.EndArray();
   if (!shard_stats.empty()) {
-    out += ",\"shards\":[";
-    for (size_t i = 0; i < shard_stats.size(); ++i) {
-      const ShardStat& s = shard_stats[i];
-      if (i > 0) out += ",";
-      Appendf(out,
-              "{\"shard\":%u,\"dispatches\":%" PRIu64 ",\"served\":%" PRIu64
-              ",\"degraded\":%" PRIu64 ",\"rerouted_in\":%" PRIu64
-              ",\"rerouted_out\":%" PRIu64 ",\"rebuilds\":%" PRIu64
-              ",\"evictions\":%" PRIu64 ",\"reloads\":%" PRIu64
-              ",\"launch_failures\":%" PRIu64 ",\"dead\":%s,\"busy_ms\":%.4f"
-              ",\"peak_resident_bytes\":%" PRIu64,
-              s.shard, s.dispatches, s.served, s.degraded, s.rerouted_in,
-              s.rerouted_out, s.rebuilds, s.evictions, s.reloads, s.launch_failures,
-              s.dead ? "true" : "false", s.busy_ms, s.peak_resident_bytes);
+    w.Key("shards").BeginArray();
+    for (const ShardStat& s : shard_stats) {
+      w.BeginObject().Key("shard").Uint(s.shard).Key("dispatches").Uint(s.dispatches);
+      w.Key("served").Uint(s.served).Key("degraded").Uint(s.degraded);
+      w.Key("rerouted_in").Uint(s.rerouted_in).Key("rerouted_out").Uint(s.rerouted_out);
+      w.Key("rebuilds").Uint(s.rebuilds).Key("evictions").Uint(s.evictions);
+      w.Key("reloads").Uint(s.reloads).Key("launch_failures").Uint(s.launch_failures);
+      w.Key("dead").Bool(s.dead).Key("busy_ms").Double(s.busy_ms, 4);
+      w.Key("peak_resident_bytes").Uint(s.peak_resident_bytes);
       if (async_dispatch) {
-        Appendf(out, ",\"prestages\":%" PRIu64 ",\"prestage_ms\":%.4f,\"overlap_ms\":%.4f",
-                s.prestages, s.prestage_ms, s.overlap_ms);
+        w.Key("prestages").Uint(s.prestages).Key("prestage_ms").Double(s.prestage_ms, 4);
+        w.Key("overlap_ms").Double(s.overlap_ms, 4);
       }
-      out += "}";
+      w.EndObject();
     }
-    out += "]";
+    w.EndArray();
   }
   // Burn-rate alert block: present only under --slo-alerts.
   if (!alerts.empty()) {
-    out += ",\"alerts\":[";
-    for (size_t i = 0; i < alerts.size(); ++i) {
-      const trace::AlertSeries& a = alerts[i];
-      if (i > 0) out += ",";
-      Appendf(out,
-              "{\"class\":\"%s\",\"samples\":%" PRIu64 ",\"bad\":%" PRIu64
-              ",\"fired\":%" PRIu64 ",\"firing\":%s,\"max_fast_burn\":%.4f"
-              ",\"transitions\":[",
-              util::JsonEscape(a.name).c_str(), a.samples, a.bad, a.fired,
-              a.firing_at_end ? "true" : "false", a.max_fast_burn);
-      for (size_t t = 0; t < a.transitions.size(); ++t) {
-        const trace::AlertTransition& tr = a.transitions[t];
-        if (t > 0) out += ",";
-        Appendf(out,
-                "{\"at_ms\":%.4f,\"firing\":%s,\"fast_burn\":%.4f,\"slow_burn\":%.4f}",
-                tr.at_ms, tr.firing ? "true" : "false", tr.fast_burn, tr.slow_burn);
+    w.Key("alerts").BeginArray();
+    for (const trace::AlertSeries& a : alerts) {
+      w.BeginObject().Key("class").String(a.name).Key("samples").Uint(a.samples);
+      w.Key("bad").Uint(a.bad).Key("fired").Uint(a.fired).Key("firing").Bool(a.firing_at_end);
+      w.Key("max_fast_burn").Double(a.max_fast_burn, 4).Key("transitions").BeginArray();
+      for (const trace::AlertTransition& tr : a.transitions) {
+        w.BeginObject().Key("at_ms").Double(tr.at_ms, 4).Key("firing").Bool(tr.firing);
+        w.Key("fast_burn").Double(tr.fast_burn, 4);
+        w.Key("slow_burn").Double(tr.slow_burn, 4).EndObject();
       }
-      out += "]}";
+      w.EndArray().EndObject();
     }
-    out += "]";
+    w.EndArray();
   }
-  out += "}";
-  return out;
+  return w.EndObject().Take();
 }
 
 std::string ServeReport::RenderRequestTraceJson() const {
   if (!traced) return "";
-  std::string out = "{\"traces\":[";
-  bool first_trace = true;
+  util::JsonWriter w;
+  w.BeginObject().Key("traces").BeginArray();
   for (const auto& [id, events] : request_traces) {
-    if (!first_trace) out += ",";
-    first_trace = false;
-    Appendf(out, "\n {\"id\":%" PRIu64 ",\"events\":[", id);
-    bool first_event = true;
-    for (const trace::TraceEvent& e : events) {
-      if (!first_event) out += ",";
-      first_event = false;
-      out += "\n  ";
-      out += trace::RenderTraceEventJson(e);
-    }
-    out += "]}";
+    w.Newline().BeginObject().Key("id").Uint(id).Key("events").BeginArray();
+    for (const trace::TraceEvent& e : events) w.Newline().Raw(trace::RenderTraceEventJson(e));
+    w.EndArray().EndObject();
   }
-  out += "\n]}\n";
-  return out;
+  return w.Newline().EndArray().EndObject().Newline().Take();
 }
 
 std::string ServeReport::RenderBlackbox() const {

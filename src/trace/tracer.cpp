@@ -1,73 +1,19 @@
 #include "trace/tracer.hpp"
 
-#include <cstdarg>
-#include <cstdio>
+#include "util/json.hpp"
 
 namespace eta::trace {
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_list retry;
-  va_start(args, fmt);
-  va_copy(retry, args);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    if (static_cast<size_t>(n) < sizeof(buf)) {
-      *out += buf;
-    } else {
-      // Long chunk: retry into the string itself instead of silently
-      // truncating at the stack-buffer size.
-      const size_t base = out->size();
-      out->resize(base + static_cast<size_t>(n) + 1);
-      std::vsnprintf(out->data() + base, static_cast<size_t>(n) + 1, fmt, retry);
-      out->resize(base + static_cast<size_t>(n));
-    }
-  }
-  va_end(retry);
-}
-
-}  // namespace
-
-uint64_t RequestTracer::TotalEvents() const {
-  uint64_t n = 0;
-  for (const auto& [id, events] : traces_) n += events.size();
-  return n;
-}
 
 std::string RenderTraceEventJson(const TraceEvent& e) {
-  std::string out = "{";
-  Appendf(&out, "\"kind\":\"%s\"", EventKindName(e.kind));
-  Appendf(&out, ",\"at_ms\":%.4f", e.at_ms);
+  util::JsonWriter w;
+  w.BeginObject().Key("kind").String(EventKindName(e.kind));
+  w.Key("at_ms").Double(e.at_ms, 4);
   const char* status = EventStatusName(e.kind, e.status);
-  if (status[0] != '\0') Appendf(&out, ",\"status\":\"%s\"", status);
-  if (e.shard >= 0) Appendf(&out, ",\"shard\":%d", static_cast<int>(e.shard));
-  Appendf(&out, ",\"a\":%.4f,\"b\":%.4f,\"c\":%.4f", e.a, e.b, e.c);
-  if (e.op_id >= 0) Appendf(&out, ",\"op\":%lld", static_cast<long long>(e.op_id));
-  out += "}";
-  return out;
-}
-
-std::string RequestTracer::RenderJson() const {
-  std::string out = "{\"traces\":[";
-  bool first_trace = true;
-  for (const auto& [id, events] : traces_) {
-    if (!first_trace) out += ",";
-    first_trace = false;
-    Appendf(&out, "\n {\"id\":%llu,\"events\":[", static_cast<unsigned long long>(id));
-    bool first_event = true;
-    for (const TraceEvent& e : events) {
-      if (!first_event) out += ",";
-      first_event = false;
-      out += "\n  ";
-      out += RenderTraceEventJson(e);
-    }
-    out += "]}";
-  }
-  out += "\n]}\n";
-  return out;
+  if (status[0] != '\0') w.Key("status").String(status);
+  if (e.shard >= 0) w.Key("shard").Int(e.shard);
+  w.Key("a").Double(e.a, 4).Key("b").Double(e.b, 4).Key("c").Double(e.c, 4);
+  if (e.op_id >= 0) w.Key("op").Int(e.op_id);
+  return w.EndObject().Take();
 }
 
 }  // namespace eta::trace

@@ -8,8 +8,9 @@
 //
 // The trace id IS the request id; events within a request are in
 // emission order, which on the deterministic serve clock is causal
-// order. RenderJson() walks requests in id order, so double runs render
-// byte-identical documents.
+// order. Traces() iterates requests in id order, so the serve report's
+// request-trace document (ServeReport::RenderRequestTraceJson) renders
+// byte-identical across double runs.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +39,6 @@ class RequestTracer {
   /// Request id -> events in emission (causal) order. Ordered container:
   /// iteration order is the render order.
   const std::map<uint64_t, std::vector<TraceEvent>>& Traces() const { return traces_; }
-
-  uint64_t TotalEvents() const;
-
-  /// {"traces":[{"id":N,"events":[{...},...]},...]} — requests in id
-  /// order, fixed-precision numbers, no wall clock. Self-contained: the
-  /// trace-replay test re-derives every terminal QueryStatus from this
-  /// document alone.
-  std::string RenderJson() const;
 
  private:
   bool enabled_ = false;

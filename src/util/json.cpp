@@ -1,15 +1,16 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace eta::util {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+void AppendEscaped(std::string& out, std::string_view s) {
   for (unsigned char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -21,15 +22,92 @@ std::string JsonEscape(std::string_view s) {
       case '\t': out += "\\t"; break;
       default:
         if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          out += "\\u00";
+          out += "0123456789abcdef"[c >> 4];
+          out += "0123456789abcdef"[c & 0xF];
         } else {
           out += static_cast<char>(c);
         }
     }
   }
-  return out;
+}
+
+}  // namespace
+
+void JsonWriter::Separate(bool closing) {
+  if (!closing && !after_key_ && !stack_.empty() && !stack_.back().empty) out_ += ',';
+  if (pending_newline_) {
+    pending_newline_ = false;
+    out_ += '\n';
+    out_.append(std::count_if(stack_.begin(), stack_.end(), [](Frame f) { return f.array; }),
+                ' ');
+  }
+  after_key_ = false;
+  if (!closing && !stack_.empty()) stack_.back().empty = false;
+}
+
+JsonWriter& JsonWriter::Open(char bracket, bool array) {
+  Separate(/*closing=*/false);
+  out_ += bracket;
+  stack_.push_back({.array = array});
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  stack_.pop_back();
+  Separate(/*closing=*/true);
+  out_ += bracket;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  Separate(/*closing=*/false);
+  out_ += '"';
+  AppendEscaped(out_, key);
+  out_ += "\":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  Separate(/*closing=*/false);
+  out_ += '"';
+  AppendEscaped(out_, value);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::Int(int64_t value) { return Raw(std::to_string(value)); }
+
+JsonWriter& JsonWriter::Uint(uint64_t value) { return Raw(std::to_string(value)); }
+
+JsonWriter& JsonWriter::Double(double value, int precision) {
+  Separate(/*closing=*/false);
+  // Fixed notation of a finite double has at most 309 integer digits.
+  const size_t base = out_.size();
+  out_.resize(base + 312 + static_cast<size_t>(precision));
+  const auto result = std::to_chars(out_.data() + base, out_.data() + out_.size(), value,
+                                    std::chars_format::fixed, precision);
+  out_.resize(static_cast<size_t>(result.ptr - out_.data()));
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool value) { return Raw(value ? "true" : "false"); }
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  Separate(/*closing=*/false);
+  out_ += json;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Newline() {
+  pending_newline_ = true;
+  return *this;
+}
+
+std::string JsonWriter::Take() {
+  if (pending_newline_) Separate(/*closing=*/true);
+  return std::move(out_);
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

@@ -1,9 +1,11 @@
 // Minimal JSON support shared by every emitter in the repo.
 //
-// Emission side: JsonEscape, the one escaper behind the trace exporter, the
-// CLI's --check-json, and the serve report JSON — kernel labels, buffer
-// names, and dataset paths all pass through here, so a quote or backslash in
-// a label can never break an output document.
+// Emission side: JsonWriter, the one writer behind every JSON document the
+// repo emits — the serve report and its request-trace document, the
+// etacheck and etaverify reports, trace events, the Chrome trace, the
+// CLI's attempt timeline and the bench rows. It escapes every key and
+// string value, places commas itself, and has no fixed buffers, so a long
+// or hostile label can neither break nor truncate a document.
 //
 // Parse side: JsonParse, a strict recursive-descent parser used to
 // round-trip-validate our own emitters in tests and tools (scripts/check.sh
@@ -12,6 +14,7 @@
 // NaN) are accepted.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -20,10 +23,51 @@
 
 namespace eta::util {
 
-/// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included): ", \ and control characters become their escape sequences;
-/// everything else (including UTF-8 multibyte sequences) passes through.
-std::string JsonEscape(std::string_view s);
+/// Streaming JSON writer. Values go into the innermost open container;
+/// inside an object each value follows a Key(). Numbers are written
+/// exactly (integers) or in fixed notation at the precision given per call
+/// (doubles, same digits as printf's "%.Nf"), so a deterministic input
+/// renders byte-identical text.
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject() { return Open('{', /*array=*/false); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('[', /*array=*/true); }
+  JsonWriter& EndArray() { return Close(']'); }
+
+  JsonWriter& Key(std::string_view key);
+  /// ", \ and control characters become escape sequences; everything else
+  /// (including UTF-8 multibyte sequences) passes through. Keys likewise.
+  JsonWriter& String(std::string_view value);
+  JsonWriter& Int(int64_t value);
+  JsonWriter& Uint(uint64_t value);
+  JsonWriter& Double(double value, int precision);
+  JsonWriter& Bool(bool value);
+  /// A value that is already JSON (a pre-rendered event or number).
+  JsonWriter& Raw(std::string_view json);
+  /// Puts the next token on a new line, after its comma, indented one
+  /// space per open array — the one-record-per-line layout. A break with
+  /// no token after it ends the document with a newline.
+  JsonWriter& Newline();
+
+  /// The document so far, with any trailing Newline() applied.
+  std::string Take();
+
+ private:
+  JsonWriter& Open(char bracket, bool array);
+  JsonWriter& Close(char bracket);
+  /// Writes the separator (and pending line break) before a token.
+  void Separate(bool closing);
+
+  struct Frame {
+    bool array = false;
+    bool empty = true;
+  };
+  std::string out_;
+  std::vector<Frame> stack_;
+  bool after_key_ = false;
+  bool pending_newline_ = false;
+};
 
 /// A parsed JSON document. Object members keep insertion order, so a
 /// re-serialized document compares field-for-field with the original.

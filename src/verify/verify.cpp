@@ -1,7 +1,5 @@
 #include "verify/verify.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <utility>
@@ -13,24 +11,6 @@
 namespace eta::verify {
 
 namespace {
-
-/// snprintf into a std::string, matching the sanitizer-report style. Long
-/// chunks (e.g. a pathological buffer or stream label) retry into the
-/// string itself instead of silently truncating at the stack-buffer size.
-template <typename... Args>
-void Appendf(std::string& out, const char* fmt, Args... args) {
-  char buf[512];
-  int n = std::snprintf(buf, sizeof(buf), fmt, args...);
-  if (n <= 0) return;
-  if (static_cast<size_t>(n) < sizeof(buf)) {
-    out.append(buf, static_cast<size_t>(n));
-    return;
-  }
-  const size_t base = out.size();
-  out.resize(base + static_cast<size_t>(n) + 1);
-  std::snprintf(out.data() + base, static_cast<size_t>(n) + 1, fmt, args...);
-  out.resize(base + static_cast<size_t>(n));
-}
 
 const char* KindDescription(DagFindingKind kind) {
   switch (kind) {
@@ -88,17 +68,15 @@ const char* DagFindingKindName(DagFindingKind kind) {
 }
 
 std::string DagFinding::Message() const {
-  std::string out;
-  Appendf(out, "ERROR [etaverify] %s: %s", DagFindingKindName(kind),
-          KindDescription(kind));
-  if (!buffer.empty()) Appendf(out, " %s", buffer.c_str());
-  Appendf(out, " in '%s' on stream %s (op %" PRIu64 ")", op.c_str(), stream.c_str(),
-          op_index);
+  std::string out = std::string("ERROR [etaverify] ") + DagFindingKindName(kind) + ": " +
+                    KindDescription(kind);
+  if (!buffer.empty()) out += " " + buffer;
+  out += " in '" + op + "' on stream " + stream + " (op " + std::to_string(op_index) + ")";
   if (peer_index != kNoNode) {
-    Appendf(out, " vs '%s' on stream %s (op %" PRIu64 ")", peer_op.c_str(),
-            peer_stream.c_str(), peer_index);
+    out += " vs '" + peer_op + "' on stream " + peer_stream + " (op " +
+           std::to_string(peer_index) + ")";
   }
-  if (occurrences > 1) Appendf(out, " (x%" PRIu64 ")", occurrences);
+  if (occurrences > 1) out += " (x" + std::to_string(occurrences) + ")";
   if (!note.empty()) out += " — " + note;
   return out;
 }
@@ -130,11 +108,11 @@ void DagReport::Merge(const DagReport& other) {
 
 std::string DagReport::Render(bool verbose) const {
   if (findings.empty() && !verbose) return "";
-  std::string out;
-  Appendf(out,
-          "========= etaverify: %" PRIu64 " finding(s) over %" PRIu64 " op(s), %" PRIu64
-          " stream(s), %" PRIu64 " alloc(s), %" PRIu64 " event(s)\n",
-          Count(), ops_checked, streams_checked, allocs_checked, events_checked);
+  std::string out = "========= etaverify: " + std::to_string(Count()) + " finding(s) over " +
+                    std::to_string(ops_checked) + " op(s), " +
+                    std::to_string(streams_checked) + " stream(s), " +
+                    std::to_string(allocs_checked) + " alloc(s), " +
+                    std::to_string(events_checked) + " event(s)\n";
   for (const DagFinding& f : findings) {
     out += "=========   " + f.Message() + "\n";
   }
@@ -142,32 +120,21 @@ std::string DagReport::Render(bool verbose) const {
 }
 
 std::string DagReport::Json() const {
-  std::string out = "{\n";
-  Appendf(out, "  \"findings_total\": %" PRIu64 ",\n", Count());
-  Appendf(out, "  \"ops_checked\": %" PRIu64 ",\n", ops_checked);
-  Appendf(out, "  \"streams_checked\": %" PRIu64 ",\n", streams_checked);
-  Appendf(out, "  \"allocs_checked\": %" PRIu64 ",\n", allocs_checked);
-  Appendf(out, "  \"events_checked\": %" PRIu64 ",\n", events_checked);
-  out += "  \"findings\": [";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const DagFinding& f = findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {";
-    Appendf(out, "\"kind\": \"%s\", ", DagFindingKindName(f.kind));
-    Appendf(out, "\"stream\": \"%s\", ", util::JsonEscape(f.stream).c_str());
-    Appendf(out, "\"op\": \"%s\", ", util::JsonEscape(f.op).c_str());
-    Appendf(out, "\"op_index\": %" PRIu64 ", ", f.op_index);
-    Appendf(out, "\"buffer\": \"%s\", ", util::JsonEscape(f.buffer).c_str());
+  util::JsonWriter w;
+  w.BeginObject().Key("findings_total").Uint(Count()).Key("ops_checked").Uint(ops_checked);
+  w.Key("streams_checked").Uint(streams_checked).Key("allocs_checked").Uint(allocs_checked);
+  w.Key("events_checked").Uint(events_checked).Key("findings").BeginArray();
+  for (const DagFinding& f : findings) {
+    w.Newline().BeginObject().Key("kind").String(DagFindingKindName(f.kind));
+    w.Key("stream").String(f.stream).Key("op").String(f.op).Key("op_index").Uint(f.op_index);
+    w.Key("buffer").String(f.buffer);
     if (f.peer_index != DagFinding::kNoNode) {
-      Appendf(out, "\"peer_stream\": \"%s\", ", util::JsonEscape(f.peer_stream).c_str());
-      Appendf(out, "\"peer_op\": \"%s\", ", util::JsonEscape(f.peer_op).c_str());
-      Appendf(out, "\"peer_index\": %" PRIu64 ", ", f.peer_index);
+      w.Key("peer_stream").String(f.peer_stream).Key("peer_op").String(f.peer_op);
+      w.Key("peer_index").Uint(f.peer_index);
     }
-    Appendf(out, "\"occurrences\": %" PRIu64 "}", f.occurrences);
+    w.Key("occurrences").Uint(f.occurrences).EndObject();
   }
-  out += findings.empty() ? "]\n" : "\n  ]\n";
-  out += "}";
-  return out;
+  return w.EndArray().EndObject().Take();
 }
 
 DagReport VerifyDag(const sim::StreamScheduler& streams) {
@@ -332,19 +299,18 @@ DagReport VerifyDag(const sim::StreamScheduler& streams) {
     if (later_record != DagFinding::kNoNode && ordered_after) {
       f.kind = DagFindingKind::kWaitCycle;
       attribute_peer(f, later_record);
-      Appendf(f.note, "event %u: a blocking wait here can never be satisfied",
-              node.event);
+      f.note = "event " + std::to_string(node.event) +
+               ": a blocking wait here can never be satisfied";
     } else {
       f.kind = DagFindingKind::kWaitUnrecorded;
       if (later_record != DagFinding::kNoNode) {
         attribute_peer(f, later_record);
-        Appendf(f.note,
-                "event %u is recorded only later — likely a swapped Record/Wait pair; "
-                "snapshot semantics make this wait a no-op",
-                node.event);
+        f.note = "event " + std::to_string(node.event) +
+                 " is recorded only later — likely a swapped Record/Wait pair; "
+                 "snapshot semantics make this wait a no-op";
       } else {
-        Appendf(f.note, "event %u is never recorded; this wait is a silent no-op",
-                node.event);
+        f.note = "event " + std::to_string(node.event) +
+                 " is never recorded; this wait is a silent no-op";
       }
     }
     add_finding(std::move(f));

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <utility>
 
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
@@ -45,10 +46,12 @@ Csr RandomGraph(uint64_t seed, bool weighted) {
   return csr;
 }
 
-/// Reads a .gr file that must load; fails the test otherwise.
+/// Reads a .gr file (or, for any other extension, a text edge list) that
+/// must load; fails the test otherwise.
 Csr Load(const std::string& path) {
   std::string error;
-  std::optional<Csr> csr = ReadGaloisGr(path, &error);
+  std::optional<Csr> csr = path.ends_with(".gr") ? ReadGaloisGr(path, &error)
+                                                 : ReadEdgeListText(path, &error);
   EXPECT_TRUE(csr.has_value()) << error;
   return csr.value_or(Csr());
 }
@@ -178,22 +181,60 @@ TEST_F(IoTest, GaloisBadContentsAreErrors) {
 TEST_F(IoTest, TextRoundTripUnweighted) {
   Csr csr = RandomGraph(3, false);
   WriteEdgeListText(csr, Path("g.txt"));
-  ExpectCsrEqual(csr, ReadEdgeListText(Path("g.txt")));
+  ExpectCsrEqual(csr, Load(Path("g.txt")));
 }
 
 TEST_F(IoTest, TextRoundTripWeighted) {
   Csr csr = RandomGraph(4, true);
   WriteEdgeListText(csr, Path("g.txt"));
-  ExpectCsrEqual(csr, ReadEdgeListText(Path("g.txt")));
+  ExpectCsrEqual(csr, Load(Path("g.txt")));
 }
 
 TEST_F(IoTest, TextSkipsComments) {
   std::ofstream out(Path("c.txt"));
   out << "# SNAP-style comment\n% matrix-market comment\n0 1\n1 2\n";
   out.close();
-  Csr csr = ReadEdgeListText(Path("c.txt"));
+  Csr csr = Load(Path("c.txt"));
   EXPECT_EQ(csr.NumEdges(), 2u);
   EXPECT_EQ(csr.NumVertices(), 3u);
+}
+
+TEST_F(IoTest, TextRejectsMalformedInput) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"0 1\n1 x\n", "unsigned decimals"},
+      {"0 1\n2\n", "expected 'src dst [weight]'"},
+      {"0 1 2 3\n", "more than three fields"},
+      {"-1 2\n", "unsigned decimals"},
+      {"4294967295 0 5\n", "vertex id beyond"},
+      {"0 4294967295\n", "vertex id beyond"},
+      {"0 99999999999999999999\n", "unsigned decimals"},
+      {"0 1 4294967296\n", "weight 4294967296 outside"},
+      {"0 1 0\n", "weight 0 outside"},
+      {"0 1 3\n1 2\n", "mixed"},
+      {"0 1\n1 2 3\n", "mixed"},
+  };
+  for (const auto& [text, expected] : cases) {
+    std::ofstream(Path("bad.txt"), std::ios::trunc) << text;
+    std::string error;
+    EXPECT_FALSE(ReadEdgeListText(Path("bad.txt"), &error).has_value()) << text;
+    EXPECT_NE(error.find(expected), std::string::npos) << text << " -> " << error;
+    EXPECT_NE(error.find("bad.txt:"), std::string::npos) << error;  // names file and line
+  }
+  EXPECT_FALSE(ReadEdgeListText(Path("bad.txt"), nullptr).has_value());
+}
+
+TEST_F(IoTest, TextRejectsMissingFile) {
+  std::string error;
+  EXPECT_FALSE(ReadEdgeListText(Path("missing.txt"), &error).has_value());
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
+TEST_F(IoTest, TextAcceptsLargestIdAndWeight) {
+  std::ofstream(Path("edge.txt"), std::ios::trunc) << "  \n0 3 4294967295\n3 0 1\r\n";
+  Csr csr = Load(Path("edge.txt"));
+  EXPECT_EQ(csr.NumVertices(), 4u);
+  ASSERT_TRUE(csr.HasWeights());
+  EXPECT_EQ(csr.Weights()[0], 4294967295u);
 }
 
 TEST_F(IoTest, DatasetCacheHitSkipsGeneration) {

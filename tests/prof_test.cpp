@@ -272,9 +272,9 @@ TEST(TraceExport, ServeReplayMergesQueueBatcherAndDeviceSpans) {
   EXPECT_EQ(unprofiled.completed, report.completed);
 }
 
-// The exporter's snprintf-into-string helper retries past its 512-byte
-// stack buffer: a span name longer than the buffer survives the rendered
-// Chrome trace untruncated, and the document still parses.
+// A span name longer than 512 bytes survives the rendered Chrome trace
+// untruncated (util::JsonWriter has no fixed buffers), and the document
+// still parses.
 TEST(ChromeTrace, LongSpanNameRendersUntruncated) {
   const std::string long_name(700, 'k');
   std::vector<prof::TraceSpan> spans;

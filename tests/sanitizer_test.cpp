@@ -5,6 +5,7 @@
 // checker attached).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -16,6 +17,7 @@
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "sim/device.hpp"
+#include "util/json.hpp"
 
 namespace eta {
 namespace {
@@ -697,10 +699,17 @@ TEST(Report, RenderAndJsonCarryTheFinding) {
   EXPECT_NE(text.find("'traverse_part'"), std::string::npos);
   EXPECT_NE(text.find("(x2)"), std::string::npos);
 
-  std::string json = report.Json();
-  EXPECT_NE(json.find("\"errors\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"race-write-write\""), std::string::npos);
-  EXPECT_NE(json.find("\"buffer\": \"reach_mask\""), std::string::npos);
+  std::string error;
+  const std::optional<util::JsonValue> json = util::JsonParse(report.Json(), &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  ASSERT_NE(json->Find("errors"), nullptr);
+  EXPECT_EQ(json->Find("errors")->number, 2);
+  const util::JsonValue* found = json->Find("findings");
+  ASSERT_TRUE(found != nullptr && found->IsArray() && found->array.size() == 1);
+  ASSERT_NE(found->array[0].Find("kind"), nullptr);
+  EXPECT_EQ(found->array[0].Find("kind")->string, "race-write-write");
+  ASSERT_NE(found->array[0].Find("buffer"), nullptr);
+  EXPECT_EQ(found->array[0].Find("buffer")->string, "reach_mask");
 
   // Empty reports render nothing unless verbose.
   sanitizer::SanitizerReport empty;
@@ -708,9 +717,9 @@ TEST(Report, RenderAndJsonCarryTheFinding) {
   EXPECT_NE(empty.Render(/*verbose=*/true).find("0 error(s)"), std::string::npos);
 }
 
-// The report's snprintf-into-string helper retries past its 512-byte stack
-// buffer: a pathological allocation name longer than the buffer survives
-// Message/Render/Json untruncated.
+// A pathological allocation name longer than 512 bytes survives
+// Message/Render/Json untruncated: the text renderings build std::strings
+// and the JSON goes through util::JsonWriter, neither with a fixed buffer.
 TEST(SanitizerReport, LongBufferNameRendersUntruncated) {
   const std::string long_name(700, 'b');
   Finding f;

@@ -447,10 +447,9 @@ TEST(RequestTrace, ExemplarsStampTheSlowestCompletedRequestPerAlgo) {
             std::string::npos);
 }
 
-// The tracer's snprintf-into-string helper retries past its 256-byte stack
-// buffer: one Appendf call renders all three payload doubles, so huge
-// values (~900 formatted characters) must survive untruncated and the
-// event must still close as valid JSON.
+// Huge payload doubles (~300 formatted characters each, ~900 together)
+// must render untruncated through util::JsonWriter, and the event must
+// still close as valid JSON.
 TEST(RequestTrace, HugeEventPayloadRendersUntruncated) {
   trace::TraceEvent e = Event(1, 0.0, trace::EventKind::kAdmit);
   e.a = 1e300;
@@ -460,7 +459,7 @@ TEST(RequestTrace, HugeEventPayloadRendersUntruncated) {
 
   std::vector<char> expected(512);
   const int n = std::snprintf(expected.data(), expected.size(), "\"a\":%.4f", e.a);
-  ASSERT_GT(n, 256);  // a single value alone overflows the stack buffer
+  ASSERT_GT(n, 256);  // a single value alone is longer than any small buffer
   EXPECT_NE(json.find(expected.data()), std::string::npos);
   EXPECT_NE(json.find("\"c\":"), std::string::npos);
   EXPECT_EQ(json.back(), '}');

@@ -1,8 +1,12 @@
 // Tests for src/util: rng determinism, CLI parsing, table rendering,
-// units, histogram.
+// units, histogram, JSON writer/parser.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/histogram.hpp"
@@ -147,25 +151,28 @@ TEST(Histogram, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
 }
 
-// --- JSON (the one escaper/validator behind every JSON emitter) ---------------
+// --- JSON (the one writer/validator behind every JSON emitter) --------------
+
+/// One string value as JsonWriter renders it, quotes included.
+std::string Quoted(std::string_view s) { return JsonWriter().String(s).Take(); }
 
 TEST(Json, EscapePassesPlainTextThrough) {
-  EXPECT_EQ(JsonEscape("traverse_full"), "traverse_full");
-  EXPECT_EQ(JsonEscape(""), "");
-  EXPECT_EQ(JsonEscape("ünïcode → ok"), "ünïcode → ok");  // UTF-8 untouched
+  EXPECT_EQ(Quoted("traverse_full"), "\"traverse_full\"");
+  EXPECT_EQ(Quoted(""), "\"\"");
+  EXPECT_EQ(Quoted("ünïcode → ok"), "\"ünïcode → ok\"");  // UTF-8 untouched
 }
 
 TEST(Json, EscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-  EXPECT_EQ(JsonEscape("a\bb\fc"), "a\\bb\\fc");
-  EXPECT_EQ(JsonEscape(std::string("a\x01z", 3)), "a\\u0001z");
+  EXPECT_EQ(Quoted("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(Quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(Quoted("a\nb\tc\rd"), "\"a\\nb\\tc\\rd\"");
+  EXPECT_EQ(Quoted("a\bb\fc"), "\"a\\bb\\fc\"");
+  EXPECT_EQ(Quoted(std::string("a\x01z\x1f", 4)), "\"a\\u0001z\\u001f\"");
 }
 
 TEST(Json, ParseAcceptsRoundTrippedEscapes) {
   const std::string original = "kernel \"x\"\\path\nline\x01!";
-  auto doc = JsonParse("{\"k\":\"" + JsonEscape(original) + "\"}");
+  auto doc = JsonParse("{\"k\":" + Quoted(original) + "}");
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(doc->IsObject());
   ASSERT_NE(doc->Find("k"), nullptr);
@@ -196,6 +203,77 @@ TEST(Json, ParseRejectsMalformedDocuments) {
   EXPECT_FALSE(JsonParse("{\"a\":\"\n\"}").has_value()); // raw control char
   EXPECT_FALSE(JsonParse("nul").has_value());
   EXPECT_FALSE(JsonParse("").has_value());
+}
+
+/// Parses a writer's document; fails the test when it is not strict JSON.
+JsonValue MustParse(const std::string& doc) {
+  std::string error;
+  std::optional<JsonValue> value = JsonParse(doc, &error);
+  EXPECT_TRUE(value.has_value()) << error << " in " << doc;
+  return value.value_or(JsonValue());
+}
+
+TEST(JsonWriter, PlacesCommasInNestedContainers) {
+  JsonWriter w;
+  w.BeginObject().Key("a").Uint(1).Key("obj").BeginObject().EndObject();
+  w.Key("arr").BeginArray().EndArray().Key("list").BeginArray().Int(-2);
+  w.BeginObject().Key("x").Bool(true).Key("y").Raw("null").EndObject();
+  w.BeginArray().EndArray().String("s").BeginArray().Uint(3).Uint(4).EndArray();
+  const std::string doc = w.EndArray().EndObject().Take();
+  EXPECT_EQ(doc, R"({"a":1,"obj":{},"arr":[],"list":[-2,{"x":true,"y":null},[],"s",[3,4]]})");
+  const JsonValue value = MustParse(doc);
+  ASSERT_EQ(value.object.size(), 4u);
+  EXPECT_EQ(value.Find("list")->array.size(), 5u);
+  EXPECT_EQ(MustParse(JsonWriter().BeginArray().EndArray().Take()).array.size(), 0u);
+}
+
+TEST(JsonWriter, EscapesKeysAndValues) {
+  const std::string key = "k\"ey\\";
+  const std::string value = std::string("v\n\t\x01\"end", 8);
+  const std::string doc = JsonWriter().BeginObject().Key(key).String(value).EndObject().Take();
+  EXPECT_EQ(doc, "{\"k\\\"ey\\\\\":\"v\\n\\t\\u0001\\\"end\"}");
+  const JsonValue parsed = MustParse(doc);
+  ASSERT_NE(parsed.Find(key), nullptr);
+  EXPECT_EQ(parsed.Find(key)->string, value);
+}
+
+TEST(JsonWriter, FixedPrecisionMatchesPrintf) {
+  const double values[] = {0.0,     -0.0,     1.0 / 3,  0.125,    2.5,    -2.5,
+                           123.4567, -1e-7,    0.00005,  1e15 + 1, 1e300,  -1e300,
+                           4.35,     1234.5678};
+  for (double v : values) {
+    for (int precision : {0, 1, 3, 4, 6}) {
+      std::vector<char> expected(400);
+      std::snprintf(expected.data(), expected.size(), "%.*f", precision, v);
+      const std::string doc = JsonWriter().Double(v, precision).Take();
+      EXPECT_EQ(doc, expected.data()) << v << " at precision " << precision;
+      EXPECT_EQ(MustParse(doc).number, std::strtod(expected.data(), nullptr));
+    }
+  }
+  EXPECT_EQ(JsonWriter().Double(-0.0, 4).Take(), "-0.0000");
+}
+
+TEST(JsonWriter, LongStringComesOutWhole) {
+  const std::string long_value(700, 'x');
+  const std::string doc =
+      JsonWriter().BeginObject().Key(long_value).String(long_value).EndObject().Take();
+  EXPECT_EQ(doc, "{\"" + long_value + "\":\"" + long_value + "\"}");
+  EXPECT_EQ(MustParse(doc).Find(long_value)->string, long_value);
+}
+
+TEST(JsonWriter, NewlinePutsOneRecordPerLine) {
+  JsonWriter w;
+  w.BeginObject().Key("traces").BeginArray();
+  for (uint64_t id : {1, 2}) {
+    w.Newline().BeginObject().Key("id").Uint(id).Key("events").BeginArray();
+    w.Newline().Raw("{}").Newline().Raw("{}").EndArray().EndObject();
+  }
+  const std::string doc = w.Newline().EndArray().EndObject().Newline().Take();
+  EXPECT_EQ(doc,
+            "{\"traces\":[\n {\"id\":1,\"events\":[\n  {},\n  {}]},"
+            "\n {\"id\":2,\"events\":[\n  {},\n  {}]}\n]}\n");
+  EXPECT_EQ(MustParse(doc).Find("traces")->array.size(), 2u);
+  EXPECT_EQ(JsonWriter().BeginArray().Newline().EndArray().Take(), "[\n]");
 }
 
 }  // namespace

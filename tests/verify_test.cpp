@@ -478,9 +478,9 @@ TEST(EtaVerifyServe, PlantedDoublePrestageIsReported) {
   EXPECT_NE(ww->op.find("dup"), std::string::npos);
 }
 
-// The report's snprintf-into-string helper retries past its 512-byte stack
-// buffer: op and buffer labels longer than the buffer survive
-// Message/Render/Json untruncated.
+// Op and buffer labels longer than 512 bytes survive Message/Render/Json
+// untruncated: the text renderings build std::strings and the JSON goes
+// through util::JsonWriter, neither with a fixed buffer.
 TEST(DagReport, LongLabelsRenderUntruncated) {
   const std::string long_op(700, 'o');
   const std::string long_buffer(650, 'a');

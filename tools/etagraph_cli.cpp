@@ -193,22 +193,16 @@ int EmitRequestTrace(const core::RunReport& r, const std::string& json_path,
                 a.restaged ? " restaged" : "");
   }
   if (!json_path.empty()) {
-    std::string json = "{\"attempts\":[";
-    for (size_t i = 0; i < r.attempts.size(); ++i) {
-      const core::AttemptRecord& a = r.attempts[i];
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"attempt\":%u,\"succeeded\":%s,\"fault\":\"%s\""
-                    ",\"backoff_ms\":%.4f,\"budget_denied\":%s,\"restaged\":%s}",
-                    i > 0 ? "," : "", a.attempt, a.succeeded ? "true" : "false",
-                    a.succeeded
-                        ? ""
-                        : trace::EventStatusName(trace::EventKind::kFault, a.fault),
-                    a.backoff_ms, a.budget_denied ? "true" : "false",
-                    a.restaged ? "true" : "false");
-      json += buf;
+    util::JsonWriter w;
+    w.BeginObject().Key("attempts").BeginArray();
+    for (const core::AttemptRecord& a : r.attempts) {
+      w.BeginObject().Key("attempt").Uint(a.attempt).Key("succeeded").Bool(a.succeeded);
+      w.Key("fault").String(
+          a.succeeded ? "" : trace::EventStatusName(trace::EventKind::kFault, a.fault));
+      w.Key("backoff_ms").Double(a.backoff_ms, 4).Key("budget_denied").Bool(a.budget_denied);
+      w.Key("restaged").Bool(a.restaged).EndObject();
     }
-    json += "]}\n";
+    const std::string json = w.EndArray().EndObject().Newline().Take();
     std::string parse_error;
     if (!util::JsonParse(json, &parse_error)) {
       return Fail("request-trace JSON failed self-validation: " + parse_error);
@@ -319,14 +313,12 @@ int main(int argc, char** argv) {
   // --- Load the graph -------------------------------------------------------
   graph::Csr csr;
   if (!graph_path.empty()) {
-    if (graph_path.size() > 3 && graph_path.ends_with(".gr")) {
-      std::string load_error;
-      std::optional<graph::Csr> loaded = graph::ReadGaloisGr(graph_path, &load_error);
-      if (!loaded) return Fail("bad --graph: " + load_error);
-      csr = *std::move(loaded);
-    } else {
-      csr = graph::ReadEdgeListText(graph_path);
-    }
+    std::string load_error;
+    std::optional<graph::Csr> loaded = graph_path.size() > 3 && graph_path.ends_with(".gr")
+                                           ? graph::ReadGaloisGr(graph_path, &load_error)
+                                           : graph::ReadEdgeListText(graph_path, &load_error);
+    if (!loaded) return Fail("bad --graph: " + load_error);
+    csr = *std::move(loaded);
     if (!csr.HasWeights()) csr.DeriveWeights(1);
   } else if (!dataset.empty()) {
     if (!graph::FindDataset(dataset)) return Fail("unknown dataset '" + dataset + "'");

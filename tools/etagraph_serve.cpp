@@ -347,14 +347,12 @@ int main(int argc, char** argv) {
 
   graph::Csr csr;
   if (!graph_path.empty()) {
-    if (graph_path.size() > 3 && graph_path.ends_with(".gr")) {
-      std::string load_error;
-      std::optional<graph::Csr> loaded = graph::ReadGaloisGr(graph_path, &load_error);
-      if (!loaded) return Fail("bad --graph: " + load_error);
-      csr = *std::move(loaded);
-    } else {
-      csr = graph::ReadEdgeListText(graph_path);
-    }
+    std::string load_error;
+    std::optional<graph::Csr> loaded = graph_path.size() > 3 && graph_path.ends_with(".gr")
+                                           ? graph::ReadGaloisGr(graph_path, &load_error)
+                                           : graph::ReadEdgeListText(graph_path, &load_error);
+    if (!loaded) return Fail("bad --graph: " + load_error);
+    csr = *std::move(loaded);
   } else if (!dataset.empty()) {
     if (!graph::FindDataset(dataset)) return Fail("unknown dataset '" + dataset + "'");
     csr = graph::BuildDatasetCached(dataset, "eta_dataset_cache", scale);
