@@ -46,6 +46,19 @@ void BM_CacheAccessL2Miss(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccessL2Miss);
 
+// The default per-SM L1 geometry (its contention-scaled 1 KB: 8 sets x 4
+// ways) under the same working set: mostly misses on a 4-way set.
+void BM_CacheAccessL1Miss(benchmark::State& state) {
+  const sim::DeviceSpec spec;
+  sim::SectorCache cache(spec.l1_bytes / spec.l1_interleave_factor, spec.l1_ways,
+                         spec.sector_bytes);
+  util::SplitMix64 rng(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Access(rng.NextBounded(1 << 16)));
+  }
+}
+BENCHMARK(BM_CacheAccessL1Miss);
+
 // One warp's 32 addresses: arg 0 = contiguous 4-byte elements (4 sectors),
 // arg 1 = uniformly scattered (32 sectors).
 void BM_CoalesceSectors(benchmark::State& state) {
@@ -67,40 +80,58 @@ void BM_CoalesceSectors(benchmark::State& state) {
 BENCHMARK(BM_CoalesceSectors)->Arg(0)->Arg(1);
 
 // Warp atomics: arg 0 = scattered targets (no serialization), arg 1 = every
-// lane on one counter (the frontier-append cursor).
+// lane on one counter (the frontier-append cursor), arg 2 = lanes drawn from
+// 6 elements of a 1,064-element (133-sector) array, the repeats a small
+// serve graph's label updates produce.
 void BM_AtomicMin(benchmark::State& state) {
   sim::Device device;
   auto buf = device.Alloc<uint32_t>(1 << 20, sim::MemKind::kDevice, "data");
+  constexpr uint32_t kWarps = (1 << 14) / sim::kWarpSize;
+  std::vector<sim::LaneArray<uint64_t>> targets(kWarps);
+  util::SplitMix64 rng(5);
+  for (uint32_t warp = 0; warp < kWarps; ++warp) {
+    uint64_t few[6];
+    for (uint64_t& f : few) f = rng.NextBounded(133 * 8);
+    for (uint32_t lane = 0; lane < sim::kWarpSize; ++lane) {
+      const uint64_t thread = uint64_t{warp} * sim::kWarpSize + lane;
+      switch (state.range(0)) {
+        case 0: targets[warp][lane] = (thread * 2654435761u) & ((1 << 20) - 1); break;
+        case 1: targets[warp][lane] = 0; break;
+        default: targets[warp][lane] = few[rng.NextBounded(std::size(few))]; break;
+      }
+    }
+  }
+  sim::LaneArray<uint32_t> val{};
+  std::iota(val.begin(), val.end(), 0u);
   for (auto _ : state) {
     device.Launch("k", {1 << 14}, [&](sim::WarpCtx& w) {
-      sim::LaneArray<uint64_t> idx{};
-      sim::LaneArray<uint32_t> val{};
-      for (uint32_t lane = 0; lane < 32; ++lane) {
-        idx[lane] = state.range(0) == 0
-                        ? (w.GlobalThread(lane) * 2654435761u) & ((1 << 20) - 1)
-                        : 0;
-        val[lane] = lane;
-      }
       sim::LaneArray<uint32_t> old{};
-      w.AtomicMin(buf, idx, val, w.ActiveMask(), old);
+      w.AtomicMin(buf, targets[w.WarpId()], val, w.ActiveMask(), old);
     });
   }
   state.SetItemsProcessed(state.iterations() * (1 << 14));
 }
-BENCHMARK(BM_AtomicMin)->Arg(0)->Arg(1);
+BENCHMARK(BM_AtomicMin)->Arg(0)->Arg(1)->Arg(2);
 
+// Contiguous warp loads: arg 0 = full mask (the fully coalesced frontier
+// read), arg 1 = a random partial mask per warp (a divergent tail).
 void BM_GatherContiguous(benchmark::State& state) {
   sim::Device device;
   auto buf = device.Alloc<uint32_t>(1 << 20, sim::MemKind::kDevice, "data");
+  std::vector<uint32_t> masks((1 << 14) / sim::kWarpSize, sim::kFullMask);
+  util::SplitMix64 rng(6);
+  if (state.range(0) == 1) {
+    for (uint32_t& mask : masks) mask = static_cast<uint32_t>(rng.Next()) | 1u;
+  }
   for (auto _ : state) {
     device.Launch("k", {1 << 14}, [&](sim::WarpCtx& w) {
       sim::LaneArray<uint32_t> out{};
-      w.GatherContiguous(buf, w.WarpId() * 32, w.ActiveMask(), out);
+      w.GatherContiguous(buf, w.WarpId() * 32, masks[w.WarpId()], out);
     });
   }
   state.SetItemsProcessed(state.iterations() * (1 << 14));
 }
-BENCHMARK(BM_GatherContiguous);
+BENCHMARK(BM_GatherContiguous)->Arg(0)->Arg(1);
 
 void BM_GatherScattered(benchmark::State& state) {
   sim::Device device;

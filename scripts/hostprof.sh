@@ -14,7 +14,13 @@
 # workload defaults to table3_social (see perfbench/README.md), seconds to 5.
 # gprof attributes inlined callees to their caller: SectorCache::Access is
 # counted inside Device::ReadSectors/WriteSectors, hence one "sector caches"
-# layer for the whole cache path.
+# layer for the whole cache path. Likewise FindOrAppend is counted inside
+# WarpCtx::CheckAndCoalesce (the fused bounds check and sector dedup of
+# Gather/Scatter/atomics), which is folded into "coalescer" with
+# CoalesceSectors and MaxLaneMultiplicity.
+# gprof's -pg attribution is unreliable for these tiny, hot, inlined functions
+# (it has charged 10% of table3_social to a copy constructor that workload
+# barely runs): cross-check any speed claim with alternating timing pairs.
 set -euo pipefail
 
 WORKLOAD="${1:-table3_social}"
@@ -55,7 +61,7 @@ grep -E '^ +[0-9]' flat.txt | awk '
     gsub(/\(anonymous namespace\)/, "anon", fn)
     sub(/\(.*/, "", fn)
     if (fn ~ /SectorCache|ReadSectors|WriteSectors/) layer = "sector caches"
-    else if (fn ~ /CoalesceSectors|MaxLaneMultiplicity/) layer = "coalescer"
+    else if (fn ~ /CoalesceSectors|MaxLaneMultiplicity|CheckAndCoalesce|FindOrAppend/) layer = "coalescer"
     else if (fn ~ /UnifiedMemory|TouchManaged/) layer = "unified memory"
     else if (fn ~ /WarpCtx::/) layer = "warp operations"
     else if (fn ~ /Kernel|::Run$/) layer = "kernel bodies"

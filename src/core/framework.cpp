@@ -225,7 +225,10 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     });
     if (!jmask) break;
 
-    LaneArray<VertexId> u{};
+    // Step arrays are written under jmask (or a subset) before any read
+    // under the same mask, so they skip the zero-fill; `ew` keeps it
+    // because Propagate reads it for unweighted algorithms too.
+    LaneArray<VertexId> u;
     LaneArray<Weight> ew{};
     if (p.use_smp) {
       WarpCtx::ForActive(jmask, [&](uint32_t lane) {
@@ -234,7 +237,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
       });
       w.ChargeShared(weighted ? 2 : 1, jmask);
     } else {
-      LaneArray<uint64_t> eidx{};
+      LaneArray<uint64_t> eidx;
       WarpCtx::ForActive(jmask, [&](uint32_t lane) { eidx[lane] = start[lane] + j; });
       w.Gather(d.col, eidx, jmask, u);
       if (weighted) w.Gather(d.wts, eidx, jmask, ew);
@@ -244,8 +247,8 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     auto improves = [&](Weight candidate, Weight current) {
       return p.copy_label ? candidate < current : Improves(p.algo, candidate, current);
     };
-    LaneArray<uint64_t> u_idx{};
-    LaneArray<Weight> cand{};
+    LaneArray<uint64_t> u_idx;
+    LaneArray<Weight> cand;
     WarpCtx::ForActive(jmask, [&](uint32_t lane) {
       u_idx[lane] = u[lane];
       cand[lane] =
@@ -258,14 +261,14 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     // reachability fixpoint (the union of |sources| traversals).
     uint32_t gmask = 0;
     if (p.attribute) {
-      LaneArray<uint32_t> old_mask{};
+      LaneArray<uint32_t> old_mask;
       if (p.drop_reach_atomic) {
         // Injected bug: the unsynchronized read-modify-write a dropped
         // AtomicOr degenerates to. Lanes of one warp targeting the same
         // destination lose updates; racecheck must flag both the store
         // over the foreign read and the store over the foreign store.
         w.Gather(d.reach_mask, u_idx, jmask, old_mask);
-        LaneArray<uint32_t> new_mask{};
+        LaneArray<uint32_t> new_mask;
         WarpCtx::ForActive(jmask, [&](uint32_t lane) {
           new_mask[lane] = old_mask[lane] | src_mask[lane];
         });
@@ -278,7 +281,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
       });
     }
 
-    LaneArray<Weight> cur{};
+    LaneArray<Weight> cur;
     w.Gather(d.labels, u_idx, jmask, cur);
     uint32_t imask = 0;
     WarpCtx::ForActive(jmask, [&](uint32_t lane) {
@@ -288,7 +291,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
 
     uint32_t cmask = 0;
     if (imask) {
-      LaneArray<Weight> old{};
+      LaneArray<Weight> old;
       if (maximize) {
         w.AtomicMax(d.labels, u_idx, cand, imask, old);
       } else {
@@ -303,7 +306,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
 
     // Append to the next active set, deduplicated per iteration by the
     // stamp array (one entry per vertex per iteration).
-    LaneArray<uint32_t> prev_stamp{};
+    LaneArray<uint32_t> prev_stamp;
     w.AtomicMax(d.stamp, u_idx, iter_val, amask, prev_stamp);
     uint32_t nmask = 0;
     WarpCtx::ForActive(amask, [&](uint32_t lane) {
@@ -311,9 +314,9 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     });
     if (!nmask) continue;
 
-    LaneArray<uint32_t> slot{};
+    LaneArray<uint32_t> slot;
     w.AtomicAdd(d.act_count, zero_idx, one, nmask, slot);
-    LaneArray<uint64_t> slot_idx{};
+    LaneArray<uint64_t> slot_idx;
     WarpCtx::ForActive(nmask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
     w.Scatter(d.act_set, slot_idx, u, nmask);
   }

@@ -31,20 +31,13 @@ class SectorCache {
   /// On miss the sector is filled, evicting the set's LRU way.
   /// Returns true on hit.
   bool Access(uint64_t sector) {
-    ++accesses_;
-    uint64_t* set = &tags_[(sector & set_mask_) * ways_];
-    if (set[0] == sector) {  // the MRU way: repeated probes of one sector
-      ++hits_;
-      return true;
+    // The default L1 (4-way) and L2 (8-way) geometries get compile-time
+    // trip counts; any other associativity runs the same loops on ways_.
+    switch (ways_) {
+      case 4: return AccessWays<4>(sector);
+      case 8: return AccessWays<8>(sector);
+      default: return AccessWays<0>(sector);
     }
-    uint32_t w = 1;
-    while (w < ways_ && set[w] != sector) ++w;
-    const bool hit = w < ways_;
-    if (!hit) w = ways_ - 1;
-    for (; w > 0; --w) set[w] = set[w - 1];
-    set[0] = sector;
-    hits_ += hit ? 1 : 0;
-    return hit;
   }
 
   /// Probe without fill (used for write-through stores).
@@ -65,6 +58,33 @@ class SectorCache {
  private:
   /// Never a real sector: sector indices are addresses / 32.
   static constexpr uint64_t kEmptyTag = ~0ULL;
+
+  /// Access with `kWays` ways, or ways_ when kWays is 0.
+  template <uint32_t kWays>
+  bool AccessWays(uint64_t sector) {
+    const uint32_t ways = kWays != 0 ? kWays : ways_;
+    uint64_t* set = &tags_[(sector & set_mask_) * ways];
+    ++accesses_;
+    if (set[0] == sector) {  // the MRU way: repeated probes of one sector
+      ++hits_;
+      return true;
+    }
+    // Tags are unique within a set, so at most one way matches; a miss
+    // takes the LRU (last) way. Both loops run a fixed number of trips with
+    // selects in place of data-dependent exits.
+    uint32_t pos = ways - 1;
+    bool hit = false;
+    for (uint32_t w = 1; w < ways; ++w) {
+      const bool match = set[w] == sector;
+      hit |= match;
+      pos = match ? w : pos;
+    }
+    // Ways [0, pos) move down one; `sector` becomes the MRU way.
+    for (uint32_t w = ways - 1; w > 0; --w) set[w] = w <= pos ? set[w - 1] : set[w];
+    set[0] = sector;
+    hits_ += hit ? 1 : 0;
+    return hit;
+  }
 
   uint32_t num_sets_;
   uint32_t set_mask_;

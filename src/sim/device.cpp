@@ -4,52 +4,22 @@ namespace eta::sim {
 
 namespace internal {
 
-namespace {
-
-/// Index of `key` in keys[0..*n), appending it first when absent. `seen` is
-/// a 256-bit filter over the keys appended so far: a clear bit proves the
-/// key new, so only filter hits (a repeat, or a false positive — about one
-/// in eight once 32 keys are in) pay a scan of the list. For the at most 32
-/// keys of one warp that makes a pass over the lanes O(32).
-uint32_t FindOrAppend(uint64_t key, uint64_t* keys, uint32_t* n, uint64_t (&seen)[4]) {
-  const auto h = static_cast<uint32_t>((key * 0x9e3779b97f4a7c15ULL) >> 56);
-  const uint64_t bit = 1ULL << (h & 63);
-  if ((seen[h >> 6] & bit) == 0) {
-    seen[h >> 6] |= bit;
-    keys[*n] = key;
-    return (*n)++;
-  }
-  uint32_t i = 0;
-  while (i < *n && keys[i] != key) ++i;
-  if (i == *n) keys[(*n)++] = key;
-  return i;
-}
-
-}  // namespace
-
 uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
                          uint32_t elem_bytes, uint64_t* sectors) {
   (void)elem_bytes;  // elements are 4/8B and aligned: never straddle a sector
-  uint64_t seen[4] = {};
-  uint64_t last = ~0ULL;  // neighbouring lanes usually share a sector
-  uint32_t n = 0;
-  WarpCtx::ForActive(mask, [&](uint32_t lane) {
-    const uint64_t sector = addrs[lane] / 32;
-    if (sector == last) return;
-    last = sector;
-    FindOrAppend(sector, sectors, &n, seen);
-  });
-  return n;
+  SectorList list(sectors);
+  WarpCtx::ForActive(mask, [&](uint32_t lane) { list.Add(addrs[lane] / 32); });
+  return list.Count();
 }
 
 uint32_t MaxLaneMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask) {
-  uint64_t seen[4] = {};
+  KeyFilter filter;
   uint64_t keys[kWarpSize];
   uint32_t count[kWarpSize] = {};
   uint32_t n = 0;
   uint32_t most = 0;
   WarpCtx::ForActive(mask, [&](uint32_t lane) {
-    most = std::max(most, ++count[FindOrAppend(idx[lane], keys, &n, seen)]);
+    most = std::max(most, ++count[FindOrAppend(idx[lane], keys, &n, filter)]);
   });
   return most;
 }

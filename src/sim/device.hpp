@@ -200,16 +200,20 @@ class WarpCtx {
   void ScatterImpl(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
                    const LaneArray<T>& val, uint32_t mask, AccessKind kind);
 
-  /// The checked device-side indexing path every warp memory op goes
-  /// through. Reports each lane's access to the attached observer (with the
-  /// raw, unclamped index so the sanitizer sees out-of-bounds attempts),
-  /// keeps the DCHECK for unchecked debug builds, and clamps into bounds so
-  /// a release build can never corrupt host memory on a buggy index —
-  /// `safe` is what the functional load/store must use.
+  /// The checked, coalescing front end of every indexed warp memory op, in
+  /// one pass over the active lanes. Each lane's access is reported to the
+  /// attached observer (with the raw, unclamped index so the sanitizer sees
+  /// out-of-bounds attempts), the DCHECK stays armed for unchecked debug
+  /// builds, and the index is clamped into bounds so a release build can
+  /// never corrupt host memory on a buggy index — `safe` is what the
+  /// functional load/store must use. The clamped addresses' distinct 32-byte
+  /// sectors go to `sectors` in order of first occurrence by lane (the order
+  /// the caches are probed in), exactly as internal::CoalesceSectors would
+  /// emit them; returns their count.
   template <typename T>
-  void CheckedAddrs(const Buffer<T>& buf, const LaneArray<uint64_t>& idx, uint32_t mask,
-                    AccessKind kind, LaneArray<uint64_t>& safe,
-                    LaneArray<uint64_t>& addrs) const;
+  uint32_t CheckAndCoalesce(const Buffer<T>& buf, const LaneArray<uint64_t>& idx,
+                            uint32_t mask, AccessKind kind, LaneArray<uint64_t>& safe,
+                            uint64_t* sectors) const;
 
   Device& device_;
   uint64_t warp_id_;
@@ -461,6 +465,60 @@ class Device {
 
 namespace internal {
 
+/// Hash bucket (0..255) of a sector or element index in KeyFilter.
+inline uint32_t KeyBucket(uint64_t key) {
+  return static_cast<uint32_t>((key * 0x9e3779b97f4a7c15ULL) >> 56);
+}
+
+/// Membership filter over the at most 32 keys of one warp op: a 256-bit map
+/// of occupied buckets plus, per occupied bucket, the list slot of its first
+/// key. Lives on the caller's stack; `first[b]` is read only once bit b of
+/// `seen` is set, which is when it is written.
+struct KeyFilter {
+  uint64_t seen[4] = {};
+  uint8_t first[256];
+};
+
+/// Index of `key` in keys[0..*n), appending it first when absent. A clear
+/// bucket bit proves the key new; a bucket whose first key is `key` proves
+/// a repeat. Only a second distinct key in one bucket (about one in eight
+/// once 32 keys are in) pays a scan, from just past the bucket's first key.
+inline uint32_t FindOrAppend(uint64_t key, uint64_t* keys, uint32_t* n, KeyFilter& filter) {
+  const uint32_t h = KeyBucket(key);
+  const uint64_t bit = 1ULL << (h & 63);
+  if ((filter.seen[h >> 6] & bit) == 0) {
+    filter.seen[h >> 6] |= bit;
+    filter.first[h] = static_cast<uint8_t>(*n);
+    keys[*n] = key;
+    return (*n)++;
+  }
+  uint32_t i = filter.first[h];
+  if (keys[i] == key) return i;
+  while (++i < *n && keys[i] != key) {}
+  if (i == *n) keys[(*n)++] = key;
+  return i;
+}
+
+/// Accumulates a warp op's distinct sectors in order of first occurrence.
+/// Neighbouring lanes usually share a sector, so a repeat of the previous
+/// sector is dropped before the filter is consulted.
+class SectorList {
+ public:
+  explicit SectorList(uint64_t* sectors) : sectors_(sectors) {}
+  void Add(uint64_t sector) {
+    if (sector == last_) return;
+    last_ = sector;
+    FindOrAppend(sector, sectors_, &n_, filter_);
+  }
+  uint32_t Count() const { return n_; }
+
+ private:
+  uint64_t* sectors_;
+  uint64_t last_ = ~0ULL;
+  uint32_t n_ = 0;
+  KeyFilter filter_;
+};
+
 /// Writes the distinct 32-byte sectors the active lanes' addresses fall in
 /// to `sectors`, in order of first occurrence by lane (the order the caches
 /// are probed in); returns their count. One pass over the lanes: O(32).
@@ -474,24 +532,29 @@ uint32_t MaxLaneMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask);
 }  // namespace internal
 
 template <typename T>
-void WarpCtx::CheckedAddrs(const Buffer<T>& buf, const LaneArray<uint64_t>& idx,
-                           uint32_t mask, AccessKind kind, LaneArray<uint64_t>& safe,
-                           LaneArray<uint64_t>& addrs) const {
+uint32_t WarpCtx::CheckAndCoalesce(const Buffer<T>& buf, const LaneArray<uint64_t>& idx,
+                                   uint32_t mask, AccessKind kind,
+                                   LaneArray<uint64_t>& safe, uint64_t* sectors) const {
   AccessObserver* obs = device_.observer_;
+  // Locals, so the stores to `safe` cannot force reloads of the buffer.
+  const uint64_t count = buf.count;
+  const uint64_t base_addr = buf.raw.base_addr;
+  const uint64_t last_elem = count > 0 ? count - 1 : 0;
+  internal::SectorList list(sectors);
   ForActive(mask, [&](uint32_t lane) {
     uint64_t i = idx[lane];
     if (obs != nullptr) {
-      obs->OnDeviceAccess(DeviceAccess{&buf.raw, i, 1, sizeof(T), buf.count, kind,
-                                       warp_id_, lane});
+      obs->OnDeviceAccess(DeviceAccess{&buf.raw, i, 1, sizeof(T), count, kind, warp_id_, lane});
     } else {
-      ETA_DCHECK(i < buf.count);
+      ETA_DCHECK(i < count);
     }
-    if (i >= buf.count) i = buf.count > 0 ? buf.count - 1 : 0;
+    if (i >= count) i = last_elem;
     safe[lane] = i;
     // Not AddrOf: after clamping the address is in range by construction,
     // and AddrOf's own DCHECK stays armed for out-of-simulator callers.
-    addrs[lane] = buf.raw.base_addr + i * sizeof(T);
+    list.Add((base_addr + i * sizeof(T)) / 32);
   });
+  return list.Count();
 }
 
 template <typename T>
@@ -499,11 +562,10 @@ void WarpCtx::Gather(const Buffer<T>& buf, const LaneArray<uint64_t>& idx, uint3
                      LaneArray<T>& out) {
   if (!mask) return;
   LaneArray<uint64_t> safe;
-  LaneArray<uint64_t> addrs;
-  CheckedAddrs(buf, idx, mask, AccessKind::kRead, safe, addrs);
   uint64_t sectors[kWarpSize];
-  uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
-  uint32_t worst = device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
+  const uint32_t n = CheckAndCoalesce(buf, idx, mask, AccessKind::kRead, safe, sectors);
+  const uint32_t worst =
+      device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
   AccumGatherCost(mask, n, worst);
   const T* data = reinterpret_cast<const T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { out[lane] = data[safe[lane]]; });
@@ -513,9 +575,39 @@ template <typename T>
 void WarpCtx::GatherContiguous(const Buffer<T>& buf, uint64_t base, uint32_t mask,
                                LaneArray<T>& out) {
   if (!mask) return;
-  LaneArray<uint64_t> idx;
-  ForActive(mask, [&](uint32_t lane) { idx[lane] = base + lane; });
-  Gather(buf, idx, mask, out);
+  const uint32_t last_lane = kWarpSize - 1 - static_cast<uint32_t>(std::countl_zero(mask));
+  if (device_.observer_ != nullptr || buf.count <= last_lane ||
+      base >= buf.count - last_lane) {
+    // The sanitizer must see every lane, and out-of-bounds lanes clamp:
+    // both are the indexed path's job.
+    LaneArray<uint64_t> idx;
+    ForActive(mask, [&](uint32_t lane) { idx[lane] = base + lane; });
+    Gather(buf, idx, mask, out);
+    return;
+  }
+  // Every active lane is in bounds and the addresses ascend with the lane,
+  // so first-occurrence order is ascending order: the sectors are those of
+  // the run [addr / 32, ...] that hold an active lane. Shifted by the first
+  // element's slot in its sector, the mask splits into one group of
+  // `per_sector` bits per sector.
+  static_assert(32 % sizeof(T) == 0, "elements must tile the 32-byte sectors");
+  constexpr uint32_t per_sector = 32 / sizeof(T);
+  const uint64_t addr = buf.raw.base_addr + base * sizeof(T);
+  uint64_t sectors[kWarpSize];
+  uint32_t n = 0;
+  uint64_t lanes = uint64_t{mask} << (addr % 32 / sizeof(T));
+  for (uint64_t sector = addr / 32; lanes != 0; ++sector, lanes >>= per_sector) {
+    if ((lanes & ((uint64_t{1} << per_sector) - 1)) != 0) sectors[n++] = sector;
+  }
+  const uint32_t worst =
+      device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
+  AccumGatherCost(mask, n, worst);
+  const T* data = reinterpret_cast<const T*>(buf.raw.data) + base;
+  if (mask == kFullMask) {
+    std::memcpy(out.data(), data, sizeof(out));
+  } else {
+    ForActive(mask, [&](uint32_t lane) { out[lane] = data[lane]; });
+  }
 }
 
 template <typename T>
@@ -596,10 +688,8 @@ void WarpCtx::ScatterImpl(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
                           const LaneArray<T>& val, uint32_t mask, AccessKind kind) {
   if (!mask) return;
   LaneArray<uint64_t> safe;
-  LaneArray<uint64_t> addrs;
-  CheckedAddrs(buf, idx, mask, kind, safe, addrs);
   uint64_t sectors[kWarpSize];
-  uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
+  const uint32_t n = CheckAndCoalesce(buf, idx, mask, kind, safe, sectors);
   device_.WriteSectors(sectors, n, buf.raw.kind == MemKind::kUnified);
   AccumStoreCost(mask);
   T* data = reinterpret_cast<T*>(buf.raw.data);
@@ -623,13 +713,12 @@ void WarpCtx::AtomicOp(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
                        const LaneArray<T>& val, uint32_t mask, LaneArray<T>& old, Op op) {
   if (!mask) return;
   LaneArray<uint64_t> safe;
-  LaneArray<uint64_t> addrs;
-  CheckedAddrs(buf, idx, mask, AccessKind::kAtomic, safe, addrs);
   uint64_t sectors[kWarpSize];
-  uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
-  // Atomics resolve at the L2; same-address lanes serialize.
+  const uint32_t n = CheckAndCoalesce(buf, idx, mask, AccessKind::kAtomic, safe, sectors);
+  // Atomics resolve at the L2; same-address lanes serialize. One sector per
+  // active lane proves the indices distinct, so nothing serializes.
   device_.WriteSectors(sectors, n, buf.raw.kind == MemKind::kUnified);
-  AccumAtomicCost(mask, internal::MaxLaneMultiplicity(idx, mask));
+  AccumAtomicCost(mask, n == PopCount(mask) ? 1 : internal::MaxLaneMultiplicity(idx, mask));
   T* data = reinterpret_cast<T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { old[lane] = op(&data[safe[lane]], val[lane]); });
 }

@@ -1,8 +1,32 @@
 #include "trace/flight_recorder.hpp"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace eta::trace {
+
+namespace {
+
+/// Appends one printf-formatted line to `out`, however long it renders.
+[[gnu::format(printf, 2, 3)]] void AppendLine(std::string* out, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list again;
+  va_copy(again, args);
+  const int len = std::vsnprintf(nullptr, 0, format, args);
+  va_end(args);
+  if (len < 0) {
+    va_end(again);
+    return;
+  }
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>(len) + 1);  // + the terminator vsnprintf writes
+  std::vsnprintf(out->data() + at, static_cast<size_t>(len) + 1, format, again);
+  va_end(again);
+  out->resize(at + static_cast<size_t>(len));
+}
+
+}  // namespace
 
 std::vector<TraceEvent> FlightRecorder::Snapshot() const {
   std::vector<TraceEvent> out;
@@ -21,22 +45,18 @@ std::vector<TraceEvent> FlightRecorder::Snapshot() const {
 
 std::string FlightRecorder::Dump(const std::string& reason, double at_ms,
                                  uint64_t victim_request) const {
-  char buf[256];
   std::string out;
-  std::snprintf(buf, sizeof(buf),
-                "# flight-recorder dump: reason=%s at=%.4fms victim=%llu "
-                "events=%zu recorded=%llu\n",
-                reason.c_str(), at_ms, static_cast<unsigned long long>(victim_request),
-                ring_.size(), static_cast<unsigned long long>(total_));
-  out += buf;
+  AppendLine(&out,
+             "# flight-recorder dump: reason=%s at=%.4fms victim=%llu "
+             "events=%zu recorded=%llu\n",
+             reason.c_str(), at_ms, static_cast<unsigned long long>(victim_request),
+             ring_.size(), static_cast<unsigned long long>(total_));
   for (const TraceEvent& e : Snapshot()) {
     const char* status = EventStatusName(e.kind, e.status);
-    std::snprintf(buf, sizeof(buf),
-                  "%12.4f req=%-8llu %-15s shard=%-3d a=%.4f b=%.4f c=%.4f op=%lld%s%s\n",
-                  e.at_ms, static_cast<unsigned long long>(e.request_id),
-                  EventKindName(e.kind), static_cast<int>(e.shard), e.a, e.b, e.c,
-                  static_cast<long long>(e.op_id), status[0] != '\0' ? " " : "", status);
-    out += buf;
+    AppendLine(&out, "%12.4f req=%-8llu %-15s shard=%-3d a=%.4f b=%.4f c=%.4f op=%lld%s%s\n",
+               e.at_ms, static_cast<unsigned long long>(e.request_id),
+               EventKindName(e.kind), static_cast<int>(e.shard), e.a, e.b, e.c,
+               static_cast<long long>(e.op_id), status[0] != '\0' ? " " : "", status);
   }
   return out;
 }

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
+#include <vector>
 
+#include "sanitizer/sanitizer.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
 #include "sim/memory.hpp"
@@ -79,6 +83,7 @@ class StampLru {
     for (size_t w = base; w < base + ways_; ++w) {
       if (tag_[w] == sector) {
         stamp_[w] = tick_;
+        ++hits_;
         return true;
       }
       if (stamp_[w] < stamp_[victim]) victim = w;
@@ -88,6 +93,8 @@ class StampLru {
     return false;
   }
   void InvalidateAll() { InvalidateRange(0, kEmpty); }
+  uint64_t Hits() const { return hits_; }
+  uint64_t Accesses() const { return tick_; }
   void InvalidateRange(uint64_t first, uint64_t last) {
     for (size_t w = 0; w < tag_.size(); ++w) {
       if (tag_[w] >= first && tag_[w] < last) {
@@ -104,10 +111,11 @@ class StampLru {
   std::vector<uint64_t> tag_;
   std::vector<uint64_t> stamp_;
   uint64_t tick_ = 0;
+  uint64_t hits_ = 0;
 };
 
 TEST(SectorCache, MatchesTimestampLruReference) {
-  for (uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+  for (uint32_t ways : {1u, 2u, 3u, 4u, 8u, 16u}) {
     SectorCache cache(64 * ways * 32, ways);
     StampLru reference(cache.NumSets(), ways);
     util::SplitMix64 rng(ways);
@@ -132,6 +140,8 @@ TEST(SectorCache, MatchesTimestampLruReference) {
       ASSERT_EQ(cache.Access(sector), reference.Access(sector))
           << "ways=" << ways << " probe " << i << " sector " << sector;
     }
+    EXPECT_EQ(cache.Hits(), reference.Hits()) << "ways=" << ways;
+    EXPECT_EQ(cache.Accesses(), reference.Accesses()) << "ways=" << ways;
   }
 }
 
@@ -150,30 +160,55 @@ TEST(SectorCache, RefillAfterInvalidateAllKeepsLruOrder) {
 
 // --- Coalescer and atomic multiplicity ---------------------------------------
 
+/// `count` distinct keys, `first` upward in steps of `step`, that all fall
+/// in one bucket of the coalescer's duplicate filter: the keys that make
+/// FindOrAppend scan.
+std::vector<uint64_t> BucketMates(uint64_t first, uint64_t step, uint32_t count) {
+  const uint32_t bucket = internal::KeyBucket(first);
+  std::vector<uint64_t> keys;
+  for (uint64_t key = first; keys.size() < count; key += step) {
+    if (internal::KeyBucket(key) == bucket) keys.push_back(key);
+  }
+  return keys;
+}
+
 /// Lane patterns a warp produces: contiguous, strided, random, a few
-/// repeated elements, and everything in one element.
-LaneArray<uint64_t> LanePattern(util::SplitMix64& rng, uint32_t pattern) {
+/// repeated elements, everything in one element, and draws from `pool`
+/// (keys crafted to collide in the duplicate filter).
+LaneArray<uint64_t> LanePattern(util::SplitMix64& rng, uint32_t pattern,
+                                const std::vector<uint64_t>& pool) {
   LaneArray<uint64_t> idx{};
   const uint64_t base = rng.NextBounded(1 << 20);
   for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
-    switch (pattern % 5) {
+    switch (pattern % 6) {
       case 0: idx[lane] = base + lane; break;
       case 1: idx[lane] = base + 9 * lane; break;
       case 2: idx[lane] = rng.NextBounded(1 << 20); break;
       case 3: idx[lane] = base + rng.NextBounded(5); break;
-      default: idx[lane] = base; break;
+      case 4: idx[lane] = base; break;
+      default: idx[lane] = pool[rng.NextBounded(pool.size())]; break;
     }
   }
   return idx;
 }
 
+/// The coalescer's addresses for element indices below: 4-byte elements
+/// from 1 MiB, so sector = 32768 + idx / 8.
+constexpr uint64_t kPatternBase = 1 << 20;
+
 TEST(CoalesceSectors, MatchesFirstOccurrenceReference) {
+  // Elements 0 and 5 of each of six sectors sharing a filter bucket.
+  std::vector<uint64_t> pool;
+  for (uint64_t sector : BucketMates(kPatternBase / 32 + 100, 1, 6)) {
+    pool.push_back((sector - kPatternBase / 32) * 8);
+    pool.push_back((sector - kPatternBase / 32) * 8 + 5);
+  }
   util::SplitMix64 rng(7);
-  for (uint32_t trial = 0; trial < 20000; ++trial) {
-    const LaneArray<uint64_t> idx = LanePattern(rng, trial);
+  for (uint32_t trial = 0; trial < 24000; ++trial) {
+    const LaneArray<uint64_t> idx = LanePattern(rng, trial, pool);
     const uint32_t mask = trial % 3 == 0 ? kFullMask : static_cast<uint32_t>(rng.Next());
     LaneArray<uint64_t> addrs{};
-    for (uint32_t lane = 0; lane < kWarpSize; ++lane) addrs[lane] = (1 << 20) + 4 * idx[lane];
+    for (uint32_t lane = 0; lane < kWarpSize; ++lane) addrs[lane] = kPatternBase + 4 * idx[lane];
     std::vector<uint64_t> expected;
     WarpCtx::ForActive(mask, [&](uint32_t lane) {
       const uint64_t sector = addrs[lane] / 32;
@@ -187,10 +222,27 @@ TEST(CoalesceSectors, MatchesFirstOccurrenceReference) {
   }
 }
 
+TEST(CoalesceSectors, BucketCollisionsKeepFirstOccurrenceOrder) {
+  // Three sectors in one filter bucket, revisited out of order: the second
+  // and third pay the collision scan, repeats of each must still resolve
+  // to their first slot.
+  const std::vector<uint64_t> mates = BucketMates(1 << 15, 1, 3);
+  const uint64_t order[] = {1, 0, 1, 2, 0, 2, 1, 0};
+  LaneArray<uint64_t> addrs{};
+  for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
+    addrs[lane] = mates[order[lane % std::size(order)]] * 32 + 4 * (lane % 8);
+  }
+  uint64_t sectors[kWarpSize];
+  const uint32_t n = internal::CoalesceSectors(addrs, kFullMask, 4, sectors);
+  EXPECT_EQ(std::vector<uint64_t>(sectors, sectors + n),
+            (std::vector<uint64_t>{mates[1], mates[0], mates[2]}));
+}
+
 TEST(MaxLaneMultiplicity, MatchesPairwiseReference) {
+  const std::vector<uint64_t> pool = BucketMates(12345, 7, 5);
   util::SplitMix64 rng(11);
-  for (uint32_t trial = 0; trial < 20000; ++trial) {
-    const LaneArray<uint64_t> idx = LanePattern(rng, trial);
+  for (uint32_t trial = 0; trial < 24000; ++trial) {
+    const LaneArray<uint64_t> idx = LanePattern(rng, trial, pool);
     const uint32_t mask = static_cast<uint32_t>(rng.Next()) | 1u;
     uint32_t expected = 0;
     WarpCtx::ForActive(mask, [&](uint32_t lane) {
@@ -200,6 +252,17 @@ TEST(MaxLaneMultiplicity, MatchesPairwiseReference) {
     });
     ASSERT_EQ(internal::MaxLaneMultiplicity(idx, mask), expected) << "trial " << trial;
   }
+}
+
+TEST(MaxLaneMultiplicity, CountsBucketMatesApart) {
+  // Keys sharing a filter bucket are still distinct indices: 3 lanes on
+  // mates[2] (the third key of its bucket) is the deepest chain.
+  const std::vector<uint64_t> mates = BucketMates(999, 1, 3);
+  LaneArray<uint64_t> idx{};
+  const uint64_t order[] = {0, 1, 2, 2, 1, 2};
+  for (uint32_t lane = 0; lane < std::size(order); ++lane) idx[lane] = mates[order[lane]];
+  EXPECT_EQ(internal::MaxLaneMultiplicity(idx, 0x3f), 3u);
+  EXPECT_EQ(internal::MaxLaneMultiplicity(idx, 0x07), 1u);
 }
 
 TEST(Device, AtomicSerializationChargesSameIndexLanesOnly) {
@@ -461,6 +524,152 @@ TEST(Device, DeterministicAcrossRuns) {
                            device.TotalCounters().dram_read_transactions);
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Closed-form contiguous gather vs the indexed path -------------------------
+
+/// Everything a launch reports, compared bit for bit.
+void ExpectSameLaunch(const LaunchResult& a, const LaunchResult& b, const std::string& where) {
+  EXPECT_EQ(a.counters.warp_instructions, b.counters.warp_instructions) << where;
+  EXPECT_EQ(a.counters.thread_instructions, b.counters.thread_instructions) << where;
+  EXPECT_EQ(a.counters.l1_accesses, b.counters.l1_accesses) << where;
+  EXPECT_EQ(a.counters.l1_hits, b.counters.l1_hits) << where;
+  EXPECT_EQ(a.counters.l2_accesses, b.counters.l2_accesses) << where;
+  EXPECT_EQ(a.counters.l2_hits, b.counters.l2_hits) << where;
+  EXPECT_EQ(a.counters.dram_read_transactions, b.counters.dram_read_transactions) << where;
+  EXPECT_EQ(a.counters.dram_write_transactions, b.counters.dram_write_transactions) << where;
+  EXPECT_EQ(a.counters.mem_latency_cycles, b.counters.mem_latency_cycles) << where;
+  EXPECT_EQ(a.counters.elapsed_cycles, b.counters.elapsed_cycles) << where;
+  EXPECT_EQ(a.migrated_bytes, b.migrated_bytes) << where;
+  EXPECT_EQ(a.fault_ops, b.fault_ops) << where;
+  EXPECT_EQ(a.start_ms, b.start_ms) << where;
+  EXPECT_EQ(a.end_ms, b.end_ms) << where;
+}
+
+/// Drives GatherContiguous on one device and the indexed Gather with
+/// base + lane on a twin, over random bases and masks on four warps (four
+/// SMs' L1s). Outputs and launch results must match every time, and a
+/// trailing stream of scattered probes must see the same cache state.
+template <typename T>
+void ExpectContiguousMatchesIndexed(MemKind kind, bool sanitize, uint64_t seed) {
+  constexpr uint64_t kCount = 1000;  // not a multiple of 32
+  constexpr uint32_t kWarps = 4;
+  // Out-of-bounds lanes clamp only where the device's DCHECK is compiled
+  // out; with it armed they abort, so such builds keep the lanes in bounds.
+#ifdef NDEBUG
+  constexpr bool kClampsOutOfBounds = true;
+#else
+  constexpr bool kClampsOutOfBounds = false;
+#endif
+  DeviceSpec spec = TestSpec();
+  spec.l1_bytes = 4 * util::kKiB;  // small caches, so evictions matter
+  spec.l2_bytes = 16 * util::kKiB;
+  Device closed(spec);
+  Device indexed(spec);
+  sanitizer::Sanitizer closed_check;
+  sanitizer::Sanitizer indexed_check;
+  if (sanitize) {
+    closed.SetObserver(&closed_check);
+    indexed.SetObserver(&indexed_check);
+  }
+  Buffer<T> closed_buf = closed.Alloc<T>(kCount, kind, "data");
+  Buffer<T> indexed_buf = indexed.Alloc<T>(kCount, kind, "data");
+  for (uint64_t i = 0; i < kCount; ++i) {
+    closed_buf.HostSpan()[i] = static_cast<T>(i * 2654435761u + 17);
+    indexed_buf.HostSpan()[i] = closed_buf.HostSpan()[i];
+  }
+  closed.MarkHostInitialized(closed_buf);
+  indexed.MarkHostInitialized(indexed_buf);
+
+  util::SplitMix64 rng(seed);
+  const LaunchConfig config{kWarps * kWarpSize, kWarpSize};
+  for (uint32_t trial = 0; trial < 300; ++trial) {
+    uint64_t base[kWarps];
+    uint32_t mask[kWarps];
+    for (uint32_t warp = 0; warp < kWarps; ++warp) {
+      // A third of the bases lie within 31 elements of the end, where
+      // high lanes fall off the buffer and the indexed path takes over.
+      base[warp] = rng.NextBounded(3) == 0 ? kCount - 1 - rng.NextBounded(31)
+                                           : rng.NextBounded(kCount - kWarpSize + 1);
+      switch (rng.NextBounded(5)) {
+        case 0: mask[warp] = kFullMask; break;
+        case 1: mask[warp] = kFullMask >> rng.NextBounded(kWarpSize); break;
+        case 2: {  // one run of lanes, starting anywhere
+          const uint32_t run = kFullMask >> rng.NextBounded(kWarpSize);
+          mask[warp] = run << rng.NextBounded(std::countl_zero(run) + 1);
+          break;
+        }
+        default: mask[warp] = static_cast<uint32_t>(rng.Next()); break;
+      }
+      if (!kClampsOutOfBounds && !sanitize && base[warp] + kWarpSize > kCount) {
+        mask[warp] &= (1u << (kCount - base[warp])) - 1;
+      }
+    }
+    LaneArray<T> closed_out[kWarps];
+    LaneArray<T> indexed_out[kWarps];
+    for (uint32_t warp = 0; warp < kWarps; ++warp) {
+      closed_out[warp].fill(static_cast<T>(0xabababab));
+      indexed_out[warp].fill(static_cast<T>(0xabababab));
+    }
+    const LaunchResult a = closed.Launch("k", config, [&](WarpCtx& w) {
+      const uint64_t warp = w.WarpId();
+      w.GatherContiguous(closed_buf, base[warp], mask[warp], closed_out[warp]);
+    });
+    const LaunchResult b = indexed.Launch("k", config, [&](WarpCtx& w) {
+      const uint64_t warp = w.WarpId();
+      LaneArray<uint64_t> idx{};
+      for (uint32_t lane = 0; lane < kWarpSize; ++lane) idx[lane] = base[warp] + lane;
+      w.Gather(indexed_buf, idx, mask[warp], indexed_out[warp]);
+    });
+    const std::string where = "trial " + std::to_string(trial);
+    ExpectSameLaunch(a, b, where);
+    for (uint32_t warp = 0; warp < kWarps; ++warp) {
+      ASSERT_EQ(closed_out[warp], indexed_out[warp]) << where << " warp " << warp;
+    }
+  }
+
+  // The same scattered probe stream on both: equal hits at every level
+  // mean the gathers left both devices' caches (and UM pages) alike.
+  for (uint32_t round = 0; round < 20; ++round) {
+    LaneArray<uint64_t> idx[kWarps];
+    for (auto& lanes : idx) {
+      for (uint64_t& i : lanes) i = rng.NextBounded(kCount);
+    }
+    auto probe = [&](Device& device, const Buffer<T>& buf) {
+      return device.Launch("probe", config, [&](WarpCtx& w) {
+        LaneArray<T> out{};
+        w.Gather(buf, idx[w.WarpId()], kFullMask, out);
+      });
+    };
+    ExpectSameLaunch(probe(closed, closed_buf), probe(indexed, indexed_buf),
+                     "probe " + std::to_string(round));
+  }
+  EXPECT_EQ(closed.NowMs(), indexed.NowMs());
+  if (sanitize) {
+    EXPECT_EQ(closed_check.Report().Json(), indexed_check.Report().Json());
+    EXPECT_FALSE(closed_check.Report().findings.empty());  // the tail bases
+  }
+}
+
+TEST(GatherContiguous, MatchesIndexedGatherU32Device) {
+  ExpectContiguousMatchesIndexed<uint32_t>(MemKind::kDevice, false, 1);
+}
+
+TEST(GatherContiguous, MatchesIndexedGatherU64Device) {
+  ExpectContiguousMatchesIndexed<uint64_t>(MemKind::kDevice, false, 2);
+}
+
+TEST(GatherContiguous, MatchesIndexedGatherU32Unified) {
+  ExpectContiguousMatchesIndexed<uint32_t>(MemKind::kUnified, false, 3);
+}
+
+TEST(GatherContiguous, MatchesIndexedGatherU64Unified) {
+  ExpectContiguousMatchesIndexed<uint64_t>(MemKind::kUnified, false, 4);
+}
+
+TEST(GatherContiguous, MatchesIndexedGatherUnderSanitizer) {
+  ExpectContiguousMatchesIndexed<uint32_t>(MemKind::kDevice, true, 5);
+  ExpectContiguousMatchesIndexed<uint64_t>(MemKind::kUnified, true, 6);
 }
 
 TEST(Device, PageableCopySlowerThanPinned) {

@@ -99,6 +99,59 @@ TEST(FlightRecorder, DumpIsByteIdenticalAcrossIdenticalSequences) {
   EXPECT_LT(first.find("req=24"), first.find("req=39"));
 }
 
+TEST(FlightRecorder, DumpKeepsLongLinesWhole) {
+  // A 600-byte reason and a 1e300 payload (a 301-digit %.4f) both overrun
+  // any fixed line buffer; the dump must carry them in full.
+  trace::FlightRecorder recorder(4);
+  trace::TraceEvent huge = Event(5, 2.5, trace::EventKind::kFault);
+  huge.a = 1e300;
+  recorder.Record(huge);
+  const std::string reason(600, 'r');
+  const std::string dump = recorder.Dump(reason, 1.0, 5);
+  EXPECT_NE(dump.find("reason=" + reason + " at=1.0000ms victim=5 events=1 recorded=1\n"),
+            std::string::npos);
+  std::vector<char> payload(400);
+  std::snprintf(payload.data(), payload.size(), " a=%.4f b=0.0000 c=0.0000 op=-1", 1e300);
+  EXPECT_GT(std::string(payload.data()).size(), 300u);
+  EXPECT_NE(dump.find(payload.data()), std::string::npos);
+  EXPECT_EQ(std::count(dump.begin(), dump.end(), '\n'), 2);
+  EXPECT_EQ(dump.back(), '\n');
+}
+
+TEST(FlightRecorder, ShortLinesRenderAsBefore) {
+  // Lines under 256 bytes are exactly what the fixed-buffer renderer
+  // produced: the same formats through a 256-byte snprintf.
+  trace::FlightRecorder recorder(8);
+  for (uint64_t i = 0; i < 5; ++i) {
+    trace::TraceEvent e = Event(100 + i, 1.5 * static_cast<double>(i),
+                                i % 2 == 0 ? trace::EventKind::kFault
+                                           : trace::EventKind::kDispatch);
+    e.shard = static_cast<int16_t>(i);
+    e.a = 0.125 * static_cast<double>(i);
+    e.b = -3.0;
+    e.c = 1e6;
+    e.op_id = static_cast<int64_t>(i) - 2;
+    e.status = static_cast<uint8_t>(i % 3);
+    recorder.Record(e);
+  }
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "# flight-recorder dump: reason=%s at=%.4fms victim=%llu "
+                "events=%zu recorded=%llu\n",
+                "shard-dead", 12.25, 103ULL, size_t{5}, 5ULL);
+  std::string expected = buf;
+  for (const trace::TraceEvent& e : recorder.Snapshot()) {
+    const char* status = trace::EventStatusName(e.kind, e.status);
+    std::snprintf(buf, sizeof(buf),
+                  "%12.4f req=%-8llu %-15s shard=%-3d a=%.4f b=%.4f c=%.4f op=%lld%s%s\n",
+                  e.at_ms, static_cast<unsigned long long>(e.request_id),
+                  trace::EventKindName(e.kind), static_cast<int>(e.shard), e.a, e.b, e.c,
+                  static_cast<long long>(e.op_id), status[0] != '\0' ? " " : "", status);
+    expected += buf;
+  }
+  EXPECT_EQ(recorder.Dump("shard-dead", 12.25, 103), expected);
+}
+
 // ---------------------------------------------------------------------------
 // --slo-alerts spec parsing.
 
