@@ -30,6 +30,7 @@
 #include "core/hybrid_bfs.hpp"
 #include "core/pagerank.hpp"
 #include "graph/datasets.hpp"
+#include "prof/trace_export.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
@@ -140,6 +141,18 @@ void Fold(Digest& d, const serve::ServeReport& r) {
     d.F(q.start_ms);
     d.F(q.finish_ms);
   }
+}
+
+/// Folds what a fleet replay renders beyond its report: the Chrome trace
+/// of its profiling spans, the etaverify findings, the flight-recorder
+/// dumps and the per-request span trees.
+void FoldArtifacts(Digest& d, const serve::ServeReport& r) {
+  d.S(prof::RenderChromeTrace(r.trace_spans));
+  d.S(r.verify.Render(/*verbose=*/true));
+  d.S(r.verify.Json());
+  d.U(r.verify.ops_checked);
+  d.S(r.RenderBlackbox());
+  d.S(r.RenderRequestTraceJson());
 }
 
 const graph::Csr& Dataset(const std::string& name, double scale) {
@@ -398,6 +411,89 @@ uint64_t ServeScenario(const std::string& what) {
     options.base.graph.trace_requests = true;
     Fold(d, serve::ShardedEngine(options).Serve(
                 social, serve::GenerateArrivals(social.NumVertices(), arrivals)));
+  } else if (what == "recovery") {
+    // Every recovery path at once: rebuilds under a retry budget that runs
+    // dry, breaker opens, a shard dying, the CPU fallback, rejects against
+    // a small queue, deadline expiry and autoscaling, all profiled and
+    // traced.
+    serve::TraceOptions faulted = trace_options;
+    faulted.num_requests = 160;
+    faulted.mean_interarrival_ms = 0.02;
+    faulted.deadline_ms = 0.3;
+    serve::ShardedOptions options;
+    options.shards = 3;
+    options.base.queue_capacity = 3;
+    options.base.graph.faults.seed = 5;
+    options.base.graph.faults.ecc_uncorrectable_rate = 0.04;
+    options.base.graph.faults.hang_rate = 0.04;
+    options.base.graph.faults.device_loss_rate = 0.03;
+    options.base.max_session_rebuilds = 1;
+    options.base.graph.faults.watchdog_ms = 1.0;
+    options.base.overload.breaker_cooldown_ms = 0.5;
+    options.base.overload.retry_tokens_per_s = 200;
+    options.base.overload.retry_burst = 3;
+    options.autoscale = {.min_shards = 1, .backlog_ms = 0.05};
+    options.base.graph.profile = true;
+    options.base.graph.trace_requests = true;
+    const serve::ServeReport r = serve::ShardedEngine(options).Serve(
+        social, serve::GenerateTrace(social.NumVertices(), faulted));
+    EXPECT_GT(r.session_rebuilds, 0u);
+    EXPECT_GT(r.overload.breaker_opens, 0u);
+    EXPECT_GT(r.overload.rebuild_denied, 0u);
+    EXPECT_FALSE(r.scale_events.empty());
+    EXPECT_TRUE(std::any_of(r.shard_stats.begin(), r.shard_stats.end(),
+                            [](const serve::ShardStat& s) { return s.dead; }));
+    EXPECT_GT(r.degraded, 0u);
+    EXPECT_GT(r.rejected, 0u);
+    EXPECT_GT(r.timed_out, 0u);
+    EXPECT_FALSE(r.blackbox.empty());
+    EXPECT_FALSE(r.trace_spans.empty());
+    Fold(d, r);
+    FoldArtifacts(d, r);
+  } else if (what == "async-verify") {
+    std::vector<const graph::Csr*> graphs = {&social, &Dataset("uk2005", kServeScale),
+                                             &Dataset("livejournal", kServeScale)};
+    uint32_t min_vertices = social.NumVertices();
+    for (const graph::Csr* g : graphs) min_vertices = std::min(min_vertices, g->NumVertices());
+    serve::ArrivalOptions arrivals;
+    arrivals.profile = serve::ArrivalProfile::kPoisson;
+    arrivals.rate_qps = 40000;
+    arrivals.num_requests = 128;
+    arrivals.num_graphs = static_cast<uint32_t>(graphs.size());
+    arrivals.gold_fraction = 0.2;
+    arrivals.silver_fraction = 0.3;
+    arrivals.cc_fraction = 0.15;
+    arrivals.pr_fraction = 0.05;
+    arrivals.seed = 7;
+    serve::ShardedOptions options;
+    options.shards = 2;
+    options.async_dispatch = true;
+    options.device_mem_budget_bytes =
+        core::ResidentGraph::EstimateDeviceBytes(*graphs[1], {}, true) +
+        core::ResidentGraph::EstimateDeviceBytes(*graphs[2], {}, true);
+    options.base.queue_capacity = 24;
+    options.base.graph.verify_dag = true;
+    options.base.graph.profile = true;
+    options.base.overload.slo_admission = true;
+    options.base.overload.silver_slo_ms = 1.5;
+    options.base.overload.shed_bronze_backlog_ms = 1;
+    options.base.overload.shed_silver_backlog_ms = 3;
+    options.base.overload.brownout_bronze_backlog_ms = 2;
+    options.base.overload.brownout_silver_backlog_ms = 4;
+    options.base.edf = true;
+    options.base.memo_window_ms = 5;
+    const serve::ServeReport r = serve::ShardedEngine(options).ServeMany(
+        graphs, serve::GenerateArrivals(min_vertices, arrivals));
+    EXPECT_GT(r.verify.ops_checked, 0u);
+    EXPECT_TRUE(r.verify.Clean());
+    uint64_t prestages = 0;
+    for (const serve::ShardStat& s : r.shard_stats) prestages += s.prestages;
+    EXPECT_GT(prestages, 0u);
+    EXPECT_GT(r.memo_hits, 0u);
+    EXPECT_GT(r.shedded, 0u);
+    EXPECT_GT(r.overload.brownout_degraded, 0u);
+    Fold(d, r);
+    FoldArtifacts(d, r);
   }
   return d.Value();
 }
@@ -426,7 +522,8 @@ std::vector<std::pair<std::string, std::function<uint64_t()>>> Scenarios() {
   for (const char* what : {"session", "batched"}) {
     out.emplace_back(std::string("serve/") + what, [=] { return ServeScenario(what); });
   }
-  for (const char* what : {"sharded-faults", "async-catalog", "overload"}) {
+  for (const char* what : {"sharded-faults", "async-catalog", "overload", "recovery",
+                           "async-verify"}) {
     out.emplace_back(std::string("fleet/") + what, [=] { return ServeScenario(what); });
   }
   return out;
