@@ -139,8 +139,8 @@ std::vector<Request> GenerateArrivals(graph::VertexId num_vertices,
     r.tenant = tenant;
     const TenantMix& mix = tenants[tenant];
     // One draw decides both the whole-graph carve-out and the per-source
-    // mix: with cc+pr == 0 the rescaled v equals u and the legacy algo
-    // stream is byte-identical.
+    // mix: with cc+pr == 0 the rescaled v equals u, so the per-source
+    // draw is unchanged.
     const double u = algos.NextDouble();
     const double whole = options.cc_fraction + options.pr_fraction;
     if (u < options.cc_fraction) {

@@ -60,12 +60,12 @@ struct ArrivalOptions {
   /// Whole-graph query mix (DESIGN.md section 15): each request first draws
   /// connected-components / PageRank with these fleet-wide fractions; the
   /// per-source remainder then follows the tenant's bfs/sssp/sswp mix.
-  /// Both default 0 — the legacy trace shape (and its RNG consumption) is
-  /// byte-identical when no whole-graph traffic is requested.
+  /// Both default 0, and at 0 every draw (and its RNG consumption) is
+  /// exactly the per-source mix's.
   double cc_fraction = 0;
   double pr_fraction = 0;
   /// SLO class mix: gold + silver fractions, remainder bronze. When
-  /// assign_slo is false, requests are classless (legacy trace shape) and
+  /// assign_slo is false, requests are classless (SloClass::kNone) and
   /// the deadline fields below are ignored.
   bool assign_slo = true;
   double gold_fraction = 0.2;

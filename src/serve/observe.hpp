@@ -22,7 +22,7 @@ namespace eta::serve {
 ///   so the zero-cost contract is untouched);
 /// - merges per-request Chrome-trace tracks onto the serve clock when the
 ///   replay was both traced and profiled.
-/// Untraced legacy output stays byte-identical: every traced-only block
+/// Untraced output carries no trace vocabulary: every traced-only block
 /// is gated on tracer.enabled().
 void FinalizeTraceReport(const ServeOptions& options, const trace::RequestTracer& tracer,
                          const trace::FlightRecorder& recorder, double end_ms,
@@ -30,8 +30,8 @@ void FinalizeTraceReport(const ServeOptions& options, const trace::RequestTracer
 
 /// Evaluates multi-window SLO burn-rate alerts per class over the
 /// replay's completions and fills report->alerts plus the serve_alert_*
-/// Prometheus families. No-op unless alert_options.enabled, so legacy
-/// output never carries an alert row/key/family.
+/// Prometheus families. No-op unless alert_options.enabled, so a run
+/// without alerts never carries an alert row/key/family.
 void EvaluateSloAlerts(const OverloadOptions& options,
                        const trace::AlertOptions& alert_options, ServeReport* report);
 

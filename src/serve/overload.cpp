@@ -141,8 +141,8 @@ void FinalizeOverloadReport(const OverloadOptions& options, const core::RetryBud
   }
 
   // Prometheus families — appended after the engine's own families, and
-  // only for features that are live, so the legacy exposition stays
-  // byte-identical (MetricsRegistry renders in insertion order).
+  // only for features that are live, so a features-off exposition carries
+  // none (MetricsRegistry renders in insertion order).
   MetricsRegistry& m = report->metrics;
   for (const SloStat& s : report->slo_stats) {
     const std::string cls = SloClassName(s.slo);

@@ -106,8 +106,8 @@ class CircuitBreaker {
 /// may be null), per-class SloStat rows, report->shedded, and the
 /// per-class / brownout / budget / breaker Prometheus families. Brownout and
 /// breaker counters in report->overload must already be set by the engine.
-/// On a legacy run (no features configured, classless trace) this appends
-/// nothing and every report byte stays identical.
+/// With every overload feature off and a classless trace this appends
+/// nothing: the report carries no overload row, key or family.
 void FinalizeOverloadReport(const OverloadOptions& options, const core::RetryBudget* budget,
                             ServeReport* report);
 

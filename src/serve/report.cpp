@@ -152,8 +152,7 @@ std::string ServeReport::Render(const std::string& title) const {
     out += slo.Render("SLO classes");
   }
 
-  // Burn-rate alert evaluations; present only under --slo-alerts, so
-  // legacy output never carries an alert row.
+  // Burn-rate alert evaluations; present only under --slo-alerts.
   if (!alerts.empty()) {
     util::Table alert({"Class", "Samples", "Bad", "Fired", "Max fast burn", "State"});
     for (const trace::AlertSeries& a : alerts) {
@@ -237,8 +236,8 @@ std::string ServeReport::Json() const {
   // Emitted only on traced replays (same contract).
   if (traced) w.Key("traced").Bool(true).Key("traced_requests").Uint(request_traces.size());
   // Overload-control block: emitted only when an overload feature was
-  // configured or the trace carried SLO classes, so legacy JSON stays
-  // byte-identical (same contract as async_dispatch).
+  // configured or the trace carried SLO classes, so features-off JSON
+  // carries no overload key (same contract as async_dispatch).
   if (overload.Active()) {
     w.Key("shedded").Uint(shedded).Key("overload").BeginObject();
     w.Key("brownout_level").Uint(overload.brownout_level);

@@ -67,8 +67,7 @@ struct ShardStat {
 };
 
 /// Per-SLO-class accounting of a replay (DESIGN.md §13). Built only from
-/// classed requests; empty on legacy classless traces, so legacy report
-/// output is byte-identical with the overload layer built.
+/// classed requests; empty on classless traces, which render no SLO rows.
 struct SloStat {
   SloClass slo = SloClass::kNone;
   double slo_target_ms = 0;
@@ -96,8 +95,8 @@ struct LadderTransition {
 };
 
 /// Overload-control outcome counters (brownout ladder, retry budget,
-/// circuit breaker). The `*_configured` flags gate rendering: a legacy run
-/// (all features off, classless trace) emits none of these rows/keys.
+/// circuit breaker). The `*_configured` flags gate rendering: a run with
+/// every feature off and a classless trace emits none of these rows/keys.
 struct OverloadStats {
   bool slo_active = false;         // any classed request seen
   bool shed_configured = false;    // admission controller armed
@@ -214,7 +213,8 @@ struct ServeReport {
   /// classless traces.
   std::vector<SloStat> slo_stats;
 
-  /// Overload-control counters; all-default (and unrendered) on legacy runs.
+  /// Overload-control counters; all-default (and unrendered) with every
+  /// overload feature off.
   OverloadStats overload;
 
   /// Merged trace spans (device timeline slices mapped onto the serve
@@ -226,8 +226,7 @@ struct ServeReport {
   /// etatrace (DESIGN.md section 14). `traced` is set when the replay ran
   /// with EtaGraphOptions::trace_requests; the per-request causal traces
   /// (request id -> events in emission order) are then populated and
-  /// rendered by RenderRequestTraceJson(). Empty and unrendered otherwise,
-  /// so legacy output stays byte-identical.
+  /// rendered by RenderRequestTraceJson(). Empty and unrendered otherwise.
   bool traced = false;
   std::map<uint64_t, std::vector<trace::TraceEvent>> request_traces;
 
@@ -243,7 +242,7 @@ struct ServeReport {
   std::vector<trace::FlightDump> blackbox;
 
   /// SLO burn-rate alert evaluations, class order; empty unless
-  /// ServeOptions::slo_alerts.enabled, so legacy output is unchanged.
+  /// ServeOptions::slo_alerts.enabled.
   std::vector<trace::AlertSeries> alerts;
 
   /// etacheck findings over every session device the replay touched

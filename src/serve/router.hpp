@@ -9,9 +9,10 @@
 //   the lowest estimated backlog: the time until the shard is next free
 //   plus the sum of its queued requests costed by the same per-algorithm
 //   running-mean service-time estimator the cost-model observations feed
-//   (ServeReport::cost_observations). Ties break to the lowest shard
-//   index; if the chosen queue is full the next-best shard is tried, and a
-//   request is rejected only when every live shard's queue is full.
+//   (ServeReport::cost_observations). Ties break by queue depth, then to
+//   the lowest shard index; if the chosen queue is full the next-best shard
+//   is tried, and a request is rejected only when every live shard's queue
+//   is full.
 //
 //   Fault-aware routing.  When a shard's device is lost (or staging
 //   fails), the shard is quarantined: its queued requests are drained and
@@ -55,6 +56,12 @@
 // launch fault fails only its own stream: the dispatch's remaining waves
 // cancel at the fault time, pre-stages on other streams keep running, and
 // the quarantine/rebuild path proceeds exactly as in the sync dispatcher.
+//
+// ServeMany itself only validates, builds a fleet::FleetState, runs the
+// event loop and finalizes; the stages (admission, routing, dispatch,
+// recovery, residency, autoscale, finalize) are functions over that state in
+// serve/fleet.hpp — DESIGN.md section 10, "Fleet stages", lists the state,
+// the stages and the simulated clock each one advances.
 //
 // Per-shard fault injection: with ShardedOptions::shard_faults set, shard
 // i uses shard_faults[i] verbatim (the way a test pins a device loss to

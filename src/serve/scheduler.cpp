@@ -14,8 +14,8 @@ bool QueryScheduler::EntryPopsAfter(const Entry& ea, const Entry& eb) const {
     return ea.request.priority < eb.request.priority;
   }
   // EDF (DESIGN.md section 15): earliest effective deadline first within a
-  // priority class. Off, this branch never reads the key, so the order is
-  // byte-identical to the legacy (priority desc, seq asc).
+  // priority class. Off, this branch never reads the key: the order is
+  // (priority desc, seq asc).
   if (edf_ && ea.edf_key != eb.edf_key) return ea.edf_key > eb.edf_key;
   return ea.seq > eb.seq;
 }

@@ -24,8 +24,8 @@
 // runs) hold. Priority-class precedence is preserved: gold never starves
 // behind an earlier-deadline bronze. Requests without a deadline carry an
 // infinite key and fall back to FIFO behind every deadlined peer of their
-// class. With `edf` off the comparator never reads the key, so pop order
-// is byte-identical to the legacy (priority desc, seq asc) order.
+// class. With `edf` off the comparator never reads the key, so the pop
+// order is plain (priority desc, seq asc).
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,8 @@ namespace eta::serve {
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
 /// Service-level-objective class of a request. Classless (kNone) requests
-/// take the legacy path: no shedding, no brownout, no per-class accounting.
+/// bypass the admission controller: no shedding, no brownout, no per-class
+/// accounting.
 /// Classed requests carry a completion target (OverloadOptions) and are
 /// subject to the admission controller: under pressure bronze is degraded or
 /// shed first, then silver; gold is never shed while any shard is alive.
@@ -55,7 +56,7 @@ struct Request {
   double deadline_ms = kNoDeadline;
   /// Higher values are dispatched first; FIFO within a priority level.
   int32_t priority = 0;
-  /// SLO class; kNone means the legacy classless path (see SloClass).
+  /// SLO class; kNone means classless (see SloClass).
   SloClass slo = SloClass::kNone;
   /// Originating tenant (arrival-process bookkeeping only; the engine does
   /// not partition by tenant).
@@ -105,8 +106,8 @@ struct QueryResult {
 };
 
 /// Overload-control knobs (DESIGN.md §13). All default-off: a
-/// default-constructed OverloadOptions leaves every legacy code path — and
-/// every legacy report byte — unchanged.
+/// default-constructed OverloadOptions takes no overload branch and renders
+/// no overload row, key or metric family.
 struct OverloadOptions {
   /// Per-class completion targets (ms from arrival). A classed request meets
   /// its SLO when it finishes (ok or degraded) within the target; targets
@@ -134,7 +135,7 @@ struct OverloadOptions {
   double hysteresis = 0.5;
   /// Fleet-wide retry budget: token-bucket refill rate (tokens per simulated
   /// second) capping fault retries and session rebuilds across all shards.
-  /// 0 leaves the legacy unbounded behavior.
+  /// 0 leaves retries and rebuilds unbounded.
   double retry_tokens_per_s = 0;
   /// Bucket depth (burst allowance) for the retry budget.
   double retry_burst = 8.0;
@@ -171,7 +172,7 @@ struct ServeOptions {
   /// scheduler pops earliest effective deadline first (start deadline minus
   /// the running-mean service estimate for the request's algorithm, frozen
   /// at admission). Priority-class precedence is preserved. Default-off:
-  /// the legacy (priority, seq) order is byte-identical when false.
+  /// false keeps the (priority, seq) order.
   bool edf = false;
   /// Whole-graph memoization window (DESIGN.md section 15): identical
   /// whole-graph (CC/PageRank) requests against the same graph answered
@@ -184,8 +185,7 @@ struct ServeOptions {
   /// SLO burn-rate alerting (DESIGN.md section 14): multi-window
   /// error-budget burn evaluated per class over the completed replay, on
   /// the simulated clock. Default-off (enabled = false): no evaluation
-  /// runs and no alert rows/keys/families are rendered, so legacy output
-  /// stays byte-identical.
+  /// runs and no alert rows/keys/families are rendered.
   trace::AlertOptions slo_alerts{};
 };
 

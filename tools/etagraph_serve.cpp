@@ -9,11 +9,11 @@
 //   --dataset       one of the seven stand-ins  (or use --graph)
 //   --graph         path to a Galois .gr or text edge-list file
 //   --scale         dataset stand-in scale in (0,1]             (default 1)
-//   --requests      trace length                                (default 64)
+//   --requests      trace length; must be >= 1                  (default 64)
 //   --mean-arrival  mean inter-arrival time in ms               (default 1.5)
 //   --max-batch     max queued requests folded per dispatch;
-//                   1 = one query per dispatch                   (default 16)
-//   --queue-cap     admission queue capacity                    (default 64)
+//                   1 = one query per dispatch; must be >= 1     (default 16)
+//   --queue-cap     admission queue capacity; must be >= 1      (default 64)
 //   --deadline      per-request queueing deadline in ms; 0=none (default 0)
 //   --bfs-frac      fraction of BFS requests                    (default 0.5)
 //   --sssp-frac     fraction of SSSP requests (rest are SSWP)   (default 0.35)
@@ -88,8 +88,7 @@
 //                   brownout ladder: past level 1 bronze is served degraded
 //                   from the CPU fallback, past level 2 silver too (0=off)
 //   --retry-budget  rate[,burst]: fleet-wide retry/rebuild token bucket,
-//                   tokens per simulated second (0=unbounded, the legacy
-//                   behavior)
+//                   tokens per simulated second (0=unbounded)
 //   --breaker       cooldown_ms[,backoff]: per-shard circuit breaker —
 //                   a failed dispatch quarantines the shard for the
 //                   cooldown, then a single half-open probe decides
@@ -97,7 +96,7 @@
 //   --edf           EDF pop order (DESIGN.md section 15): within a priority
 //                   class the scheduler pops earliest effective deadline
 //                   (start deadline minus the running-mean service estimate,
-//                   frozen at admission) first. Off: legacy (priority, seq)
+//                   frozen at admission) first. Off: (priority, seq) order
 //   --memo-window   whole-graph memo window in simulated ms —
 //                   identical CC/PageRank requests against the same graph
 //                   inside the window are answered from the per-shard memo
@@ -114,7 +113,7 @@
 //                   choices with per-shard backlog estimates, dispatch
 //                   attempts with stream-DAG op ids, faults/retries/
 //                   rebuilds, CPU fallbacks, completion. Off by default;
-//                   with it off every legacy output is byte-identical
+//                   with it off no output carries trace vocabulary
 //   --trace-request-out  with --trace-requests: write the per-request span
 //                   trees as JSON (one entry per request id) to this path
 //   --blackbox-out  write the always-on flight recorder's event ring
@@ -185,10 +184,10 @@ int main(int argc, char** argv) {
   const std::string dataset = cl->GetString("dataset", "");
   const std::string graph_path = cl->GetString("graph", "");
   const double scale = cl->GetDouble("scale", 1.0);
-  const auto requests = static_cast<uint32_t>(cl->GetInt("requests", 64));
+  const int64_t requests_flag = cl->GetInt("requests", 64);
   const double mean_arrival = cl->GetDouble("mean-arrival", 1.5);
-  const auto max_batch = static_cast<uint32_t>(cl->GetInt("max-batch", 16));
-  const auto queue_cap = static_cast<size_t>(cl->GetInt("queue-cap", 64));
+  const int64_t max_batch_flag = cl->GetInt("max-batch", 16);
+  const int64_t queue_cap_flag = cl->GetInt("queue-cap", 64);
   const double deadline = cl->GetDouble("deadline", 0.0);
   const double bfs_frac = cl->GetDouble("bfs-frac", 0.5);
   const double sssp_frac = cl->GetDouble("sssp-frac", 0.35);
@@ -255,6 +254,12 @@ int main(int argc, char** argv) {
   }
   if (shards_flag < 1) return Fail("--shards must be >= 1");
   const auto shards = static_cast<uint32_t>(shards_flag);
+  if (requests_flag < 1) return Fail("--requests must be >= 1");
+  const auto requests = static_cast<uint32_t>(requests_flag);
+  if (max_batch_flag < 1) return Fail("--max-batch must be >= 1");
+  const auto max_batch = static_cast<uint32_t>(max_batch_flag);
+  if (queue_cap_flag < 1) return Fail("--queue-cap must be >= 1");
+  const auto queue_cap = static_cast<size_t>(queue_cap_flag);
   if (catalog_n < 1) return Fail("--catalog must be >= 1");
   if (catalog_n > 1 && dataset.empty()) {
     return Fail("--catalog requires --dataset (scaled variants of one dataset)");
