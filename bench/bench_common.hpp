@@ -2,7 +2,7 @@
 //
 // Every bench accepts:
 //   --datasets=a,b,c   restrict to named datasets (default: the bench's set)
-//   --scale=0.25       shrink stand-ins for a quick pass (default 1.0)
+//   --scale=0.25       shrink stand-ins for a quick pass, in (0,1] (default 1.0)
 //   --cache=DIR        dataset cache directory (default ./eta_dataset_cache)
 // Output is a plain-text table on stdout mirroring the paper's table or
 // figure, plus a short "paper vs measured" note. The simulator is
@@ -12,11 +12,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/traversal.hpp"
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "util/cli.hpp"
+#include "util/number.hpp"
 #include "util/table.hpp"
 
 namespace eta::bench {
@@ -38,29 +41,39 @@ inline BenchEnv ParseBenchArgs(int argc, char** argv,
     std::exit(2);
   }
   BenchEnv env{.cl = *cl, .datasets = {}, .scale = 1.0, .cache_dir = {}};
-  env.scale = cl->GetDouble("scale", 1.0);
+  env.scale = cl->GetDouble("scale", 1.0, util::kAboveZero, 1.0);
   env.cache_dir = cl->GetString("cache", "eta_dataset_cache");
   std::string list = cl->GetString("datasets", "");
   if (list.empty()) {
     env.datasets = std::move(default_datasets);
   } else {
-    size_t pos = 0;
-    while (pos != std::string::npos) {
-      size_t comma = list.find(',', pos);
-      std::string name = list.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    for (std::string_view item : util::Split(list, ',')) {
+      const std::string& name = env.datasets.emplace_back(item);
       if (!graph::FindDataset(name)) {
         std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
         std::exit(2);
       }
-      env.datasets.push_back(name);
-      pos = comma == std::string::npos ? comma : comma + 1;
     }
   }
   return env;
 }
 
-inline graph::Csr Load(const BenchEnv& env, const std::string& name) {
-  return graph::BuildDatasetCached(name, env.cache_dir, env.scale);
+/// The --algo flag of the traversal benches: bfs, sssp (default) or sswp;
+/// exits on anything else.
+inline core::Algo AlgoFlag(const BenchEnv& env) {
+  const std::string name = env.cl.GetString("algo", "sssp");
+  if (name == "bfs") return core::Algo::kBfs;
+  if (name == "sssp") return core::Algo::kSssp;
+  if (name == "sswp") return core::Algo::kSswp;
+  std::fprintf(stderr, "unknown --algo '%s' (bfs | sssp | sswp)\n", name.c_str());
+  std::exit(2);
+}
+
+/// The dataset at the bench's scale, with edge weights for SSSP/SSWP.
+inline graph::Csr Load(const BenchEnv& env, const std::string& name, double sub_scale = 1) {
+  graph::Csr csr = graph::BuildDatasetCached(name, env.cache_dir, env.scale * sub_scale);
+  if (!csr.HasWeights()) csr.DeriveWeights(1);
+  return csr;
 }
 
 /// "12.3/45.6" — the t_kernel/t_total cell format of Table III.

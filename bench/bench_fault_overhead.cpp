@@ -45,10 +45,7 @@ bool Identical(const core::RunReport& a, const core::RunReport& b) {
 
 int main(int argc, char** argv) {
   bench::BenchEnv env = bench::ParseBenchArgs(argc, argv, {"slashdot", "rmat"});
-  std::string algo_name = env.cl.GetString("algo", "sssp");
-  core::Algo algo = algo_name == "bfs"    ? core::Algo::kBfs
-                    : algo_name == "sswp" ? core::Algo::kSswp
-                                          : core::Algo::kSssp;
+  const core::Algo algo = bench::AlgoFlag(env);
 
   util::Table table({"Dataset", "Sim total (ms)", "Identical?", "Wall off (ms)",
                      "Wall armed (ms)", "Host overhead"});

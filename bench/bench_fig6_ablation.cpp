@@ -12,10 +12,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> all;
   for (const auto& info : graph::AllDatasets()) all.push_back(info.name);
   bench::BenchEnv env = bench::ParseBenchArgs(argc, argv, all);
-  std::string algo_name = env.cl.GetString("algo", "sssp");
-  core::Algo algo = algo_name == "bfs"    ? core::Algo::kBfs
-                    : algo_name == "sswp" ? core::Algo::kSswp
-                                          : core::Algo::kSssp;
+  const core::Algo algo = bench::AlgoFlag(env);
 
   util::Table table({"Dataset", "EtaGraph (ms)", "w/o SMP", "w/o UM", "w/o UMP"});
   for (const std::string& name : env.datasets) {

@@ -26,6 +26,7 @@
 
 #include "bench_common.hpp"
 #include "core/framework.hpp"
+#include "serve/arrivals.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "util/table.hpp"
@@ -53,8 +54,9 @@ bool SameAnswers(const serve::ServeReport& a, const serve::ServeReport& b) {
 
 int main(int argc, char** argv) {
   auto env = bench::ParseBenchArgs(argc, argv, {"slashdot"});
-  const auto requests = static_cast<uint32_t>(env.cl.GetInt("requests", 192));
-  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1));
+  const auto requests =
+      static_cast<uint32_t>(env.cl.GetInt("requests", 192, 1, serve::kMaxArrivalRequests));
+  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1, 0));
   const std::string json_path = env.cl.GetString("json", "BENCH_overlap_serve.json");
 
   // A 4-graph catalog of shrinking stand-ins: distinct footprints make the
@@ -64,10 +66,7 @@ int main(int argc, char** argv) {
   std::vector<graph::Csr> catalog;
   catalog.reserve(kGraphs);
   for (double sub : sub_scales) {
-    graph::Csr g = graph::BuildDatasetCached(env.datasets.front(), env.cache_dir,
-                                             env.scale * sub);
-    if (!g.HasWeights()) g.DeriveWeights(1);
-    catalog.push_back(std::move(g));
+    catalog.push_back(bench::Load(env, env.datasets.front(), sub));
   }
   std::vector<const graph::Csr*> graphs;
   uint32_t min_vertices = catalog.front().NumVertices();

@@ -26,16 +26,13 @@ using namespace eta;
 
 int main(int argc, char** argv) {
   auto env = bench::ParseBenchArgs(argc, argv, {"slashdot"});
-  const auto requests = static_cast<uint32_t>(env.cl.GetInt("requests", 600));
-  const auto shards = static_cast<uint32_t>(env.cl.GetInt("shards", 2));
-  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1));
+  const auto requests =
+      static_cast<uint32_t>(env.cl.GetInt("requests", 600, 1, serve::kMaxArrivalRequests));
+  const auto shards = static_cast<uint32_t>(env.cl.GetInt("shards", 2, 1, serve::kMaxShards));
+  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1, 0));
   const std::string json_path = env.cl.GetString("json", "BENCH_overload.json");
 
-  const graph::Csr csr = [&] {
-    graph::Csr g = bench::Load(env, env.datasets.front());
-    if (!g.HasWeights()) g.DeriveWeights(1);
-    return g;
-  }();
+  const graph::Csr csr = bench::Load(env, env.datasets.front());
   std::printf("dataset %s: %u vertices, %u edges\n", env.datasets.front().c_str(),
               csr.NumVertices(), csr.NumEdges());
 

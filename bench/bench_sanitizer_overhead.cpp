@@ -26,10 +26,7 @@ double WallMs(F&& fn) {
 
 int main(int argc, char** argv) {
   bench::BenchEnv env = bench::ParseBenchArgs(argc, argv, {"slashdot", "rmat"});
-  std::string algo_name = env.cl.GetString("algo", "sssp");
-  core::Algo algo = algo_name == "bfs"    ? core::Algo::kBfs
-                    : algo_name == "sswp" ? core::Algo::kSswp
-                                          : core::Algo::kSssp;
+  const core::Algo algo = bench::AlgoFlag(env);
 
   util::Table table({"Dataset", "Sim total (ms)", "Identical?", "Wall off (ms)",
                      "Wall on (ms)", "Host overhead", "Accesses checked"});

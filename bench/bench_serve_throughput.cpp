@@ -18,6 +18,7 @@
 
 #include "bench_common.hpp"
 #include "core/framework.hpp"
+#include "serve/arrivals.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "util/table.hpp"
@@ -53,18 +54,15 @@ serve::ServeReport ServeNaive(const graph::Csr& csr, const std::vector<serve::Re
 
 int main(int argc, char** argv) {
   auto env = bench::ParseBenchArgs(argc, argv, {"slashdot"});
-  const auto requests = static_cast<uint32_t>(env.cl.GetInt("requests", 64));
+  const auto requests =
+      static_cast<uint32_t>(env.cl.GetInt("requests", 64, 1, serve::kMaxArrivalRequests));
   // Default arrival rate saturates the server (mean inter-arrival well under
   // one query's service time) — the regime where a serving layer matters.
-  const double mean_arrival = env.cl.GetDouble("mean-arrival", 0.25);
-  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1));
+  const double mean_arrival = env.cl.GetDouble("mean-arrival", 0.25, util::kAboveZero);
+  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1, 0));
   const std::string json_path = env.cl.GetString("json", "BENCH_serve.json");
 
-  const graph::Csr csr = [&] {
-    graph::Csr g = bench::Load(env, env.datasets.front());
-    if (!g.HasWeights()) g.DeriveWeights(1);
-    return g;
-  }();
+  const graph::Csr csr = bench::Load(env, env.datasets.front());
   std::printf("dataset %s: %u vertices, %u edges\n", env.datasets.front().c_str(),
               csr.NumVertices(), csr.NumEdges());
 

@@ -38,9 +38,10 @@ double WallMs(F&& fn) {
 
 int main(int argc, char** argv) {
   auto env = bench::ParseBenchArgs(argc, argv, {"slashdot", "rmat"});
-  const auto requests = static_cast<uint32_t>(env.cl.GetInt("requests", 400));
-  const auto shards = static_cast<uint32_t>(env.cl.GetInt("shards", 2));
-  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1));
+  const auto requests =
+      static_cast<uint32_t>(env.cl.GetInt("requests", 400, 1, serve::kMaxArrivalRequests));
+  const auto shards = static_cast<uint32_t>(env.cl.GetInt("shards", 2, 1, serve::kMaxShards));
+  const uint64_t seed = static_cast<uint64_t>(env.cl.GetInt("seed", 1, 0));
   const std::string json_path = env.cl.GetString("json", "BENCH_trace_overhead.json");
 
   util::Table table({"Dataset", "Requests", "Identical?", "Traces deterministic?",
@@ -51,7 +52,6 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : env.datasets) {
     graph::Csr csr = bench::Load(env, name);
-    if (!csr.HasWeights()) csr.DeriveWeights(1);
 
     serve::ShardedOptions fleet;
     fleet.shards = shards;

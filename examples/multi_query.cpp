@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  const auto num_warehouses = static_cast<uint32_t>(cl->GetInt("warehouses", 8));
+  const auto num_warehouses = static_cast<uint32_t>(cl->GetInt("warehouses", 8, 1, 1024));
 
   // A city-like network: mostly-local links with a few long-range roads.
   auto edges = graph::MirrorEdges(graph::GenerateErdosRenyi(60'000, 300'000, 77), 1.0, 7);

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  const auto hubs = static_cast<uint32_t>(cl->GetInt("hubs", 64));
+  const auto hubs = static_cast<uint32_t>(cl->GetInt("hubs", 64, 1, 1 << 16));
   graph::Csr csr = BuildFreightNetwork(hubs, /*depots_per_hub=*/30, /*seed=*/5);
   std::printf("freight network: %u sites, %u directed links\n", csr.NumVertices(),
               csr.NumEdges());

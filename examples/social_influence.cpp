@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  const auto edges_target = static_cast<uint64_t>(cl->GetInt("edges", 400'000));
-  const auto seed_user = static_cast<graph::VertexId>(cl->GetInt("seed-user", 0));
+  const auto edges_target = static_cast<uint64_t>(cl->GetInt("edges", 400'000, 2, 1 << 24));
+  const auto seed_user =
+      static_cast<graph::VertexId>(cl->GetInt("seed-user", 0, 0, graph::kInvalidVertex - 1));
 
   // A social graph: power-law skew, high reciprocity.
   graph::RmatParams params;
@@ -43,6 +44,10 @@ int main(int argc, char** argv) {
   csr.DeriveWeights(1);
   std::printf("social graph: %u accounts, %u follow edges\n", csr.NumVertices(),
               csr.NumEdges());
+  if (seed_user >= csr.NumVertices()) {
+    std::fprintf(stderr, "social_influence: --seed-user must be < %u\n", csr.NumVertices());
+    return 2;
+  }
 
   core::RunReport report = core::EtaGraph().Run(csr, core::Algo::kBfs, seed_user);
 

@@ -37,6 +37,21 @@ if [[ -n "$APPENDF" ]]; then
   exit 1
 fi
 
+# Number gate: every number read from outside the process goes through
+# util::ParseNumber (src/util/number.cpp), which checks the whole token,
+# finiteness and the range before any cast. A raw strto*/sto*/ato*/sscanf/
+# from_chars call anywhere else is a parser with its own rules again.
+# src/util/json.cpp is exempt: its strtod runs on a slice the JSON grammar
+# has already validated, and may return +-inf for JSON like 1e400.
+RAW_NUMBERS=$(grep -rnwE 'strto[a-z]+|sto(i|l|ll|ul|ull|f|d|ld)|ato(i|l|ll|f)|sscanf|from_chars' \
+                src tools bench examples --include='*.cpp' --include='*.hpp' |
+              grep -vE '^src/util/(number|json)\.cpp:' || true)
+if [[ -n "$RAW_NUMBERS" ]]; then
+  echo "lint.sh: raw number conversion; parse with util::ParseNumber (util/number.hpp):" >&2
+  echo "$RAW_NUMBERS" >&2
+  exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   echo "lint.sh: clang-tidy ($(clang-tidy --version | head -1))"

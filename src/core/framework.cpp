@@ -45,11 +45,6 @@ struct ChunkStream {
   uint64_t ResidentCount() const { return fifo.size() - fifo_head; }
 };
 
-/// Maximum supported degree limit; bounds the per-warp scratch arrays that
-/// stand in for the shared-memory partition (256 threads x K x 4B must also
-/// fit the 48 KB scratchpad, which caps K at 48 for a weighted traversal).
-constexpr uint32_t kMaxDegreeLimit = 48;
-
 /// All device-side state of one resident graph.
 struct DeviceState {
   Buffer<EdgeId> row;

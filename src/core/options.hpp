@@ -29,6 +29,11 @@ enum class MemoryMode {
 
 const char* MemoryModeName(MemoryMode mode);
 
+/// Maximum supported degree limit; bounds the per-warp scratch arrays that
+/// stand in for the shared-memory partition (256 threads x K x 4B must also
+/// fit the 48 KB scratchpad, which caps K at 48 for a weighted traversal).
+inline constexpr uint32_t kMaxDegreeLimit = 48;
+
 struct EtaGraphOptions {
   /// The Degree Limit K of the Unified Degree Cut (Definition 3). Also the
   /// per-thread shared-memory prefetch depth of SMP.

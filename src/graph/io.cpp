@@ -1,7 +1,6 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -9,10 +8,15 @@
 
 #include "graph/builder.hpp"
 #include "util/check.hpp"
+#include "util/number.hpp"
 
 namespace eta::graph {
 
 namespace {
+
+// Vertices an edge-list line may imply: ids far beyond the edge count are a
+// corrupt file, and each implied vertex costs a row offset even when empty.
+constexpr uint64_t kMaxVerticesPerEdge = 64;
 
 void WriteRaw(std::ofstream& out, const void* data, size_t bytes) {
   out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
@@ -157,6 +161,8 @@ std::optional<Csr> ReadEdgeListText(const std::string& path, std::string* error)
   std::vector<Edge> edges;
   std::vector<Weight> weights;
   std::optional<bool> weighted;  // set by the first edge line
+  uint64_t max_id = 0;
+  size_t max_id_line = 0;
   std::string line;
   while (std::getline(in, line)) {
     ++line_no;
@@ -167,12 +173,11 @@ std::optional<Csr> ReadEdgeListText(const std::string& path, std::string* error)
     size_t count = 0;
     while (fields >> token) {
       if (count == 3) return fail("more than three fields in '" + line + "'");
-      const char* end = token.data() + token.size();
-      const auto [ptr, ec] = std::from_chars(token.data(), end, value[count]);
-      if (ptr != end || ec != std::errc()) {
+      const util::Parsed<uint64_t> parsed = util::ParseNumber<uint64_t>(token);
+      if (!parsed) {
         return fail("expected 'src dst [weight]' in unsigned decimals, got '" + line + "'");
       }
-      ++count;
+      value[count++] = parsed.value;
     }
     if (count == 0) continue;  // whitespace only
     if (count == 1) return fail("expected 'src dst [weight]', got '" + line + "'");
@@ -189,6 +194,16 @@ std::optional<Csr> ReadEdgeListText(const std::string& path, std::string* error)
     }
     edges.push_back({static_cast<VertexId>(value[0]), static_cast<VertexId>(value[1])});
     if (count == 3) weights.push_back(static_cast<Weight>(value[2]));
+    if (std::max(value[0], value[1]) > max_id) {
+      max_id = std::max(value[0], value[1]);
+      max_id_line = line_no;
+    }
+  }
+  if (max_id + 1 > kMaxVerticesPerEdge * (edges.size() + 1)) {
+    line_no = max_id_line;
+    return fail("vertex id " + std::to_string(max_id) + " implies " +
+                std::to_string(max_id + 1) + " vertices for " + std::to_string(edges.size()) +
+                " edges");
   }
   if (!weighted.value_or(false)) {
     return BuildCsr(std::move(edges),
@@ -196,8 +211,7 @@ std::optional<Csr> ReadEdgeListText(const std::string& path, std::string* error)
   }
   // Weighted path: keep weights attached through the (stable) rebuild.
   // Build CSR without dedup so the parallel weight array stays aligned.
-  VertexId n = 0;
-  for (const Edge& e : edges) n = std::max({n, e.src + 1, e.dst + 1});
+  const auto n = static_cast<VertexId>(max_id + 1);
   std::vector<EdgeId> offsets(static_cast<size_t>(n) + 1, 0);
   for (const Edge& e : edges) ++offsets[e.src + 1];
   for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];

@@ -31,7 +31,8 @@ void WriteEdgeListText(const Csr& csr, const std::string& path);
 
 /// Reads "src dst [weight]" lines; '#'- or '%'-prefixed lines are comments
 /// (SNAP convention). If any line carries a third column, all must. Ids
-/// must be below 2^32-1 and weights in 1..2^32-1. On unreadable or
+/// must be below 2^32-1, the largest id may imply at most 64 vertices per
+/// edge line (plus 64), and weights are in 1..2^32-1. On unreadable or
 /// malformed input returns std::nullopt and, when `error` is non-null, a
 /// message naming the file, the line and the fault.
 std::optional<Csr> ReadEdgeListText(const std::string& path, std::string* error);

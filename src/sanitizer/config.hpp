@@ -6,6 +6,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "util/number.hpp"
 
 namespace eta::sanitizer {
 
@@ -27,10 +30,10 @@ struct Config {
   static std::optional<Config> Parse(std::string_view list) {
     if (list.empty() || list == "all" || list == "true") return All();
     Config config;
-    while (!list.empty()) {
-      auto comma = list.find(',');
-      std::string_view tool = list.substr(0, comma);
-      list = comma == std::string_view::npos ? std::string_view{} : list.substr(comma + 1);
+    const std::vector<std::string_view> tools = util::Split(list, ',');
+    for (size_t i = 0; i < tools.size(); ++i) {
+      const std::string_view tool = tools[i];
+      if (tool.empty() && i + 1 == tools.size()) break;  // a trailing comma is allowed
       if (tool == "memcheck") {
         config.memcheck = true;
       } else if (tool == "racecheck") {

@@ -1,10 +1,13 @@
 #include "serve/arrivals.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string_view>
+#include <tuple>
 
 #include "util/check.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 
 namespace eta::serve {
@@ -186,79 +189,74 @@ bool ParseArrivalSpec(const std::string& spec, ArrivalOptions* options,
   }
   if (colon == std::string::npos) return true;
 
-  std::string rest = spec.substr(colon + 1);
-  while (!rest.empty()) {
-    const size_t comma = rest.find(',');
-    const std::string kv = rest.substr(0, comma);
-    rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+  // Every real-valued key and its domain; util::kAboveZero marks "> 0".
+  constexpr double kMax = std::numeric_limits<double>::max();
+  static constexpr std::tuple<std::string_view, double ArrivalOptions::*, double, double>
+      kRealKeys[] = {
+      {"rate", &ArrivalOptions::rate_qps, util::kAboveZero, kMax},
+      {"on", &ArrivalOptions::on_ms, util::kAboveZero, kMax},
+      {"off", &ArrivalOptions::off_ms, 0, kMax},
+      {"offscale", &ArrivalOptions::off_rate_scale, 0, kMax},
+      {"period", &ArrivalOptions::period_ms, util::kAboveZero, kMax},
+      {"trough", &ArrivalOptions::trough_scale, 0, 1},
+      {"hot", &ArrivalOptions::hot_graph_fraction, 0, 1},
+      {"cc", &ArrivalOptions::cc_fraction, 0, 1},
+      {"pr", &ArrivalOptions::pr_fraction, 0, 1},
+      {"gold", &ArrivalOptions::gold_fraction, 0, 1},
+      {"silver", &ArrivalOptions::silver_fraction, 0, 1},
+      {"gd", &ArrivalOptions::gold_deadline_ms, util::kAboveZero, kMax},
+      {"sd", &ArrivalOptions::silver_deadline_ms, util::kAboveZero, kMax},
+      {"bd", &ArrivalOptions::bronze_deadline_ms, util::kAboveZero, kMax},
+  };
+  const std::vector<std::string_view> items =
+      util::Split(std::string_view(spec).substr(colon + 1), ',');
+  for (size_t i = 0; i < items.size(); ++i) {
+    const std::string_view kv = items[i];
+    if (kv.empty() && i + 1 == items.size()) break;  // a trailing comma is allowed
     const size_t eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      *error = "malformed arrival key=value '" + kv + "'";
+    if (eq == std::string_view::npos || eq == 0) {
+      *error = "malformed arrival key=value '" + std::string(kv) + "'";
       return false;
     }
-    const std::string key = kv.substr(0, eq);
-    const std::string value = kv.substr(eq + 1);
-    char* end = nullptr;
-    const double num = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || !std::isfinite(num)) {
-      *error = "bad number '" + value + "' for arrival key '" + key + "'";
-      return false;
+    const std::string_view key = kv.substr(0, eq);
+    const std::string_view value = kv.substr(eq + 1);
+    // Integer keys parse as integers: a fraction, an exponent or a value
+    // the field cannot hold is an error, never a cast.
+    std::optional<std::string> why;  // unset: unknown key; empty: parsed
+    uint32_t count = 0;
+    for (const auto& [name, field, lo, hi] : kRealKeys) {
+      if (key == name) why = util::ParseInto(value, lo, hi, &(options->*field));
     }
-    // Integer-valued keys: a fraction, or a value the target type cannot
-    // hold, is out of range (casting it would be undefined behaviour).
-    auto integral_in = [num](double lo, double hi) {
-      return num == std::floor(num) && num >= lo && num <= hi;
-    };
-    if (key == "rate" && num > 0) {
-      options->rate_qps = num;
-    } else if (key == "n" && integral_in(1, kMaxArrivalRequests)) {
-      options->num_requests = static_cast<uint32_t>(num);
-    } else if (key == "on" && num > 0) {
-      options->on_ms = num;
-    } else if (key == "off" && num >= 0) {
-      options->off_ms = num;
-    } else if (key == "offscale" && num >= 0) {
-      options->off_rate_scale = num;
-    } else if (key == "period" && num > 0) {
-      options->period_ms = num;
-    } else if (key == "trough" && num >= 0 && num <= 1) {
-      options->trough_scale = num;
-    } else if (key == "graphs" && integral_in(1, std::numeric_limits<uint32_t>::max())) {
-      options->num_graphs = static_cast<uint32_t>(num);
-    } else if (key == "hot" && num >= 0 && num <= 1) {
-      options->hot_graph_fraction = num;
-    } else if (key == "tenants" && integral_in(1, kMaxArrivalTenants)) {
+    if (key == "n") {
+      why = util::ParseInto(value, 1u, kMaxArrivalRequests, &options->num_requests);
+    } else if (key == "graphs") {
+      why = util::ParseInto(value, 1u, std::numeric_limits<uint32_t>::max(),
+                            &options->num_graphs);
+    } else if (key == "seed") {
+      why = util::ParseInto(value, uint64_t{0}, std::numeric_limits<uint64_t>::max(),
+                            &options->seed);
+    } else if (key == "slo") {
+      why = util::ParseInto(value, 0u, 1u, &count);
+      if (why->empty()) options->assign_slo = count != 0;
+    } else if (key == "tenants") {
+      why = util::ParseInto(value, 1u, kMaxArrivalTenants, &count);
       // K tenants with deterministically spread algo mixes and unequal
       // weights, so multi-tenant runs exercise the weighted pick.
-      const uint32_t k = static_cast<uint32_t>(num);
-      options->tenants.clear();
-      for (uint32_t i = 0; i < k; ++i) {
+      if (why->empty()) options->tenants.clear();
+      for (uint32_t t = 0; t < count; ++t) {
         TenantMix mix;
-        mix.weight = 1.0 + i;
-        mix.bfs_fraction = k == 1 ? 0.5 : 0.2 + 0.6 * i / (k - 1);
+        mix.weight = 1.0 + t;
+        mix.bfs_fraction = count == 1 ? 0.5 : 0.2 + 0.6 * t / (count - 1);
         mix.sssp_fraction = 0.8 * (1.0 - mix.bfs_fraction);
         options->tenants.push_back(mix);
       }
-    } else if (key == "slo" && (num == 0 || num == 1)) {
-      options->assign_slo = num != 0;
-    } else if (key == "cc" && num >= 0 && num <= 1) {
-      options->cc_fraction = num;
-    } else if (key == "pr" && num >= 0 && num <= 1) {
-      options->pr_fraction = num;
-    } else if (key == "gold" && num >= 0 && num <= 1) {
-      options->gold_fraction = num;
-    } else if (key == "silver" && num >= 0 && num <= 1) {
-      options->silver_fraction = num;
-    } else if (key == "gd" && num > 0) {
-      options->gold_deadline_ms = num;
-    } else if (key == "sd" && num > 0) {
-      options->silver_deadline_ms = num;
-    } else if (key == "bd" && num > 0) {
-      options->bronze_deadline_ms = num;
-    } else if (key == "seed" && integral_in(0, 0x1.fffffffffffffp63)) {  // < 2^64
-      options->seed = static_cast<uint64_t>(num);
-    } else {
-      *error = "unknown or out-of-range arrival key '" + key + "'";
+    }
+    if (!why) {
+      *error = "unknown arrival key '" + std::string(key) + "'";
+      return false;
+    }
+    if (!why->empty()) {
+      *error = "arrival key '" + std::string(key) + "' " + *why;
       return false;
     }
   }

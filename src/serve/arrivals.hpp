@@ -96,9 +96,10 @@ inline constexpr uint32_t kMaxArrivalTenants = 1024;
 /// Keys: rate, n, on, off, offscale, period, trough, graphs, hot, tenants,
 /// slo (0/1), gold, silver, gd, sd, bd (per-class deadlines ms), seed.
 /// Every value must be a finite number in its key's range; n, graphs,
-/// tenants and seed must be integers that fit their fields (n at most
-/// kMaxArrivalRequests, tenants at most kMaxArrivalTenants). Returns false
-/// and sets *error on a malformed or out-of-range spec.
+/// tenants, slo and seed are decimal integers (no fraction or exponent)
+/// that fit their fields (n at most kMaxArrivalRequests, tenants at most
+/// kMaxArrivalTenants). Returns false and sets *error on a malformed or
+/// out-of-range spec.
 bool ParseArrivalSpec(const std::string& spec, ArrivalOptions* options,
                       std::string* error);
 

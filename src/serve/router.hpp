@@ -81,6 +81,9 @@
 
 namespace eta::serve {
 
+/// Most shards the tools and benches accept: each is a simulated device with its own graph.
+inline constexpr uint32_t kMaxShards = 64;
+
 struct ShardedOptions {
   /// Per-shard serving knobs (queue capacity, max_batch, rebuild budget,
   /// CPU fallback throughput, graph/device options).

@@ -1,49 +1,57 @@
 #include "serve/trace_file.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <utility>
+
+#include "util/number.hpp"
 
 namespace eta::serve {
 namespace {
 
-bool ParseDoubleTok(const std::string& tok, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size() || tok.empty() || errno != 0) return false;
-  *out = v;
-  return true;
+constexpr double kMaxMs = std::numeric_limits<double>::max();
+// Sources are vertex ids: kInvalidVertex is the "none" sentinel.
+constexpr graph::VertexId kMaxSource = graph::kInvalidVertex - 1;
+
+/// Parses `tok` as a T in [lo, hi] into *out; on failure returns false and
+/// sets *why to "bad NAME 'TOK': <reason>".
+template <typename T>
+bool ParseField(const std::string& name, const std::string& tok, T lo, T hi, T* out,
+                std::string* why) {
+  const std::string reason = util::ParseInto(tok, lo, hi, out);
+  if (!reason.empty()) *why = "bad " + name + " '" + tok + "': " + reason;
+  return reason.empty();
 }
 
-bool ParseI64Tok(const std::string& tok, long long* out) {
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size() || tok.empty() || errno != 0) return false;
-  *out = v;
-  return true;
+/// The whitespace-separated fields of every line that has any, with its
+/// 1-based line number; '#' starts a comment that runs to the line's end.
+std::vector<std::pair<size_t, std::vector<std::string>>> FieldLines(std::string_view text) {
+  std::vector<std::pair<size_t, std::vector<std::string>>> out;
+  std::istringstream lines{std::string(text)};
+  std::string line;
+  for (size_t line_no = 1; std::getline(lines, line); ++line_no) {
+    std::istringstream fields(line);
+    std::vector<std::string> tok;
+    for (std::string t; fields >> t && t[0] != '#';) tok.push_back(t);
+    if (!tok.empty()) out.emplace_back(line_no, std::move(tok));
+  }
+  return out;
 }
+
+// The trace/replay spelling of each algo, indexed by core::Algo.
+constexpr const char* kAlgoTokens[] = {"bfs", "sssp", "sswp", "cc", "pr"};
 
 bool ParseAlgoTok(std::string tok, core::Algo* out) {
   for (char& c : tok) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (tok == "bfs") {
-    *out = core::Algo::kBfs;
-  } else if (tok == "sssp") {
-    *out = core::Algo::kSssp;
-  } else if (tok == "sswp") {
-    *out = core::Algo::kSswp;
-  } else if (tok == "cc") {
-    *out = core::Algo::kCc;
-  } else if (tok == "pr") {
-    *out = core::Algo::kPr;
-  } else {
-    return false;
-  }
+  const auto* it = std::find(std::begin(kAlgoTokens), std::end(kAlgoTokens), tok);
+  if (it == std::end(kAlgoTokens)) return false;
+  *out = static_cast<core::Algo>(it - std::begin(kAlgoTokens));
   return true;
 }
 
@@ -60,19 +68,7 @@ std::optional<std::vector<Request>> Fail(std::string* error, size_t line_no,
 std::optional<std::vector<Request>> ParseTraceText(std::string_view text,
                                                    std::string* error) {
   std::vector<Request> trace;
-  std::istringstream lines{std::string(text)};
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    std::istringstream fields(line);
-    std::vector<std::string> tok;
-    std::string t;
-    while (fields >> t) {
-      if (t[0] == '#') break;  // trailing comment
-      tok.push_back(t);
-    }
-    if (tok.empty()) continue;  // blank or comment-only line
+  for (const auto& [line_no, tok] : FieldLines(text)) {
     if (tok.size() < 3 || tok.size() > 5) {
       return Fail(error, line_no,
                   "expected 'arrival_ms algo source [deadline_ms] [priority]', got " +
@@ -81,32 +77,23 @@ std::optional<std::vector<Request>> ParseTraceText(std::string_view text,
 
     Request r;
     r.id = trace.size();
-    if (!ParseDoubleTok(tok[0], &r.arrival_ms) || r.arrival_ms < 0) {
-      return Fail(error, line_no, "bad arrival_ms '" + tok[0] + "'");
+    std::string why;
+    if (!ParseField("arrival_ms", tok[0], 0.0, kMaxMs, &r.arrival_ms, &why)) {
+      return Fail(error, line_no, why);
     }
     if (!ParseAlgoTok(tok[1], &r.algo)) {
       return Fail(error, line_no,
                   "unknown algo '" + tok[1] + "' (want bfs, sssp, sswp, cc, or pr)");
     }
-    long long source = 0;
-    if (!ParseI64Tok(tok[2], &source) || source < 0) {
-      return Fail(error, line_no, "bad source '" + tok[2] + "'");
+    if (!ParseField("source", tok[2], graph::VertexId{0}, kMaxSource, &r.source, &why) ||
+        (tok.size() >= 4 &&
+         !ParseField("deadline_ms", tok[3], 0.0, kMaxMs, &r.deadline_ms, &why)) ||
+        (tok.size() == 5 && !ParseField("priority", tok[4], std::numeric_limits<int32_t>::min(),
+                                        std::numeric_limits<int32_t>::max(), &r.priority,
+                                        &why))) {
+      return Fail(error, line_no, why);
     }
-    r.source = static_cast<graph::VertexId>(source);
-    if (tok.size() >= 4) {
-      double deadline = 0;
-      if (!ParseDoubleTok(tok[3], &deadline) || deadline < 0) {
-        return Fail(error, line_no, "bad deadline_ms '" + tok[3] + "'");
-      }
-      r.deadline_ms = deadline == 0 ? kNoDeadline : deadline;
-    }
-    if (tok.size() == 5) {
-      long long prio = 0;
-      if (!ParseI64Tok(tok[4], &prio) || prio < INT32_MIN || prio > INT32_MAX) {
-        return Fail(error, line_no, "bad priority '" + tok[4] + "'");
-      }
-      r.priority = static_cast<int32_t>(prio);
-    }
+    if (r.deadline_ms == 0) r.deadline_ms = kNoDeadline;  // an explicit 0 means none
     if (!trace.empty() && r.arrival_ms < trace.back().arrival_ms) {
       return Fail(error, line_no,
                   "arrival_ms goes backwards (" + tok[0] + " after " +
@@ -121,15 +108,11 @@ std::string RenderReplayText(const std::vector<QueryResult>& results) {
   std::string out = "# id status algo source reached batch start_ms finish_ms\n";
   char buf[160];
   for (const QueryResult& q : results) {
-    const char* algo = q.algo == core::Algo::kBfs    ? "bfs"
-                       : q.algo == core::Algo::kSssp ? "sssp"
-                       : q.algo == core::Algo::kSswp ? "sswp"
-                       : q.algo == core::Algo::kCc   ? "cc"
-                                                     : "pr";
     std::snprintf(buf, sizeof(buf),
                   "%llu %s %s %llu %llu %u %.4f %.4f\n",
                   static_cast<unsigned long long>(q.id), QueryStatusName(q.status),
-                  algo, static_cast<unsigned long long>(q.source),
+                  kAlgoTokens[static_cast<size_t>(q.algo)],
+                  static_cast<unsigned long long>(q.source),
                   static_cast<unsigned long long>(q.reached_vertices), q.batch_size,
                   q.start_ms, q.finish_ms);
     out += buf;
@@ -140,51 +123,34 @@ std::string RenderReplayText(const std::vector<QueryResult>& results) {
 std::optional<std::vector<QueryResult>> ParseReplayText(std::string_view text,
                                                         std::string* error) {
   std::vector<QueryResult> results;
-  std::istringstream lines{std::string(text)};
-  std::string line;
-  size_t line_no = 0;
-  auto fail = [&](const std::string& what) -> std::optional<std::vector<QueryResult>> {
-    if (error != nullptr) {
-      *error = "replay line " + std::to_string(line_no) + ": " + what;
-    }
-    return std::nullopt;
-  };
-  while (std::getline(lines, line)) {
-    ++line_no;
-    std::istringstream fields(line);
-    std::vector<std::string> tok;
-    std::string t;
-    while (fields >> t) {
-      if (t[0] == '#') break;
-      tok.push_back(t);
-    }
-    if (tok.empty()) continue;
+  for (const auto& [line_no, tok] : FieldLines(text)) {
+    auto fail = [&](const std::string& what) -> std::optional<std::vector<QueryResult>> {
+      if (error != nullptr) *error = "replay line " + std::to_string(line_no) + ": " + what;
+      return std::nullopt;
+    };
     if (tok.size() != 8) {
       return fail("expected 8 fields 'id status algo source reached batch "
                   "start_ms finish_ms', got " +
                   std::to_string(tok.size()));
     }
     QueryResult q;
-    long long v = 0;
-    if (!ParseI64Tok(tok[0], &v) || v < 0) return fail("bad id '" + tok[0] + "'");
-    q.id = static_cast<uint64_t>(v);
+    std::string why;
+    if (!ParseField("id", tok[0], uint64_t{0}, std::numeric_limits<uint64_t>::max(), &q.id,
+                    &why)) {
+      return fail(why);
+    }
     std::optional<QueryStatus> status = ParseQueryStatus(tok[1]);
     if (!status.has_value()) return fail("unknown status '" + tok[1] + "'");
     q.status = *status;
     if (!ParseAlgoTok(tok[2], &q.algo)) return fail("unknown algo '" + tok[2] + "'");
-    if (!ParseI64Tok(tok[3], &v) || v < 0) return fail("bad source '" + tok[3] + "'");
-    q.source = static_cast<graph::VertexId>(v);
-    if (!ParseI64Tok(tok[4], &v) || v < 0) return fail("bad reached '" + tok[4] + "'");
-    q.reached_vertices = static_cast<uint64_t>(v);
-    if (!ParseI64Tok(tok[5], &v) || v < 0 || v > UINT32_MAX) {
-      return fail("bad batch '" + tok[5] + "'");
-    }
-    q.batch_size = static_cast<uint32_t>(v);
-    if (!ParseDoubleTok(tok[6], &q.start_ms) || q.start_ms < 0) {
-      return fail("bad start_ms '" + tok[6] + "'");
-    }
-    if (!ParseDoubleTok(tok[7], &q.finish_ms) || q.finish_ms < q.start_ms) {
-      return fail("bad finish_ms '" + tok[7] + "'");
+    if (!ParseField("source", tok[3], graph::VertexId{0}, kMaxSource, &q.source, &why) ||
+        !ParseField("reached", tok[4], uint64_t{0}, std::numeric_limits<uint64_t>::max(),
+                    &q.reached_vertices, &why) ||
+        !ParseField("batch", tok[5], 0u, std::numeric_limits<uint32_t>::max(), &q.batch_size,
+                    &why) ||
+        !ParseField("start_ms", tok[6], 0.0, kMaxMs, &q.start_ms, &why) ||
+        !ParseField("finish_ms", tok[7], q.start_ms, kMaxMs, &q.finish_ms, &why)) {
+      return fail(why);
     }
     results.push_back(q);
   }

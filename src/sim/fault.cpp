@@ -1,7 +1,10 @@
 #include "sim/fault.hpp"
 
-#include <charconv>
-#include <cstdlib>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "util/number.hpp"
 
 namespace eta::sim {
 
@@ -12,24 +15,9 @@ constexpr uint64_t kLaunchStream = 0xfa017;
 constexpr uint64_t kAllocStream = 0xfa02a;
 constexpr uint64_t kVictimStream = 0xfa03b;
 
-bool ParseDouble(std::string_view v, double* out) {
-  // std::from_chars<double> is spotty across libstdc++ versions; strtod on a
-  // bounded copy is portable and the spec strings are tiny.
-  char buf[64];
-  if (v.empty() || v.size() >= sizeof(buf)) return false;
-  v.copy(buf, v.size());
-  buf[v.size()] = '\0';
-  char* end = nullptr;
-  double d = std::strtod(buf, &end);
-  if (end != buf + v.size()) return false;
-  *out = d;
-  return true;
-}
-
-bool ParseU64(std::string_view v, uint64_t* out) {
-  auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), *out);
-  return ec == std::errc{} && p == v.data() + v.size();
-}
+// Words a UECC event flips; the flip loop runs once per word, so the bound
+// keeps one event cheap (a real double-bit error touches a handful).
+constexpr uint32_t kMaxCorruptWords = 1u << 20;
 
 }  // namespace
 
@@ -44,14 +32,24 @@ const char* LaunchStatusName(LaunchStatus status) {
 }
 
 std::optional<FaultConfig> FaultConfig::Parse(std::string_view spec, std::string* error) {
+  // Rates are probabilities; the seed and the one-shots take any uint64.
+  static constexpr std::pair<std::string_view, double FaultConfig::*> kRates[] = {
+      {"ecc", &FaultConfig::ecc_correctable_rate},
+      {"uecc", &FaultConfig::ecc_uncorrectable_rate},
+      {"hang", &FaultConfig::hang_rate},
+      {"lost", &FaultConfig::device_loss_rate},
+      {"alloc", &FaultConfig::alloc_fail_rate},
+  };
+  static constexpr std::pair<std::string_view, uint64_t FaultConfig::*> kCounts[] = {
+      {"seed", &FaultConfig::seed},
+      {"ecc_at", &FaultConfig::ecc_at},
+      {"uecc_at", &FaultConfig::uecc_at},
+      {"hang_at", &FaultConfig::hang_at},
+      {"lost_at", &FaultConfig::lost_at},
+      {"alloc_at", &FaultConfig::alloc_fail_at},
+  };
   FaultConfig config;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    std::string_view item = spec.substr(pos, comma == std::string_view::npos
-                                                 ? std::string_view::npos
-                                                 : comma - pos);
-    pos = comma == std::string_view::npos ? spec.size() : comma + 1;
+  for (std::string_view item : util::Split(spec, ',')) {
     if (item.empty()) continue;
     size_t eq = item.find('=');
     if (eq == std::string_view::npos) {
@@ -60,55 +58,28 @@ std::optional<FaultConfig> FaultConfig::Parse(std::string_view spec, std::string
     }
     std::string_view key = item.substr(0, eq);
     std::string_view val = item.substr(eq + 1);
-    bool ok = true;
-    double rate = 0;
-    if (key == "seed") {
-      ok = ParseU64(val, &config.seed);
-    } else if (key == "ecc") {
-      ok = ParseDouble(val, &config.ecc_correctable_rate);
-    } else if (key == "uecc") {
-      ok = ParseDouble(val, &config.ecc_uncorrectable_rate);
-    } else if (key == "hang") {
-      ok = ParseDouble(val, &config.hang_rate);
-    } else if (key == "lost") {
-      ok = ParseDouble(val, &config.device_loss_rate);
-    } else if (key == "alloc") {
-      ok = ParseDouble(val, &config.alloc_fail_rate);
-    } else if (key == "watchdog") {
-      ok = ParseDouble(val, &config.watchdog_ms) && config.watchdog_ms > 0;
-    } else if (key == "words") {
-      uint64_t w = 0;
-      ok = ParseU64(val, &w) && w > 0;
-      config.corrupt_words = static_cast<uint32_t>(w);
-    } else if (key == "ecc_at") {
-      ok = ParseU64(val, &config.ecc_at);
-    } else if (key == "uecc_at") {
-      ok = ParseU64(val, &config.uecc_at);
-    } else if (key == "hang_at") {
-      ok = ParseU64(val, &config.hang_at);
-    } else if (key == "lost_at") {
-      ok = ParseU64(val, &config.lost_at);
-    } else if (key == "alloc_at") {
-      ok = ParseU64(val, &config.alloc_fail_at);
-    } else {
-      if (error != nullptr) *error = "unknown --faults key '" + std::string(key) + "'";
-      return std::nullopt;
+    std::optional<std::string> why;  // unset: unknown key; empty: parsed
+    for (const auto& [name, field] : kRates) {
+      if (key == name) why = util::ParseInto(val, 0.0, 1.0, &(config.*field));
     }
-    (void)rate;
-    if (!ok) {
-      if (error != nullptr) {
-        *error = "bad value for --faults key '" + std::string(key) + "': '" +
-                 std::string(val) + "'";
+    for (const auto& [name, field] : kCounts) {
+      if (key == name) {
+        why = util::ParseInto(val, uint64_t{0}, std::numeric_limits<uint64_t>::max(),
+                              &(config.*field));
       }
-      return std::nullopt;
     }
-  }
-  for (double r : {config.ecc_correctable_rate, config.ecc_uncorrectable_rate,
-                   config.hang_rate, config.device_loss_rate, config.alloc_fail_rate}) {
-    if (r < 0 || r > 1) {
-      if (error != nullptr) *error = "--faults rates must be in [0,1]";
-      return std::nullopt;
+    if (key == "watchdog") {
+      why = util::ParseInto(val, util::kAboveZero, std::numeric_limits<double>::max(),
+                            &config.watchdog_ms);
+    } else if (key == "words") {
+      why = util::ParseInto(val, 1u, kMaxCorruptWords, &config.corrupt_words);
     }
+    if (why && why->empty()) continue;
+    if (error != nullptr) {
+      *error = why ? "--faults key '" + std::string(key) + "' " + *why
+                   : "unknown --faults key '" + std::string(key) + "'";
+    }
+    return std::nullopt;
   }
   return config;
 }

@@ -86,7 +86,9 @@ struct FaultConfig {
 
   /// Parses a comma-separated spec ("key=value,..."); keys: seed, ecc, uecc,
   /// hang, lost, alloc, watchdog, words, ecc_at, uecc_at, hang_at, lost_at,
-  /// alloc_at. Returns nullopt (with a message in *error) on a bad spec.
+  /// alloc_at; empty items are skipped. Rates lie in [0,1], watchdog is
+  /// > 0, words in [1, 2^20]; seed and the *_at keys are uint64 decimals.
+  /// Returns nullopt (with a message in *error) on a bad spec.
   static std::optional<FaultConfig> Parse(std::string_view spec, std::string* error);
 };
 

@@ -1,7 +1,9 @@
 #include "trace/alerts.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
+
+#include "util/number.hpp"
 
 namespace eta::trace {
 namespace {
@@ -58,38 +60,20 @@ AlertSeries EvaluateBurnRate(const std::string& name, const std::vector<AlertSam
 bool ParseAlertSpec(const std::string& spec, AlertOptions* options, std::string* error) {
   options->enabled = true;
   if (spec.empty()) return true;
-  double* fields[] = {&options->objective, &options->fast_window_ms, &options->slow_window_ms,
-                      &options->burn_threshold};
-  size_t field = 0, pos = 0;
-  while (pos <= spec.size()) {
-    if (field >= 4) {
-      *error = "too many fields (want objective[,fast_ms[,slow_ms[,burn]]])";
-      return false;
-    }
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string token = spec.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (token.empty() || end == nullptr || *end != '\0') {
-      *error = "bad number '" + token + "'";
-      return false;
-    }
-    *fields[field++] = value;
-    pos = comma + 1;
-    if (comma == spec.size()) break;
+  if (!util::ParseDoubleList(spec,
+                             {&options->objective, &options->fast_window_ms,
+                              &options->slow_window_ms, &options->burn_threshold},
+                             util::kAboveZero, std::numeric_limits<double>::max(), error)) {
+    *error += " (want objective[,fast_ms[,slow_ms[,burn]]])";
+    return false;
   }
-  if (options->objective <= 0 || options->objective >= 1) {
+  // Every field is now positive and finite.
+  if (options->objective >= 1) {
     *error = "objective must be in (0,1)";
     return false;
   }
-  if (options->fast_window_ms <= 0 || options->slow_window_ms <= 0 ||
-      options->fast_window_ms > options->slow_window_ms) {
+  if (options->fast_window_ms > options->slow_window_ms) {
     *error = "windows must satisfy 0 < fast <= slow";
-    return false;
-  }
-  if (options->burn_threshold <= 0) {
-    *error = "burn threshold must be positive";
     return false;
   }
   return true;

@@ -1,14 +1,28 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
-#include "util/check.hpp"
+#include "util/number.hpp"
 
 namespace eta::util {
+namespace {
+
+/// The parsed value, or "<prog>: --NAME <error>" on stderr and exit 2.
+template <typename T>
+T ValueOrExit(const Parsed<T>& value, const std::string& prog, const std::string& name) {
+  if (value) return value.value;
+  std::fprintf(stderr, "%s: --%s %s\n", prog.c_str(), name.c_str(), value.error.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 std::optional<CommandLine> CommandLine::Parse(int argc, const char* const* argv,
                                               std::string* error) {
   CommandLine cl;
+  cl.prog_ = argc > 0 ? argv[0] : "";
+  cl.prog_.erase(0, cl.prog_.rfind('/') + 1);  // npos + 1 == 0: no slash
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -36,37 +50,32 @@ std::optional<CommandLine> CommandLine::Parse(int argc, const char* const* argv,
   return cl;
 }
 
+const std::string* CommandLine::Find(const std::string& name) const {
+  read_[name] = true;
+  auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 std::string CommandLine::GetString(const std::string& name, const std::string& def) const {
-  read_[name] = true;
-  auto it = flags_.find(name);
-  return it == flags_.end() ? def : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? def : *value;
 }
 
-int64_t CommandLine::GetInt(const std::string& name, int64_t def) const {
-  read_[name] = true;
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  char* end = nullptr;
-  int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  ETA_CHECK(end && *end == '\0');
-  return v;
+int64_t CommandLine::GetInt(const std::string& name, int64_t def, int64_t lo,
+                            int64_t hi) const {
+  const std::string* text = Find(name);
+  return text == nullptr ? def : ValueOrExit(ParseNumber(*text, lo, hi), prog_, name);
 }
 
-double CommandLine::GetDouble(const std::string& name, double def) const {
-  read_[name] = true;
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  ETA_CHECK(end && *end == '\0');
-  return v;
+double CommandLine::GetDouble(const std::string& name, double def, double lo,
+                              double hi) const {
+  const std::string* text = Find(name);
+  return text == nullptr ? def : ValueOrExit(ParseNumber(*text, lo, hi), prog_, name);
 }
 
 bool CommandLine::GetBool(const std::string& name, bool def) const {
-  read_[name] = true;
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  return it->second != "false" && it->second != "0";
+  const std::string* value = Find(name);
+  return value == nullptr ? def : *value != "false" && *value != "0";
 }
 
 std::vector<std::string> CommandLine::UnusedFlags() const {

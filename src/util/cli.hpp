@@ -6,6 +6,8 @@
 // would invalidate results.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,11 +22,17 @@ class CommandLine {
   static std::optional<CommandLine> Parse(int argc, const char* const* argv,
                                           std::string* error);
 
-  /// Flag accessors with defaults. GetInt/GetDouble abort on unparsable
-  /// values (a sweep must not continue with a bogus parameter).
+  /// Flag accessors with defaults. GetInt/GetDouble parse through
+  /// util::ParseNumber and take the flag's domain [lo, hi]; a malformed or
+  /// out-of-range value prints "<prog>: --NAME must be ..." and exits 2 (a
+  /// sweep must not continue with a bogus parameter).
   std::string GetString(const std::string& name, const std::string& def) const;
-  int64_t GetInt(const std::string& name, int64_t def) const;
-  double GetDouble(const std::string& name, double def) const;
+  int64_t GetInt(const std::string& name, int64_t def,
+                 int64_t lo = std::numeric_limits<int64_t>::min(),
+                 int64_t hi = std::numeric_limits<int64_t>::max()) const;
+  double GetDouble(const std::string& name, double def,
+                   double lo = std::numeric_limits<double>::lowest(),
+                   double hi = std::numeric_limits<double>::max()) const;
   bool GetBool(const std::string& name, bool def) const;
 
   bool Has(const std::string& name) const { return flags_.contains(name); }
@@ -36,6 +44,10 @@ class CommandLine {
   std::vector<std::string> UnusedFlags() const;
 
  private:
+  /// The flag's value, or nullptr when it was not given; marks it read.
+  const std::string* Find(const std::string& name) const;
+
+  std::string prog_;  // basename of argv[0], prefixes flag errors
   std::map<std::string, std::string> flags_;
   mutable std::map<std::string, bool> read_;
   std::vector<std::string> positional_;

@@ -1,10 +1,6 @@
 #include "util/units.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-
-#include "util/check.hpp"
 
 namespace eta::util {
 
@@ -20,29 +16,6 @@ std::string FormatBytes(uint64_t bytes) {
     std::snprintf(buf, sizeof(buf), "%llu B", static_cast<unsigned long long>(bytes));
   }
   return buf;
-}
-
-uint64_t ParseBytes(const std::string& text) {
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  ETA_CHECK(end != text.c_str());
-  ETA_CHECK(value >= 0);
-  std::string suffix;
-  for (; *end; ++end) {
-    char c = static_cast<char>(std::tolower(static_cast<unsigned char>(*end)));
-    if (c != 'i' && c != 'b') suffix.push_back(c);
-  }
-  uint64_t mult = 1;
-  if (suffix == "k") {
-    mult = kKiB;
-  } else if (suffix == "m") {
-    mult = kMiB;
-  } else if (suffix == "g") {
-    mult = kGiB;
-  } else {
-    ETA_CHECK(suffix.empty());
-  }
-  return static_cast<uint64_t>(value * static_cast<double>(mult));
 }
 
 }  // namespace eta::util

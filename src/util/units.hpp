@@ -14,7 +14,4 @@ inline constexpr uint64_t kGiB = 1024 * kMiB;
 /// the paper's table style.
 std::string FormatBytes(uint64_t bytes);
 
-/// Parses "64MB", "2GiB", "4096" (defaults to bytes). Aborts on garbage.
-uint64_t ParseBytes(const std::string& text);
-
 }  // namespace eta::util

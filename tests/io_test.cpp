@@ -229,6 +229,20 @@ TEST_F(IoTest, TextRejectsMissingFile) {
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
+TEST_F(IoTest, TextRejectsIdsFarBeyondTheEdgeCount) {
+  // The largest id sizes the row offsets, so one edge may imply at most
+  // 64 * (1 + 1) vertices; a stray id would otherwise size millions of rows
+  // (or 16 GiB for an id near 2^32).
+  std::ofstream(Path("far.txt"), std::ios::trunc) << "0 127\n";
+  EXPECT_EQ(Load(Path("far.txt")).NumVertices(), 128u);
+  std::ofstream(Path("far.txt"), std::ios::trunc) << "# one edge\n0 10000000\n";
+  std::string error;
+  EXPECT_FALSE(ReadEdgeListText(Path("far.txt"), &error).has_value());
+  EXPECT_NE(error.find("far.txt:2: vertex id 10000000 implies 10000001 vertices for 1 edges"),
+            std::string::npos)
+      << error;
+}
+
 TEST_F(IoTest, TextAcceptsLargestIdAndWeight) {
   std::ofstream(Path("edge.txt"), std::ios::trunc) << "  \n0 3 4294967295\n3 0 1\r\n";
   Csr csr = Load(Path("edge.txt"));

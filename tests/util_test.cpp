@@ -124,13 +124,6 @@ TEST(Units, FormatBytes) {
   EXPECT_EQ(FormatBytes(2 * kMiB), "2.00 MB");
 }
 
-TEST(Units, ParseBytesRoundTrips) {
-  EXPECT_EQ(ParseBytes("4096"), 4096u);
-  EXPECT_EQ(ParseBytes("4K"), 4 * kKiB);
-  EXPECT_EQ(ParseBytes("144MB"), 144 * kMiB);
-  EXPECT_EQ(ParseBytes("2GiB"), 2 * kGiB);
-}
-
 TEST(Histogram, BasicStats) {
   Histogram h;
   h.Add(4);

@@ -8,13 +8,14 @@
 //   etagraph --framework=etagraph --algo=cc --dataset=orkut
 //   etagraph --algo=pagerank --dataset=livejournal
 //
-// Flags:
+// Flags (every number is range-checked; a malformed or out-of-range value
+// exits 2 with "etagraph_cli: --NAME must be ..."):
 //   --framework   etagraph | tigr | gunrock | cusha          (default etagraph)
 //   --algo        bfs | sssp | sswp | cc | pagerank          (default bfs)
 //   --dataset     one of the seven stand-ins  (or use --graph)
 //   --graph       path to a Galois .gr or text edge-list file
-//   --source      source vertex                               (default 0)
-//   --k           EtaGraph degree limit                       (default 16)
+//   --source      source vertex, below the vertex count       (default 0)
+//   --k           EtaGraph degree limit in [1, 48]            (default 16)
 //   --mode        um+prefetch | um | explicit | chunked       (default um+prefetch)
 //   --no-smp      disable shared-memory prefetch
 //   --scale       dataset stand-in scale in (0,1]             (default 1)
@@ -28,8 +29,9 @@
 //   --faults      inject device faults (DESIGN.md section 8): comma list of
 //                 key=value pairs, e.g. --faults=seed=7,uecc=0.02,hang=0.01
 //                 keys: seed, ecc, uecc, hang, lost, alloc (rates in [0,1]),
-//                 watchdog (ms), words, ecc_at/uecc_at/hang_at/lost_at/
-//                 alloc_at one-shots. etagraph traversals and cc only.
+//                 watchdog (ms, > 0), words (in [1, 1048576]), ecc_at/
+//                 uecc_at/hang_at/lost_at/alloc_at one-shots. etagraph
+//                 traversals and cc only.
 //                 Exit 1 when the device path fails despite recovery.
 //   --profile     run etaprof (DESIGN.md section 9): record per-launch
 //                 kernel profiles and print the nvprof-style summary table.
@@ -84,6 +86,7 @@
 #include "util/cli.hpp"
 #include "verify/verify.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/units.hpp"
 
 using namespace eta;
@@ -255,11 +258,12 @@ int main(int argc, char** argv) {
   const std::string algo_name = cl->GetString("algo", "bfs");
   const std::string dataset = cl->GetString("dataset", "");
   const std::string graph_path = cl->GetString("graph", "");
-  const auto source = static_cast<graph::VertexId>(cl->GetInt("source", 0));
-  const auto k = static_cast<uint32_t>(cl->GetInt("k", 16));
+  const auto source =
+      static_cast<graph::VertexId>(cl->GetInt("source", 0, 0, graph::kInvalidVertex - 1));
+  const auto k = static_cast<uint32_t>(cl->GetInt("k", 16, 1, core::kMaxDegreeLimit));
   const std::string mode_name = cl->GetString("mode", "um+prefetch");
   const bool smp = !cl->GetBool("no-smp", false);
-  const double scale = cl->GetDouble("scale", 1.0);
+  const double scale = cl->GetDouble("scale", 1.0, util::kAboveZero, 1.0);
   const bool verify = cl->GetBool("verify", true);
   const bool timeline = cl->GetBool("timeline", false);
   const std::string check_spec = cl->GetString("check", "");
@@ -288,27 +292,22 @@ int main(int argc, char** argv) {
     return Fail("--blackbox-out requires --trace-requests");
   }
 
-  sanitizer::Config check_cfg{};
-  if (!check_spec.empty()) {
-    auto parsed = sanitizer::Config::Parse(check_spec);
-    if (!parsed) {
-      return Fail(
-          "bad --check '" + check_spec +
-          "' (want all, or a comma list of memcheck,racecheck,synccheck,leakcheck)");
-    }
-    check_cfg = *parsed;
+  const std::optional<sanitizer::Config> check = check_spec.empty()
+                                                    ? sanitizer::Config{}
+                                                    : sanitizer::Config::Parse(check_spec);
+  if (!check) {
+    return Fail("bad --check '" + check_spec +
+                "' (want all, or a comma list of memcheck,racecheck,synccheck,leakcheck)");
   }
+  const sanitizer::Config& check_cfg = *check;
   if (!check_json.empty() && !check_cfg.Enabled()) {
     return Fail("--check-json requires --check");
   }
 
-  sim::FaultConfig fault_cfg{};
-  if (!faults_spec.empty()) {
-    std::string fault_error;
-    auto parsed = sim::FaultConfig::Parse(faults_spec, &fault_error);
-    if (!parsed) return Fail("bad --faults: " + fault_error);
-    fault_cfg = *parsed;
-  }
+  std::string fault_error;
+  const std::optional<sim::FaultConfig> faults = sim::FaultConfig::Parse(faults_spec, &fault_error);
+  if (!faults) return Fail("bad --faults: " + fault_error);
+  const sim::FaultConfig& fault_cfg = *faults;
 
   // --- Load the graph -------------------------------------------------------
   graph::Csr csr;

@@ -5,19 +5,22 @@
 //   etagraph_serve --graph=path/to/graph.gr --max-batch=1 --deadline=5
 //   etagraph_serve --dataset=rmat --scale=0.25 --shards=4 --requests=16
 //
-// Flags:
+// Flags (every number is range-checked; a malformed or out-of-range value
+// exits 2 with "etagraph_serve: --NAME must be ..."):
 //   --dataset       one of the seven stand-ins  (or use --graph)
 //   --graph         path to a Galois .gr or text edge-list file
 //   --scale         dataset stand-in scale in (0,1]             (default 1)
-//   --requests      trace length; must be >= 1                  (default 64)
-//   --mean-arrival  mean inter-arrival time in ms               (default 1.5)
+//   --requests      trace length in [1, 1048576]                (default 64)
+//   --mean-arrival  mean inter-arrival time in ms; > 0          (default 1.5)
 //   --max-batch     max queued requests folded per dispatch;
-//                   1 = one query per dispatch; must be >= 1     (default 16)
-//   --queue-cap     admission queue capacity; must be >= 1      (default 64)
-//   --deadline      per-request queueing deadline in ms; 0=none (default 0)
-//   --bfs-frac      fraction of BFS requests                    (default 0.5)
-//   --sssp-frac     fraction of SSSP requests (rest are SSWP)   (default 0.35)
-//   --seed          trace RNG seed                              (default 1)
+//                   1 = one query per dispatch; in [1, 2^32-1]   (default 16)
+//   --queue-cap     admission queue capacity; >= 1              (default 64)
+//   --deadline      per-request queueing deadline in ms, >= 0;
+//                   0 = none                                     (default 0)
+//   --bfs-frac      fraction of BFS requests, in [0,1]          (default 0.5)
+//   --sssp-frac     fraction of SSSP requests (rest are SSWP),
+//                   in [0,1]; bfs-frac + sssp-frac <= 1          (default 0.35)
+//   --seed          trace RNG seed, in [0, 2^63-1]              (default 1)
 //   --detail        print one line per request
 //   --trace         replay a text trace file instead of generating one
 //                   (per line: arrival_ms algo source [deadline_ms] [priority])
@@ -29,8 +32,9 @@
 //                   of key=value pairs, e.g.
 //                   --faults=seed=7,uecc=0.02,hang=0.01,lost=0.001
 //                   keys: seed, ecc, uecc, hang, lost, alloc (rates in [0,1]),
-//                   watchdog (ms), words, and scripted ecc_at/uecc_at/hang_at/
-//                   lost_at/alloc_at one-shots (1-based decision index)
+//                   watchdog (ms, > 0), words (in [1, 1048576]), and scripted
+//                   ecc_at/uecc_at/hang_at/lost_at/alloc_at one-shots (1-based
+//                   decision index); seed and one-shots are uint64
 //   --replay-out    write per-request terminal outcomes (id status algo source
 //                   reached batch start finish) to this path — diffable across
 //                   identical replays
@@ -44,8 +48,8 @@
 //                   to this path
 //   --shards        serve on a fleet of N device sessions behind one
 //                   load/fault-aware admission front (DESIGN.md section 10);
-//                   must be >= 1                                 (default 1)
-//   --device-mem-budget  per-shard resident-graph budget in bytes,
+//                   in [1, 64] (serve::kMaxShards)               (default 1)
+//   --device-mem-budget  per-shard resident-graph budget in bytes, >= 0,
 //                   LRU-evicting past it; 0 = unlimited          (default 0)
 //   --async         stream-based async dispatch (DESIGN.md
 //                   section 11) — staging runs on a copy stream overlapping
@@ -56,7 +60,7 @@
 //                   scaled-down variants of the primary --dataset and the
 //                   generated trace round-robins graph ids across them, so
 //                   staging/eviction/pre-staging actually exercise.
-//                   Requires --dataset                             (default 1)
+//                   In [1, 16]; requires --dataset                 (default 1)
 //   --verify-dag    with --async: run etaverify (DESIGN.md section 12) over
 //                   every shard's recorded stream DAG — static
 //                   happens-before checks for unordered conflicting
@@ -73,15 +77,19 @@
 //                   bursty, diurnal. Keys: rate (avg qps), n, on, off,
 //                   offscale, period, trough, hot, tenants, slo (0/1),
 //                   gold, silver, gd/sd/bd (per-class deadlines ms),
-//                   cc/pr (whole-graph query fractions), seed.
+//                   cc/pr (whole-graph query fractions), seed. Integer
+//                   keys (n <= 1048576, graphs, tenants <= 1024, slo, seed)
+//                   take integers only.
 //                   e.g. --arrivals=poisson:rate=2000,n=512,gold=0.25
 //                   The catalog size (--catalog) supplies the graph count;
 //                   graph 0 is hot. Incompatible with --trace.
 //   --slo-shed      enable the SLO admission controller —
 //                   predictively shed classed requests that provably cannot
 //                   meet their class target (gold is never shed)
-//   --slo-targets   gold[,silver[,bronze]] class targets in ms
+//   --slo-targets   gold[,silver[,bronze]] class targets in ms, each > 0
 //                   (default 50,200,1000)
+//   --shed-backlog, --brownout, --retry-budget and --breaker take
+//                   comma lists whose values are each >= 0.
 //   --shed-backlog  bronze[,silver] backlog thresholds in ms for
 //                   class-ordered pressure shedding (hysteretic; 0=off)
 //   --brownout      bronze[,silver] backlog thresholds in ms for the
@@ -97,12 +105,13 @@
 //                   class the scheduler pops earliest effective deadline
 //                   (start deadline minus the running-mean service estimate,
 //                   frozen at admission) first. Off: (priority, seq) order
-//   --memo-window   whole-graph memo window in simulated ms —
+//   --memo-window   whole-graph memo window in simulated ms, >= 0 —
 //                   identical CC/PageRank requests against the same graph
 //                   inside the window are answered from the per-shard memo
 //                   table at zero device cost (0 = off). Arrivals gain
 //                   whole-graph traffic via the cc=/pr= arrival keys
-//   --autoscale     min_shards,backlog_ms — backlog
+//   --autoscale     min_shards,backlog_ms — min_shards an integer in
+//                   [1, --shards), backlog_ms > 0; backlog
 //                   autoscaling (DESIGN.md section 15): start with
 //                   min_shards active, scale the active count through a
 //                   hysteresis ladder over the mean active-shard backlog
@@ -120,14 +129,15 @@
 //                   (last ~4096 lifecycle events, plus any device-loss /
 //                   breaker-open / shard-death dumps) as text to this path
 //   --slo-alerts    evaluate multi-window SLO burn-rate alerts over the
-//                   replay: objective[,fast_ms[,slow_ms[,burn]]], e.g.
+//                   replay: objective[,fast_ms[,slow_ms[,burn]]] with
+//                   objective in (0,1), 0 < fast_ms <= slow_ms, burn > 0, e.g.
 //                   --slo-alerts=0.999,50,500,2 — alert fires when both
 //                   trailing windows burn error budget >= `burn`x. Adds an
 //                   alert table/JSON block and serve_alert_* metrics
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -144,6 +154,7 @@
 #include "trace/alerts.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/units.hpp"
 
 using namespace eta;
@@ -155,23 +166,17 @@ int Fail(const std::string& message) {
   return 2;
 }
 
-// Parses "A" or "A,B[,C...]" into the given slots; values beyond those
-// supplied keep their presets. At least one value is required and trailing
-// garbage is an error.
-bool ParseDoubleList(const std::string& s, std::vector<double*> out) {
-  size_t pos = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const size_t comma = s.find(',', pos);
-    const std::string token =
-        s.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return false;
-    *out[i] = value;
-    if (comma == std::string::npos) return true;
-    pos = comma + 1;
-  }
-  return pos >= s.size();
+// Catalog graphs are host-built dataset variants, all in memory at once.
+constexpr uint32_t kMaxCatalog = 16;
+constexpr double kMaxMs = std::numeric_limits<double>::max();
+
+/// Parses the value of a list flag ("A[,B...]") into `slots`, each value
+/// in [lo, kMaxMs]. Returns an empty string or the error to report.
+std::string ListFlag(const std::string& name, const std::string& spec, double lo,
+                     const std::vector<double*>& slots, const char* want) {
+  std::string why;
+  if (spec.empty() || util::ParseDoubleList(spec, slots, lo, kMaxMs, &why)) return "";
+  return "bad --" + name + " '" + spec + "': " + why + " (want " + want + ")";
 }
 
 }  // namespace
@@ -183,15 +188,17 @@ int main(int argc, char** argv) {
 
   const std::string dataset = cl->GetString("dataset", "");
   const std::string graph_path = cl->GetString("graph", "");
-  const double scale = cl->GetDouble("scale", 1.0);
-  const int64_t requests_flag = cl->GetInt("requests", 64);
-  const double mean_arrival = cl->GetDouble("mean-arrival", 1.5);
-  const int64_t max_batch_flag = cl->GetInt("max-batch", 16);
-  const int64_t queue_cap_flag = cl->GetInt("queue-cap", 64);
-  const double deadline = cl->GetDouble("deadline", 0.0);
-  const double bfs_frac = cl->GetDouble("bfs-frac", 0.5);
-  const double sssp_frac = cl->GetDouble("sssp-frac", 0.35);
-  const auto seed = static_cast<uint64_t>(cl->GetInt("seed", 1));
+  const double scale = cl->GetDouble("scale", 1.0, util::kAboveZero, 1.0);
+  const auto requests =
+      static_cast<uint32_t>(cl->GetInt("requests", 64, 1, serve::kMaxArrivalRequests));
+  const double mean_arrival = cl->GetDouble("mean-arrival", 1.5, util::kAboveZero);
+  const auto max_batch = static_cast<uint32_t>(
+      cl->GetInt("max-batch", 16, 1, std::numeric_limits<uint32_t>::max()));
+  const auto queue_cap = static_cast<size_t>(cl->GetInt("queue-cap", 64, 1));
+  const double deadline = cl->GetDouble("deadline", 0.0, 0.0);
+  const double bfs_frac = cl->GetDouble("bfs-frac", 0.5, 0.0, 1.0);
+  const double sssp_frac = cl->GetDouble("sssp-frac", 0.35, 0.0, 1.0);
+  const auto seed = static_cast<uint64_t>(cl->GetInt("seed", 1, 0));
   const bool detail = cl->GetBool("detail", false);
   const std::string trace_path = cl->GetString("trace", "");
   const std::string check_spec = cl->GetString("check", "");
@@ -201,10 +208,10 @@ int main(int argc, char** argv) {
   const bool profile = cl->GetBool("profile", false);
   const std::string trace_json = cl->GetString("trace-json", "");
   const std::string metrics_out = cl->GetString("metrics-out", "");
-  const int64_t shards_flag = cl->GetInt("shards", 1);
-  const auto mem_budget = static_cast<uint64_t>(cl->GetInt("device-mem-budget", 0));
+  const auto shards = static_cast<uint32_t>(cl->GetInt("shards", 1, 1, serve::kMaxShards));
+  const auto mem_budget = static_cast<uint64_t>(cl->GetInt("device-mem-budget", 0, 0));
   const bool async = cl->GetBool("async", false);
-  const auto catalog_n = static_cast<uint32_t>(cl->GetInt("catalog", 1));
+  const auto catalog_n = static_cast<uint32_t>(cl->GetInt("catalog", 1, 1, kMaxCatalog));
   const bool verify_dag = cl->GetBool("verify-dag", false);
   const std::string verify_json = cl->GetString("verify-json", "");
   const std::string plant_name = cl->GetString("plant", "");
@@ -216,7 +223,7 @@ int main(int argc, char** argv) {
   const std::string retry_budget_spec = cl->GetString("retry-budget", "");
   const std::string breaker_spec = cl->GetString("breaker", "");
   const bool edf = cl->GetBool("edf", false);
-  const double memo_window = cl->GetDouble("memo-window", 0);
+  const double memo_window = cl->GetDouble("memo-window", 0, 0.0);
   const std::string autoscale_spec = cl->GetString("autoscale", "");
   const bool trace_requests = cl->GetBool("trace-requests", false);
   const std::string trace_request_out = cl->GetString("trace-request-out", "");
@@ -252,15 +259,7 @@ int main(int argc, char** argv) {
                   "' (drop-ready-wait | swap-record-wait | double-prestage)");
     }
   }
-  if (shards_flag < 1) return Fail("--shards must be >= 1");
-  const auto shards = static_cast<uint32_t>(shards_flag);
-  if (requests_flag < 1) return Fail("--requests must be >= 1");
-  const auto requests = static_cast<uint32_t>(requests_flag);
-  if (max_batch_flag < 1) return Fail("--max-batch must be >= 1");
-  const auto max_batch = static_cast<uint32_t>(max_batch_flag);
-  if (queue_cap_flag < 1) return Fail("--queue-cap must be >= 1");
-  const auto queue_cap = static_cast<size_t>(queue_cap_flag);
-  if (catalog_n < 1) return Fail("--catalog must be >= 1");
+  if (bfs_frac + sssp_frac > 1.0 + 1e-9) return Fail("--bfs-frac + --sssp-frac must be <= 1");
   if (catalog_n > 1 && dataset.empty()) {
     return Fail("--catalog requires --dataset (scaled variants of one dataset)");
   }
@@ -268,42 +267,37 @@ int main(int argc, char** argv) {
     return Fail("--catalog works with a generated trace, not --trace");
   }
 
-  sanitizer::Config check_cfg{};
-  if (!check_spec.empty()) {
-    auto parsed = sanitizer::Config::Parse(check_spec);
-    if (!parsed) {
-      return Fail(
-          "bad --check '" + check_spec +
-          "' (want all, or a comma list of memcheck,racecheck,synccheck,leakcheck)");
-    }
-    check_cfg = *parsed;
+  const std::optional<sanitizer::Config> check = check_spec.empty()
+                                                    ? sanitizer::Config{}
+                                                    : sanitizer::Config::Parse(check_spec);
+  if (!check) {
+    return Fail("bad --check '" + check_spec +
+                "' (want all, or a comma list of memcheck,racecheck,synccheck,leakcheck)");
   }
+  const sanitizer::Config& check_cfg = *check;
   if (!check_json.empty() && !check_cfg.Enabled()) {
     return Fail("--check-json requires --check");
   }
 
-  sim::FaultConfig fault_cfg{};
-  if (!faults_spec.empty()) {
-    std::string fault_error;
-    auto parsed = sim::FaultConfig::Parse(faults_spec, &fault_error);
-    if (!parsed) return Fail("bad --faults: " + fault_error);
-    fault_cfg = *parsed;
-  }
+  std::string fault_error;
+  const std::optional<sim::FaultConfig> faults = sim::FaultConfig::Parse(faults_spec, &fault_error);
+  if (!faults) return Fail("bad --faults: " + fault_error);
+  const sim::FaultConfig& fault_cfg = *faults;
 
   // Validate flags before the (potentially slow) graph load.
   serve::ServeOptions options;
-  if (memo_window < 0) return Fail("--memo-window must be >= 0");
   serve::ShardedOptions::AutoscaleOptions autoscale{};
   if (!autoscale_spec.empty()) {
-    double min_shards = 1;
-    if (!ParseDoubleList(autoscale_spec, {&min_shards, &autoscale.backlog_ms}) ||
-        min_shards < 1 || autoscale.backlog_ms <= 0) {
-      return Fail("bad --autoscale '" + autoscale_spec +
-                  "' (want min_shards,backlog_ms)");
-    }
-    autoscale.min_shards = static_cast<uint32_t>(min_shards);
-    if (autoscale.min_shards >= shards) {
-      return Fail("--autoscale min_shards must be < --shards");
+    const size_t comma = autoscale_spec.find(',');
+    const auto min_shards =
+        util::ParseNumber<uint32_t>(autoscale_spec.substr(0, comma), 1, shards - 1);
+    if (!min_shards) return Fail("--autoscale min_shards must be an integer in [1, --shards)");
+    autoscale.min_shards = min_shards.value;
+    if (comma != std::string::npos) {
+      const auto backlog =
+          util::ParseNumber(autoscale_spec.substr(comma + 1), util::kAboveZero, kMaxMs);
+      if (!backlog) return Fail("--autoscale backlog_ms " + backlog.error);
+      autoscale.backlog_ms = backlog.value;
     }
   }
   if (!arrivals_spec.empty() && !trace_path.empty()) {
@@ -311,26 +305,21 @@ int main(int argc, char** argv) {
   }
   serve::OverloadOptions& ov = options.overload;
   ov.slo_admission = slo_shed;
-  if (!slo_targets.empty() &&
-      !ParseDoubleList(slo_targets, {&ov.gold_slo_ms, &ov.silver_slo_ms, &ov.bronze_slo_ms})) {
-    return Fail("bad --slo-targets '" + slo_targets + "' (want gold[,silver[,bronze]] ms)");
-  }
-  if (!shed_backlog.empty() &&
-      !ParseDoubleList(shed_backlog, {&ov.shed_bronze_backlog_ms, &ov.shed_silver_backlog_ms})) {
-    return Fail("bad --shed-backlog '" + shed_backlog + "' (want bronze[,silver] ms)");
-  }
-  if (!brownout_spec.empty() &&
-      !ParseDoubleList(brownout_spec,
-                       {&ov.brownout_bronze_backlog_ms, &ov.brownout_silver_backlog_ms})) {
-    return Fail("bad --brownout '" + brownout_spec + "' (want bronze[,silver] ms)");
-  }
-  if (!retry_budget_spec.empty() &&
-      !ParseDoubleList(retry_budget_spec, {&ov.retry_tokens_per_s, &ov.retry_burst})) {
-    return Fail("bad --retry-budget '" + retry_budget_spec + "' (want rate[,burst])");
-  }
-  if (!breaker_spec.empty() &&
-      !ParseDoubleList(breaker_spec, {&ov.breaker_cooldown_ms, &ov.breaker_backoff})) {
-    return Fail("bad --breaker '" + breaker_spec + "' (want cooldown_ms[,backoff])");
+  for (const std::string& bad : {
+           ListFlag("slo-targets", slo_targets, util::kAboveZero,
+                    {&ov.gold_slo_ms, &ov.silver_slo_ms, &ov.bronze_slo_ms},
+                    "gold[,silver[,bronze]] ms"),
+           ListFlag("shed-backlog", shed_backlog, 0,
+                    {&ov.shed_bronze_backlog_ms, &ov.shed_silver_backlog_ms},
+                    "bronze[,silver] ms"),
+           ListFlag("brownout", brownout_spec, 0,
+                    {&ov.brownout_bronze_backlog_ms, &ov.brownout_silver_backlog_ms},
+                    "bronze[,silver] ms"),
+           ListFlag("retry-budget", retry_budget_spec, 0,
+                    {&ov.retry_tokens_per_s, &ov.retry_burst}, "rate[,burst]"),
+           ListFlag("breaker", breaker_spec, 0,
+                    {&ov.breaker_cooldown_ms, &ov.breaker_backoff}, "cooldown_ms[,backoff]")}) {
+    if (!bad.empty()) return Fail(bad);
   }
   if (slo_alerts) {
     // Bare --slo-alerts keeps the evaluator defaults (0.999,50,500,2).
