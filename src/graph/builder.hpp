@@ -20,12 +20,12 @@ struct BuildOptions {
   VertexId min_vertices = 0;
 };
 
-/// Builds a CSR from a directed edge list. The edge list is consumed
-/// (sorted in place) to avoid a copy of what can be the largest allocation
-/// in the process.
+/// Builds a CSR from a directed edge list in linear time plus per-row sorts.
+/// The edge list is consumed: it is freed as soon as its edges are bucketed
+/// by source, since it can be the largest allocation in the process.
 Csr BuildCsr(std::vector<Edge>&& edges, const BuildOptions& options = {});
 
-/// Convenience: builds from a copy.
+/// Same, leaving the caller's list as it is (and not copying it).
 Csr BuildCsr(const std::vector<Edge>& edges, const BuildOptions& options = {});
 
 /// Flattens a CSR back to an edge list (in row order).

@@ -2,7 +2,8 @@
 
 #include <unistd.h>
 
-#include <cmath>
+#include <bit>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 
@@ -31,11 +32,11 @@ struct StandInRecipe {
   /// iteration counts on the social graphs (Table IV).
   uint32_t tail_depth = 0;
   // Web knobs.
-  WebGraphParams web;
+  WebGraphParams web{};
   // Tiny source component (uk-2006 only).
   VertexId tiny_component = 0;
   uint32_t tiny_depth = 0;
-  // Shared.
+  // Shared; web recipes keep their edge budget in `web`.
   uint64_t num_edges = 0;
   uint64_t seed = 0;
 };
@@ -43,69 +44,36 @@ struct StandInRecipe {
 StandInRecipe RecipeFor(const std::string& name) {
   // Edge budgets are calibrated against the 144 MB simulated device memory
   // so that Table III's O.O.M pattern reproduces; see DESIGN.md §1.
-  StandInRecipe r;
   if (name == "slashdot") {
-    r.rmat_scale = 17;
-    r.num_edges = 570'000;
-    r.reciprocal = 0.6;
-    r.compact = true;
-    r.tail_depth = 7;
-    r.seed = 11;
-    return r;
+    return {.rmat_scale = 17, .reciprocal = 0.6, .compact = true, .tail_depth = 7,
+            .num_edges = 570'000, .seed = 11};
   }
   if (name == "livejournal") {
-    r.rmat_scale = 17;
-    r.num_edges = 1'200'000;
-    r.reciprocal = 0.5;
-    r.compact = true;
-    r.tail_depth = 14;
-    r.seed = 12;
-    return r;
+    return {.rmat_scale = 17, .reciprocal = 0.5, .compact = true, .tail_depth = 14,
+            .num_edges = 1'200'000, .seed = 12};
   }
   if (name == "orkut") {
-    r.rmat_scale = 16;
-    r.num_edges = 1'150'000;
-    r.reciprocal = 1.0;
-    r.compact = true;
-    r.tail_depth = 7;
-    r.seed = 13;
-    return r;
+    return {.rmat_scale = 16, .reciprocal = 1.0, .compact = true, .tail_depth = 7,
+            .num_edges = 1'150'000, .seed = 13};
   }
   if (name == "rmat") {
-    r.rmat_scale = 19;
-    r.a = 0.45;
-    r.b = 0.22;
-    r.c = 0.22;
-    r.num_edges = 8'000'000;
-    r.tail_depth = 8;
-    r.seed = 14;
-    return r;
+    return {.rmat_scale = 19, .a = 0.45, .b = 0.22, .c = 0.22, .tail_depth = 8,
+            .num_edges = 8'000'000, .seed = 14};
   }
   if (name == "uk2005") {
-    r.web = {.num_vertices = 300'000, .num_edges = 6'000'000,
-             .num_communities = 66, .lcc_fraction = 0.652,
-             .community_depth = 3, .seed = 15};
-    r.num_edges = r.web.num_edges;
-    r.seed = 15;
-    return r;
+    return {.web = {.num_vertices = 300'000, .num_edges = 6'000'000, .num_communities = 66,
+                    .lcc_fraction = 0.652, .community_depth = 3, .seed = 15},
+            .seed = 15};
   }
   if (name == "sk2005") {
-    r.web = {.num_vertices = 500'000, .num_edges = 16'000'000,
-             .num_communities = 19, .lcc_fraction = 0.708,
-             .community_depth = 3, .seed = 16};
-    r.num_edges = r.web.num_edges;
-    r.seed = 16;
-    return r;
+    return {.web = {.num_vertices = 500'000, .num_edges = 16'000'000, .num_communities = 19,
+                    .lcc_fraction = 0.708, .community_depth = 3, .seed = 16},
+            .seed = 16};
   }
   if (name == "uk2006") {
-    r.web = {.num_vertices = 1'100'000, .num_edges = 34'000'000,
-             .num_communities = 30, .lcc_fraction = 0.71,
-             .community_depth = 3, .seed = 17};
-    r.num_edges = r.web.num_edges;
-    r.tiny_component = 90;
-    r.tiny_depth = 4;
-    r.seed = 17;
-    return r;
+    return {.web = {.num_vertices = 1'100'000, .num_edges = 34'000'000, .num_communities = 30,
+                    .lcc_fraction = 0.71, .community_depth = 3, .seed = 17},
+            .tiny_component = 90, .tiny_depth = 4, .seed = 17};
   }
   ETA_CHECK(false && "unknown dataset name");
   return {};
@@ -133,7 +101,7 @@ std::optional<DatasetInfo> FindDataset(const std::string& name) {
   return std::nullopt;
 }
 
-Csr BuildDataset(const std::string& name, double scale) {
+std::vector<Edge> GenerateDatasetEdges(const std::string& name, double scale) {
   ETA_CHECK(scale > 0.0 && scale <= 1.0);
   ETA_CHECK(FindDataset(name).has_value());
   StandInRecipe recipe = RecipeFor(name);
@@ -176,8 +144,12 @@ Csr BuildDataset(const std::string& name, double scale) {
     }
   }
 
-  Csr csr = BuildCsr(std::move(edges));
-  csr.DeriveWeights(/*seed=*/recipe.seed * 7919);
+  return edges;
+}
+
+Csr BuildDataset(const std::string& name, double scale) {
+  Csr csr = BuildCsr(GenerateDatasetEdges(name, scale));
+  csr.DeriveWeights(/*seed=*/RecipeFor(name).seed * 7919);
   ETA_CHECK(csr.Validate());
   return csr;
 }
@@ -186,9 +158,10 @@ Csr BuildDatasetCached(const std::string& name, const std::string& cache_dir,
                        double scale) {
   namespace fs = std::filesystem;
   fs::create_directories(cache_dir);
+  // The scale's exact bit pattern: scales that round alike get their own file.
   char key[64];
-  std::snprintf(key, sizeof(key), "%s_s%04d_v%u.gr", name.c_str(),
-                static_cast<int>(std::lround(scale * 1000)), kDatasetGeneratorVersion);
+  std::snprintf(key, sizeof(key), "%s_s%016" PRIx64 "_v%u.gr", name.c_str(),
+                std::bit_cast<uint64_t>(scale), kDatasetGeneratorVersion);
   fs::path path = fs::path(cache_dir) / key;
   if (fs::exists(path)) {
     std::string error;

@@ -52,6 +52,9 @@ std::optional<DatasetInfo> FindDataset(const std::string& name);
 /// serves BFS, SSSP and SSWP. Aborts on unknown name.
 Csr BuildDataset(const std::string& name, double scale = 1.0);
 
+/// The raw edge list BuildDataset turns into its CSR (before BuildCsr).
+std::vector<Edge> GenerateDatasetEdges(const std::string& name, double scale = 1.0);
+
 /// Version of the stand-in generators, part of every cache file name. Bump
 /// it whenever a change to the generators or recipes changes a built graph,
 /// so stale cache files are never served.
@@ -59,7 +62,7 @@ inline constexpr uint32_t kDatasetGeneratorVersion = 1;
 
 /// Same, but caches the built graph as a Galois .gr file under `cache_dir`
 /// so repeated bench invocations skip generation. The cache key includes
-/// the scale and kDatasetGeneratorVersion. The file is written to a
+/// the exact scale and kDatasetGeneratorVersion. The file is written to a
 /// temporary name and renamed into place; a cached file that fails
 /// ReadGaloisGr's checks is rebuilt and rewritten.
 Csr BuildDatasetCached(const std::string& name, const std::string& cache_dir,

@@ -10,14 +10,15 @@ namespace eta::graph {
 
 std::vector<Edge> GenerateRmat(const RmatParams& params) {
   ETA_CHECK(params.scale >= 1 && params.scale <= 30);
-  ETA_CHECK(params.a + params.b + params.c <= 1.0 + 1e-9);
+  ETA_CHECK(params.a >= 0 && params.b >= 0 && params.c >= 0 &&
+            params.a + params.b + params.c <= 1.0 + 1e-9);
 
   util::SplitMix64 rng = util::SplitMix64::Stream(params.seed, /*tag=*/0xa11);
 
   // Per-level quadrant probabilities, optionally noised as in PaRMAT so the
   // degree distribution is smooth rather than lattice-like.
   struct LevelProbs {
-    double ab, abc, a;  // cumulative thresholds: a | a+b | a+b+c
+    double a, ab, abc;  // cumulative thresholds: a | a+b | a+b+c
   };
   std::vector<LevelProbs> levels(params.scale);
   for (uint32_t l = 0; l < params.scale; ++l) {
@@ -40,20 +41,14 @@ std::vector<Edge> GenerateRmat(const RmatParams& params) {
   edges.reserve(params.num_edges);
   for (uint64_t i = 0; i < params.num_edges; ++i) {
     VertexId u = 0, v = 0;
-    for (uint32_t l = 0; l < params.scale; ++l) {
+    // One bit per level, most significant first. Quadrants a | b | c | d
+    // lie between the thresholds; u's bit is set in c and d, v's in b and
+    // d, i.e. when an odd number of thresholds lie at or below r.
+    for (const LevelProbs& p : levels) {
       double r = rng.NextDouble();
-      const LevelProbs& p = levels[l];
-      uint32_t bit = 1u << (params.scale - 1 - l);
-      if (r < p.ab) {
-        // quadrant a: no bits
-      } else if (r < p.abc) {
-        v |= bit;  // quadrant b
-      } else if (r < p.a) {
-        u |= bit;  // quadrant c
-      } else {
-        u |= bit;  // quadrant d
-        v |= bit;
-      }
+      bool past_a = r >= p.a, past_ab = r >= p.ab, past_abc = r >= p.abc;
+      u = (u << 1) | past_ab;
+      v = (v << 1) | (past_a ^ past_ab ^ past_abc);
     }
     edges.push_back({u, v});
   }

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/space_model.hpp"
 #include "graph/stats.hpp"
+#include "util/rng.hpp"
 
 namespace eta::graph {
 namespace {
@@ -60,6 +62,74 @@ TEST(Builder, EdgeListRoundTrip) {
   std::sort(expected.begin(), expected.end());
   std::sort(back.begin(), back.end());
   EXPECT_EQ(back, expected);
+}
+
+/// BuildCsr as a global sort: drop self-loops, sort the whole list (stably
+/// by source alone when rows keep their edge order), drop repeats, then
+/// count rows.
+Csr GlobalSortReference(std::vector<Edge> edges, const BuildOptions& options) {
+  if (options.remove_self_loops) {
+    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
+  }
+  if (options.sort_neighbors || options.remove_duplicates) {
+    std::sort(edges.begin(), edges.end());
+  } else {
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const Edge& x, const Edge& y) { return x.src < y.src; });
+  }
+  if (options.remove_duplicates) {
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  }
+  VertexId n = options.min_vertices;
+  for (const Edge& e : edges) n = std::max({n, e.src + 1, e.dst + 1});
+  std::vector<EdgeId> offsets(n + 1, 0);
+  for (const Edge& e : edges) ++offsets[e.src + 1];
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<VertexId> targets;
+  for (const Edge& e : edges) targets.push_back(e.dst);
+  return Csr(std::move(offsets), std::move(targets));
+}
+
+void ExpectSameCsr(const Csr& a, const Csr& b, const std::string& what) {
+  EXPECT_TRUE(std::ranges::equal(a.RowOffsets(), b.RowOffsets())) << what;
+  EXPECT_TRUE(std::ranges::equal(a.ColIndices(), b.ColIndices())) << what;
+}
+
+TEST(Builder, MatchesGlobalSortReference) {
+  util::SplitMix64 rng(19);
+  std::vector<std::vector<Edge>> lists = {{}, {{4, 4}}, {{0, 0}, {3, 3}, {1, 2}}};
+  for (VertexId ids : {3u, 16u, 200u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      // Few ids per edge: repeats, self-loops and unsorted rows are common.
+      std::vector<Edge> edges(rng.NextBounded(6 * ids) + 1);
+      for (Edge& e : edges) {
+        e = {static_cast<VertexId>(rng.NextBounded(ids)),
+             static_cast<VertexId>(rng.NextBounded(ids))};
+      }
+      // The highest id appears only in a self-loop.
+      edges.push_back({ids + 5, ids + 5});
+      std::swap(edges.back(), edges[rng.NextBounded(edges.size())]);
+      lists.push_back(std::move(edges));
+    }
+  }
+  for (size_t i = 0; i < lists.size(); ++i) {
+    for (int flags = 0; flags < 8; ++flags) {
+      for (VertexId min_vertices : {0u, 2u, 300u}) {
+        const BuildOptions options = {.remove_self_loops = (flags & 1) != 0,
+                                      .remove_duplicates = (flags & 2) != 0,
+                                      .sort_neighbors = (flags & 4) != 0,
+                                      .min_vertices = min_vertices};
+        const std::string what = "list " + std::to_string(i) + " flags " +
+                                 std::to_string(flags) + " min " + std::to_string(min_vertices);
+        const std::vector<Edge> before = lists[i];
+        Csr built = BuildCsr(lists[i], options);
+        EXPECT_EQ(lists[i], before) << what;
+        ExpectSameCsr(built, GlobalSortReference(before, options), what);
+        std::vector<Edge> owned = before;
+        ExpectSameCsr(BuildCsr(std::move(owned), options), built, what + " (moved)");
+      }
+    }
+  }
 }
 
 TEST(Csr, TransposeInvertsEdges) {

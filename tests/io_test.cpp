@@ -9,7 +9,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "graph/builder.hpp"
@@ -278,12 +280,19 @@ TEST_F(IoTest, DatasetCacheKeyedByScale) {
   std::string cache = (dir_ / "cache").string();
   BuildDatasetCached("slashdot", cache, 0.05);
   BuildDatasetCached("slashdot", cache, 0.10);
+  // Both round to the same thousandth; each must still get its own graph.
+  Csr fine = BuildDatasetCached("slashdot", cache, 0.0011);
+  Csr finer = BuildDatasetCached("slashdot", cache, 0.0009);
   size_t files = 0;
   for (auto& entry : fs::directory_iterator(cache)) {
     (void)entry;
     ++files;
   }
-  EXPECT_EQ(files, 2u);
+  EXPECT_EQ(files, 4u);
+  ExpectCsrEqual(BuildDatasetCached("slashdot", cache, 0.0011), fine);
+  ExpectCsrEqual(BuildDatasetCached("slashdot", cache, 0.0009), finer);
+  ExpectCsrEqual(finer, BuildDataset("slashdot", 0.0009));
+  EXPECT_NE(fine.NumEdges(), finer.NumEdges());
 }
 
 TEST(Datasets, RegistryComplete) {
@@ -299,9 +308,31 @@ TEST(Datasets, BuildDeterministic) {
   ExpectCsrEqual(a, b);
 }
 
+/// FNV-1a over a CSR's shape, offsets, columns and weights, word by word.
+uint64_t CsrDigest(const Csr& csr) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto fold = [&h](std::span<const uint32_t> words) {
+    h = (h ^ words.size()) * 0x100000001b3ULL;
+    for (uint32_t w : words) h = (h ^ w) * 0x100000001b3ULL;
+  };
+  fold(csr.RowOffsets());
+  fold(csr.ColIndices());
+  fold(csr.Weights());
+  return h;
+}
+
 TEST(Datasets, AllBuildableAtSmokeScale) {
+  // A builder, generator or recipe change that moves one bit of any
+  // stand-in shows here, and must also bump kDatasetGeneratorVersion.
+  const std::map<std::string, uint64_t> kDigests = {
+      {"slashdot", 0x89b3687941cc2b28},    {"livejournal", 0xee7d4de79543bc96},
+      {"orkut", 0x04dad394cae12caf},       {"rmat", 0xbfd536ee4bef33e5},
+      {"uk2005", 0x27c72f000398c192},      {"sk2005", 0x6e33f4ef0217f8c6},
+      {"uk2006", 0x5d01a1cb934b74fd},
+  };
   for (const auto& info : AllDatasets()) {
     Csr csr = BuildDataset(info.name, /*scale=*/0.03);
+    EXPECT_EQ(CsrDigest(csr), kDigests.at(info.name)) << info.name;
     EXPECT_GT(csr.NumEdges(), 0u) << info.name;
     EXPECT_TRUE(csr.Validate()) << info.name;
     EXPECT_TRUE(csr.HasWeights()) << info.name;
