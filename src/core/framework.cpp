@@ -250,30 +250,39 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
           p.copy_label ? src_label[lane] : Propagate(p.algo, src_label[lane], ew[lane]);
     });
 
-    // Attribution: reach masks flow along *every* traversed edge, not only
+    // Attribution: reach masks flow along every traversed edge whose
+    // candidate label still marks its destination reached, not only along
     // label-improving ones; a destination whose mask gains bits re-enters
     // the frontier so the masks converge to the exact per-source
-    // reachability fixpoint (the union of |sources| traversals).
+    // reachability fixpoint (the union of |sources| traversals). The flow
+    // mask is every lane for BFS and SSSP; for SSWP it drops zero-width
+    // edges, which carry a width-0 (unreached) candidate.
     uint32_t gmask = 0;
     if (p.attribute) {
-      LaneArray<uint32_t> old_mask;
-      if (p.drop_reach_atomic) {
-        // Injected bug: the unsynchronized read-modify-write a dropped
-        // AtomicOr degenerates to. Lanes of one warp targeting the same
-        // destination lose updates; racecheck must flag both the store
-        // over the foreign read and the store over the foreign store.
-        w.Gather(d.reach_mask, u_idx, jmask, old_mask);
-        LaneArray<uint32_t> new_mask;
-        WarpCtx::ForActive(jmask, [&](uint32_t lane) {
-          new_mask[lane] = old_mask[lane] | src_mask[lane];
-        });
-        w.Scatter(d.reach_mask, u_idx, new_mask, jmask);
-      } else {
-        w.AtomicOr(d.reach_mask, u_idx, src_mask, jmask, old_mask);
-      }
+      uint32_t fmask = 0;
       WarpCtx::ForActive(jmask, [&](uint32_t lane) {
-        if (src_mask[lane] & ~old_mask[lane]) gmask |= 1u << lane;
+        if (Reached(p.algo, cand[lane])) fmask |= 1u << lane;
       });
+      if (fmask) {
+        LaneArray<uint32_t> old_mask;
+        if (p.drop_reach_atomic) {
+          // Injected bug: the unsynchronized read-modify-write a dropped
+          // AtomicOr degenerates to. Lanes of one warp targeting the same
+          // destination lose updates; racecheck must flag both the store
+          // over the foreign read and the store over the foreign store.
+          w.Gather(d.reach_mask, u_idx, fmask, old_mask);
+          LaneArray<uint32_t> new_mask;
+          WarpCtx::ForActive(fmask, [&](uint32_t lane) {
+            new_mask[lane] = old_mask[lane] | src_mask[lane];
+          });
+          w.Scatter(d.reach_mask, u_idx, new_mask, fmask);
+        } else {
+          w.AtomicOr(d.reach_mask, u_idx, src_mask, fmask, old_mask);
+        }
+        WarpCtx::ForActive(fmask, [&](uint32_t lane) {
+          if (src_mask[lane] & ~old_mask[lane]) gmask |= 1u << lane;
+        });
+      }
     }
 
     LaneArray<Weight> cur;

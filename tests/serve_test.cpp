@@ -58,7 +58,9 @@ TEST_P(AttributionTest, MatchesSequentialSingleSourceRuns) {
   ASSERT_FALSE(batched.oom);
   ASSERT_EQ(batched.per_source_reached.size(), sources.size());
 
-  std::vector<graph::Weight> expected_merge(csr.NumVertices(), core::kInf);
+  // Unreached is kInf for the minimizing traversals and 0 for the widest
+  // path, so the merged label is the min (resp. max) over the sources.
+  std::vector<graph::Weight> expected_merge(csr.NumVertices(), core::InitLabel(algo, false));
   for (size_t i = 0; i < sources.size(); ++i) {
     auto single = engine.Run(csr, algo, sources[i]);
     ASSERT_FALSE(single.oom);
@@ -66,7 +68,8 @@ TEST_P(AttributionTest, MatchesSequentialSingleSourceRuns) {
     EXPECT_EQ(batched.per_source_reached[i], CountReached(algo, single.labels))
         << "source " << sources[i];
     for (size_t v = 0; v < single.labels.size(); ++v) {
-      expected_merge[v] = std::min(expected_merge[v], single.labels[v]);
+      expected_merge[v] = core::IsWidest(algo) ? std::max(expected_merge[v], single.labels[v])
+                                               : std::min(expected_merge[v], single.labels[v]);
     }
   }
   // Attribution must not perturb the merged labels.
@@ -75,6 +78,33 @@ TEST_P(AttributionTest, MatchesSequentialSingleSourceRuns) {
 
 INSTANTIATE_TEST_SUITE_P(BfsAndSssp, AttributionTest,
                          ::testing::Values(core::Algo::kBfs, core::Algo::kSssp));
+INSTANTIATE_TEST_SUITE_P(Sswp, AttributionTest, ::testing::Values(core::Algo::kSswp));
+
+// A zero-width edge is traversed but reaches nothing under the widest path:
+// the reach mask must not cross it, or a source would be credited with
+// vertices its own run leaves at width 0.
+TEST(Attribution, SswpMasksStopAtZeroWidthEdges) {
+  graph::Csr csr = RandomGraph(21);
+  std::vector<graph::Weight> weights(csr.Weights().begin(), csr.Weights().end());
+  for (size_t e = 0; e < weights.size(); e += 3) weights[e] = 0;
+  csr.SetWeights(std::move(weights));
+  const std::vector<graph::VertexId> sources = {0, 97, 350, 501};
+
+  core::EtaGraph engine;
+  auto batched =
+      engine.RunMultiSource(csr, core::Algo::kSswp, sources, /*attribute_sources=*/true);
+  ASSERT_FALSE(batched.oom);
+  ASSERT_EQ(batched.per_source_reached.size(), sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    auto single = engine.Run(csr, core::Algo::kSswp, sources[i]);
+    ASSERT_FALSE(single.oom);
+    const uint64_t cpu =
+        CountReached(core::Algo::kSswp, core::CpuReference(csr, core::Algo::kSswp, sources[i]));
+    EXPECT_EQ(batched.per_source_reached[i], CountReached(core::Algo::kSswp, single.labels))
+        << "source " << sources[i];
+    EXPECT_EQ(batched.per_source_reached[i], cpu) << "source " << sources[i];
+  }
+}
 
 // --- Persistent sessions ------------------------------------------------------
 
