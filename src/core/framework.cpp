@@ -628,7 +628,7 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
   const VertexId n = csr_.NumVertices();
   const bool chunked = options_.memory_mode == MemoryMode::kChunkedStream;
 
-  const double start_clock = device.NowMs();
+  device.StartInterval();
   const uint64_t migrated_start =
       chunked ? stream.transferred_bytes : device.Um().TotalMigratedBytes();
   const size_t migration_ops_start = device.Um().MigrationSizes().Values().size();
@@ -662,7 +662,7 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
     AttemptFailure failure;
     RunReport attempt_report =
         ExecuteAttempt(algo, init_labels, initial_active, copy_label, attribute_sources,
-                       start_clock, &faults, &failure);
+                       &faults, &failure);
     if (!failure.failed) {
       if (trace) {
         AttemptRecord rec;
@@ -746,7 +746,7 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
   if (trace) report.attempts = std::move(attempt_log);
   report.device_bytes_peak = device_bytes_peak_;
   report.total_ms = device.NowMs();
-  report.query_ms = device.NowMs() - start_clock;
+  report.query_ms = device.IntervalMs();
   report.counters = device.TotalCounters();
   report.query_counters = device.TotalCounters().Since(counters_start);
   if (state_->profiler != nullptr) {
@@ -769,9 +769,7 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
 RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& init_labels,
                                         std::span<const VertexId> initial_active,
                                         bool copy_label, bool attribute_sources,
-                                        double query_start_clock, FaultStats* faults,
-                                        AttemptFailure* failure) {
-  (void)query_start_clock;
+                                        FaultStats* faults, AttemptFailure* failure) {
   RunReport report;
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;

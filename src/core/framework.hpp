@@ -153,8 +153,7 @@ class ResidentGraph {
   RunReport ExecuteAttempt(Algo algo, const std::vector<graph::Weight>& init_labels,
                            std::span<const graph::VertexId> initial_active,
                            bool copy_label, bool attribute_sources,
-                           double query_start_clock, FaultStats* faults,
-                           AttemptFailure* failure);
+                           FaultStats* faults, AttemptFailure* failure);
 
   /// Post-UECC recovery: verifies the resident topology against the host
   /// CSR and re-stages (charged) whatever diverged; re-zeroes the stamp

@@ -98,7 +98,9 @@ struct RunReport {
   /// Incremental simulated cost of this query alone. Equal to total_ms for
   /// a one-shot run; for a query served by a persistent ResidentGraph it
   /// excludes the graph-loading time and all earlier queries (total_ms is
-  /// then the absolute session clock at completion).
+  /// then the absolute session clock at completion). Summed from the
+  /// query's individual charges (sim::Device::IntervalMs), so equal device
+  /// work gives a bit-identical value whatever the session clock's base.
   double query_ms = 0;
 
   uint32_t iterations = 0;

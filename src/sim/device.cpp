@@ -54,7 +54,7 @@ void Device::RecordTransfer(uint64_t bytes, bool pageable, SpanKind kind,
                             const std::string& label) {
   double dur = spec_.memcpy_latency_us / 1000.0 + spec_.PcieMsForBytes(bytes, pageable);
   timeline_.Add(kind, now_ms_, now_ms_ + dur, label);
-  now_ms_ += dur;
+  Advance(dur);
 }
 
 void Device::BeginLaunch() {
@@ -103,7 +103,12 @@ LaunchResult Device::EndLaunch(const std::string& label, const LaunchConfig& con
   // Procedure 1 issues both on the default stream).
   double start = std::max(now_ms_, pending_transfer_end_);
   double end = std::max(start + busy, accum_.arrival_barrier_ms);
-  now_ms_ = end;
+  WaitUntil(start);
+  if (end == start + busy) {
+    Advance(busy);
+  } else {
+    WaitUntil(end);  // stalled on a page still in flight
+  }
 
   timeline_.Add(SpanKind::kCompute, start, end, label);
   if (fault_ms > 0) {
@@ -185,7 +190,8 @@ LaunchResult Device::FailLaunch(const std::string& label, const LaunchConfig& co
 
   double start = std::max(now_ms_, pending_transfer_end_);
   double end = start + dur;
-  now_ms_ = end;
+  WaitUntil(start);
+  Advance(dur);
   if (dur > 0) {
     timeline_.Add(SpanKind::kCompute, start, end,
                   label + ":" + LaunchStatusName(fate.status));

@@ -301,7 +301,7 @@ class Device {
   }
 
   /// cudaDeviceSynchronize: waits out any in-flight prefetch.
-  void Synchronize() { now_ms_ = std::max(now_ms_, pending_transfer_end_); }
+  void Synchronize() { WaitUntil(pending_transfer_end_); }
 
   /// Declares the buffer's contents host-initialized without charging a
   /// transfer: call sites that stage data straight into HostSpan() (unified
@@ -326,7 +326,7 @@ class Device {
                           double overlap = 0.0) {
     double dur = spec_.memcpy_latency_us / 1000.0 + spec_.PcieMsForBytes(bytes, pageable);
     timeline_.Add(SpanKind::kTransferH2D, now_ms_, now_ms_ + dur, label);
-    now_ms_ += dur * (1.0 - overlap);
+    Advance(dur * (1.0 - overlap));
   }
 
   /// Advances the simulated clock by `ms` with no device activity — how
@@ -335,7 +335,7 @@ class Device {
   void ChargeDelay(double ms, const std::string& label) {
     if (ms <= 0) return;
     timeline_.Add(SpanKind::kStall, now_ms_, now_ms_ + ms, label);
-    now_ms_ += ms;
+    Advance(ms);
   }
 
   // --- Kernel launch --------------------------------------------------------
@@ -363,6 +363,19 @@ class Device {
 
   // --- Introspection ---------------------------------------------------------
   double NowMs() const { return now_ms_; }
+  /// Restarts the interval clock at zero. IntervalMs() is the simulated
+  /// time charged since then, summed from the individual charges instead
+  /// of read as the difference of two absolute clock values: equal device
+  /// work measures a bit-identical interval whatever the clock's base, so
+  /// earlier work that shifted the session clock (a hoisted prefetch)
+  /// cannot perturb a later query's duration by an ulp. Only a wait for a
+  /// transfer still in flight ends at an absolute time; the interval there
+  /// is that time less the interval's start.
+  void StartInterval() {
+    interval_start_ms_ = now_ms_;
+    interval_ms_ = 0;
+  }
+  double IntervalMs() const { return interval_ms_; }
   const Counters& TotalCounters() const { return total_; }
   const Timeline& GetTimeline() const { return timeline_; }
   Timeline& MutableTimeline() { return timeline_; }
@@ -424,6 +437,17 @@ class Device {
   /// Flips words in a deterministically chosen live allocation (UECC).
   void CorruptVictim(const LaunchFault& fate, std::string* victim_name);
   void UpdateUmBudget();
+  /// Charges `dur` at the current clock (see StartInterval).
+  void Advance(double dur) {
+    now_ms_ += dur;
+    interval_ms_ += dur;
+  }
+  /// Stalls the clock until absolute time `t`, if it is still ahead.
+  void WaitUntil(double t) {
+    if (t <= now_ms_) return;
+    now_ms_ = t;
+    interval_ms_ = t - interval_start_ms_;
+  }
   void RecordTransfer(uint64_t bytes, bool pageable, SpanKind kind,
                       const std::string& label);
 
@@ -449,6 +473,8 @@ class Device {
   LaunchAccum accum_;
   bool in_launch_ = false;
   double now_ms_ = 0;
+  double interval_start_ms_ = 0;
+  double interval_ms_ = 0;
   double pending_transfer_end_ = 0;
   AccessObserver* observer_ = nullptr;
   FaultInjector* fault_ = nullptr;

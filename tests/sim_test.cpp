@@ -494,6 +494,53 @@ TEST(Device, ClockAdvancesMonotonically) {
   EXPECT_GT(device.NowMs(), t1);
 }
 
+// The interval clock sums the charges since StartInterval, so the same work
+// measures a bit-identical interval on devices whose clocks start from
+// different bases; the difference of two absolute readings does not.
+TEST(Device, IntervalIsIndependentOfClockBase) {
+  std::vector<double> intervals, differences;
+  for (double base_ms : {0.1, 0.3, 0.7, 1.9, 123.456}) {
+    Device device(TestSpec());
+    auto buf = device.Alloc<uint32_t>(1 << 12, MemKind::kDevice, "data");
+    std::vector<uint32_t> host(1 << 12, 1);
+    device.ChargeDelay(base_ms, "base");
+    const double start = device.NowMs();
+    device.StartInterval();
+    for (int i = 0; i < 20; ++i) {
+      device.CopyToDevice(buf, std::span<const uint32_t>(host));
+      device.Launch("k", {1 << 12}, [&](WarpCtx& w) {
+        LaneArray<uint32_t> out{};
+        w.GatherContiguous(buf, w.WarpId() * 32, w.ActiveMask(), out);
+      });
+      device.ChargeHostToDevice(4096, /*pageable=*/false, "h2d", /*overlap=*/0.6);
+      device.Synchronize();
+    }
+    intervals.push_back(device.IntervalMs());
+    differences.push_back(device.NowMs() - start);
+  }
+  for (double interval : intervals) EXPECT_EQ(interval, intervals.front());
+  // The bases are chosen so the absolute difference does drift.
+  EXPECT_FALSE(std::all_of(differences.begin(), differences.end(),
+                           [&](double d) { return d == differences.front(); }));
+}
+
+// From a zero base the interval is the absolute clock itself, waits on an
+// in-flight prefetch included.
+TEST(Device, IntervalFromZeroBaseIsTheClock) {
+  Device device(TestSpec());
+  auto buf = device.Alloc<uint32_t>(1 << 16, MemKind::kUnified, "data");
+  device.MarkHostInitialized(buf);
+  device.StartInterval();
+  device.PrefetchAsync(buf);
+  device.Launch("k", {1 << 16}, [&](WarpCtx& w) {
+    LaneArray<uint32_t> out{};
+    w.GatherContiguous(buf, w.WarpId() * 32, w.ActiveMask(), out);
+  });
+  device.ChargeDelay(0.3, "backoff");
+  EXPECT_GT(device.IntervalMs(), 0.3);
+  EXPECT_EQ(device.IntervalMs(), device.NowMs());
+}
+
 TEST(Device, LaunchTimeScalesWithWork) {
   Device device(TestSpec());
   auto buf = device.Alloc<uint32_t>(1 << 20, MemKind::kDevice, "data");
