@@ -19,6 +19,7 @@
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/number.hpp"
 #include "util/table.hpp"
 
@@ -80,6 +81,21 @@ inline graph::Csr Load(const BenchEnv& env, const std::string& name, double sub_
 inline std::string KernelTotalCell(double kernel_ms, double total_ms) {
   return util::FormatDouble(kernel_ms, kernel_ms < 10 ? 2 : 1) + "/" +
          util::FormatDouble(total_ms, total_ms < 10 ? 2 : 1);
+}
+
+/// Writes `reports` (anything with a Json() rendering, e.g. serve reports)
+/// to `path` as one JSON array, a report per line, and says so on stdout.
+template <typename Report>
+void WriteJsonReports(const std::string& path, const std::vector<Report>& reports) {
+  util::JsonWriter json;
+  json.BeginArray();
+  for (const Report& report : reports) json.Newline().Raw(report.Json());
+  const std::string text = json.Newline().EndArray().Newline().Take();
+  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+  }
 }
 
 }  // namespace eta::bench

@@ -153,16 +153,7 @@ int main(int argc, char** argv) {
               table.Render("Staging overlap — sync vs async dispatch, 1 shard")
                   .c_str());
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f, "[\n");
-    for (size_t i = 0; i < reports.size(); ++i) {
-      std::fprintf(f, "  %s%s\n", reports[i].Json().c_str(),
-                   i + 1 < reports.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  bench::WriteJsonReports(json_path, reports);
 
   // Gates: async must answer exactly what sync answers, and the overlap
   // must buy throughput on at least one staging-heavy mix.

@@ -204,15 +204,6 @@ int main(int argc, char** argv) {
                 r.overload.brownout_max_level);
   }
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f, "[\n");
-    for (size_t i = 0; i < reports.size(); ++i) {
-      std::fprintf(f, "  %s%s\n", reports[i].Json().c_str(),
-                   i + 1 < reports.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  bench::WriteJsonReports(json_path, reports);
   return gates_ok ? 0 : 1;
 }

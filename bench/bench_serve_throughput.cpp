@@ -4,10 +4,10 @@
 // layer's pitch in one table: the naive row (no serving layer, a FIFO loop
 // of one-shot runs) pays allocation + full topology staging per query, the
 // session row (one shard, max_batch = 1) stages once, the batched row (one
-// shard, default max_batch) folds compatible BFS/SSSP requests into shared
-// multi-source launches, and the sharded rows show the fleet's scaling
-// under a saturating load (4 shards must clear at least twice the
-// throughput of 1).
+// shard, default max_batch) folds same-algorithm BFS, SSSP and SSWP
+// requests into shared multi-source launches, and the sharded rows show
+// the fleet's scaling under a saturating load (4 shards must clear at
+// least twice the throughput of 1).
 //
 // Emits BENCH_serve.json (one JSON object per row) next to the table.
 #include <algorithm>
@@ -125,16 +125,7 @@ int main(int argc, char** argv) {
               "saturating trace.\n",
               four_shard_qps / one_shard_qps);
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f, "[\n");
-    for (size_t i = 0; i < reports.size(); ++i) {
-      std::fprintf(f, "  %s%s\n", reports[i].Json().c_str(),
-                   i + 1 < reports.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  bench::WriteJsonReports(json_path, reports);
   // Gates: the serving layer must beat naive, and the fleet must scale.
   if (!(batched < naive && session < naive)) return 1;
   if (!(four_shard_qps >= 2.0 * one_shard_qps)) {

@@ -37,10 +37,11 @@
 #
 # --shard builds normally and then exercises the sharded serving fleet
 # (DESIGN.md section 10): the scheduler/router test binaries, the
-# max-batch>32 wave-split regression (no abort, replay byte-identical to a
-# capped run), a shards x faults matrix with a double-run replay-determinism
-# diff and a no-request-lost completeness check, and the fleet-scaling gate
-# in bench_serve_throughput.
+# max-batch>32 wave-split regression for the default mix and an all-SSWP
+# burst (no abort, replay byte-identical to a capped run), a shards x
+# faults matrix with a double-run replay-determinism diff and a
+# no-request-lost completeness check, and the fleet-scaling gate in
+# bench_serve_throughput.
 #
 # --async builds normally and then exercises the stream dispatcher
 # (DESIGN.md section 11): the stream/event test binary, a sync-vs-async
@@ -273,17 +274,32 @@ if [[ "$SHARD" == "1" ]]; then
 
   echo "== max-batch past the attribution cap (wave-split regression) =="
   # Batches wider than the 32-source attribution cap must wave-split, never
-  # abort, and answer byte-identically to a capped run of the same trace.
-  for mb in 64 32; do
-    "$BUILD_DIR/src/etagraph_serve" --dataset=rmat --scale=0.1 --requests=64 \
-      --mean-arrival=0.05 --max-batch="$mb" \
-      --replay-out="$SHARD_DIR/mb$mb.txt" > /dev/null
+  # abort, and answer byte-identically to a capped run of the same trace:
+  # once for the default mix, once for an all-SSWP burst, which gates the
+  # batched widest path on its own.
+  for mix in default sswp; do
+    mix_args=()
+    if [[ "$mix" == "sswp" ]]; then
+      mix_args=(--bfs-frac=0 --sssp-frac=0)
+    fi
+    for mb in 64 32; do
+      "$BUILD_DIR/src/etagraph_serve" --dataset=rmat --scale=0.1 --requests=64 \
+        --mean-arrival=0.05 --max-batch="$mb" "${mix_args[@]}" \
+        --replay-out="$SHARD_DIR/$mix.mb$mb.txt" > /dev/null
+    done
+    if ! diff -u "$SHARD_DIR/$mix.mb32.txt" "$SHARD_DIR/$mix.mb64.txt"; then
+      echo "check.sh: $mix mix: --max-batch=64 replay diverged from --max-batch=32" >&2
+      exit 1
+    fi
+    # Replay columns: id status algo source reached batch start_ms finish_ms.
+    if [[ "$mix" == "sswp" ]] &&
+       ! awk '$3 == "sswp" && $6 > 1 { found = 1 } END { exit !found }' \
+         "$SHARD_DIR/$mix.mb64.txt"; then
+      echo "check.sh: all-SSWP burst never folded a batch" >&2
+      exit 1
+    fi
+    echo "-- $mix mix: no abort, replay identical to the capped run"
   done
-  if ! diff -u "$SHARD_DIR/mb32.txt" "$SHARD_DIR/mb64.txt"; then
-    echo "check.sh: --max-batch=64 replay diverged from --max-batch=32" >&2
-    exit 1
-  fi
-  echo "-- no abort, replay identical to the capped run"
 
   echo "== shards x faults matrix + replay determinism =="
   REQS=48

@@ -9,16 +9,6 @@
 
 namespace eta::serve {
 
-bool Batchable(core::Algo algo) {
-  // Multi-source folding needs per-source attribution, which only the
-  // frontier traversals with attributed waves provide (SSWP's widest-path
-  // semiring lacks attributed multi-source support; whole-graph CC/PageRank
-  // answers have no per-source dimension at all — they go through the
-  // sequential RunQuery path, where the memo table is their amortization
-  // lever instead).
-  return algo == core::Algo::kBfs || algo == core::Algo::kSssp;
-}
-
 BatchOutcome ExecuteBatch(GraphSession& session, const Batch& batch, double start_ms,
                           const BatchStreamContext* ctx, const BatchTraceContext* tctx) {
   ETA_CHECK(!batch.requests.empty());
@@ -140,7 +130,10 @@ BatchOutcome ExecuteBatch(GraphSession& session, const Batch& batch, double star
         /*earliest_ms=*/start_ms);
   };
 
-  if (batch.requests.size() > 1 && Batchable(batch.algo)) {
+  // Every per-source traversal folds: attribution demultiplexes BFS, SSSP
+  // and SSWP alike. Whole-graph CC/PageRank answers have no per-source
+  // dimension; they run sequentially, amortized by the memo table instead.
+  if (batch.requests.size() > 1 && !core::IsWholeGraph(batch.algo)) {
     // Per-source attribution masks are kMaxAttributedSources bits wide, so
     // a batch beyond the cap executes as successive launch waves of at most
     // the cap. Each wave is a complete attributed launch; a device failure
@@ -197,7 +190,7 @@ BatchOutcome ExecuteBatch(GraphSession& session, const Batch& batch, double star
     return out;
   }
 
-  // Sequential fallback: run each request on its own, back to back.
+  // Sequential path: run each request on its own, back to back.
   for (size_t i = 0; i < batch.requests.size(); ++i) {
     const Request& r = batch.requests[i];
     core::RunReport report;

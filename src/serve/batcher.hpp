@@ -1,16 +1,15 @@
 // Multi-source batching: fold compatible requests into one launch, then
 // demultiplex per-request results.
 //
-// Requests are compatible when they run the same batchable algorithm (BFS
-// or SSSP — the traversals whose multi-source merge plus per-source reach
-// attribution reproduce every request's individual answer exactly). A
-// folded batch executes as a single attributed RunMultiSource launch:
-// topology reads and frontier work are shared across the requests, and
-// each request's reached-vertex count is read back from the per-source
-// attribution masks, bit-identical to running it alone. Anything that
-// cannot be folded — SSWP, or a batch of one — takes the sequential
-// fallback path, so batching is purely an optimization, never a semantic
-// change.
+// Requests are compatible when they run the same per-source traversal
+// (BFS, SSSP or SSWP — the traversals whose multi-source merge plus
+// per-source reach attribution reproduce every request's individual answer
+// exactly). A folded batch executes as a single attributed RunMultiSource
+// launch: topology reads and frontier work are shared across the requests,
+// and each request's reached-vertex count is read back from the per-source
+// attribution masks, bit-identical to running it alone. Whole-graph
+// CC/PageRank requests and batches of one run sequentially, so batching is
+// purely an optimization, never a semantic change.
 #pragma once
 
 #include <vector>
@@ -29,9 +28,6 @@ struct Batch {
   uint32_t graph_id = 0;
   std::vector<Request> requests;
 };
-
-/// True if `algo` queries may be folded into one multi-source launch.
-bool Batchable(core::Algo algo);
 
 /// What one dispatch did. A device failure (retry budget exhausted, device
 /// lost, or mid-query OOM) is an outcome, not a crash: the requests the
@@ -97,8 +93,8 @@ struct BatchTraceContext {
 
 /// Executes `batch` on `session` starting at simulated time `start_ms`.
 /// Multi-request batches run as one attributed multi-source launch and are
-/// demultiplexed; size-one or non-batchable batches run sequentially (the
-/// correctness fallback). Per-source attribution masks carry one bit per
+/// demultiplexed; size-one and whole-graph (CC/PageRank) batches run
+/// sequentially. Per-source attribution masks carry one bit per
 /// source (core::ResidentGraph::kMaxAttributedSources = 32 wide), so a
 /// batch beyond the cap splits into successive launch waves of at most the
 /// cap — each wave is its own attributed launch with its own start/finish

@@ -365,7 +365,7 @@ DispatchRun FoldBatch(FleetState& f, Shard& s, const Request& head, double now) 
   run.graph_id = head.graph_id;
   run.pending.push_back(head);
   const uint32_t limit = std::max<uint32_t>(f.base.max_batch, 1);
-  if (Batchable(run.algo) && limit > 1) {
+  if (!core::IsWholeGraph(run.algo) && limit > 1) {
     std::vector<Request> more = s.queue.PopCompatible(run.algo, run.graph_id, limit - 1);
     for (const Request& r : more) --s.queued_by_algo[r.algo];
     run.pending.insert(run.pending.end(), more.begin(), more.end());

@@ -19,8 +19,7 @@ struct TraceOptions {
   /// Mean of the exponential inter-arrival distribution (Poisson process).
   double mean_interarrival_ms = 1.5;
   /// Algorithm mix: fraction of BFS and SSSP requests; the remainder are
-  /// SSWP (which the batcher cannot fold — it exercises the sequential
-  /// fallback path). Set sssp_fraction = 1 - bfs_fraction for no SSWP.
+  /// SSWP. Set sssp_fraction = 1 - bfs_fraction for no SSWP.
   double bfs_fraction = 0.5;
   double sssp_fraction = 0.35;
   /// Fraction of requests marked priority 1 ("interactive"); the rest are

@@ -617,35 +617,38 @@ TEST(SingleShardServe, OverflowingQueueRejectsExplicitly) {
 TEST(ExecuteBatch, WaveSplitsPastAttributionCap) {
   // A folded batch wider than the 32-bit attribution mask executes as
   // successive launch waves; every request still gets its exact answer.
+  // Every per-source traversal folds, the widest path included.
   graph::Csr csr = RandomGraph(18);
-  GraphSession session(csr);
-  ASSERT_TRUE(session.Loaded());
-  constexpr size_t kRequests = 40;  // 32 + 8: two waves
-  Batch batch;
-  batch.algo = core::Algo::kBfs;
-  for (uint64_t i = 0; i < kRequests; ++i) {
-    Request r;
-    r.id = i;
-    r.algo = core::Algo::kBfs;
-    r.source = static_cast<graph::VertexId>((i * 13) % csr.NumVertices());
-    batch.requests.push_back(r);
+  for (core::Algo algo : {core::Algo::kBfs, core::Algo::kSssp, core::Algo::kSswp}) {
+    SCOPED_TRACE(core::AlgoName(algo));
+    GraphSession session(csr);
+    ASSERT_TRUE(session.Loaded());
+    constexpr size_t kRequests = 40;  // 32 + 8: two waves
+    Batch batch;
+    batch.algo = algo;
+    for (uint64_t i = 0; i < kRequests; ++i) {
+      Request r;
+      r.id = i;
+      r.algo = algo;
+      r.source = static_cast<graph::VertexId>((i * 13) % csr.NumVertices());
+      batch.requests.push_back(r);
+    }
+    BatchOutcome out = ExecuteBatch(session, batch, /*start_ms=*/1.0);
+    ASSERT_FALSE(out.device_failed);
+    ASSERT_TRUE(out.unserved.empty());
+    ASSERT_EQ(out.results.size(), kRequests);
+    for (size_t i = 0; i < kRequests; ++i) {
+      const QueryResult& q = out.results[i];
+      EXPECT_EQ(q.batch_size, i < 32 ? 32u : 8u) << "request " << i;
+      auto labels = core::CpuReference(csr, algo, batch.requests[i].source);
+      EXPECT_EQ(q.reached_vertices, CountReached(algo, labels)) << "request " << i;
+    }
+    // The waves tile [start, start + duration]: wave 1 starts where wave 0
+    // finished.
+    EXPECT_DOUBLE_EQ(out.results[0].start_ms, 1.0);
+    EXPECT_DOUBLE_EQ(out.results[32].start_ms, out.results[0].finish_ms);
+    EXPECT_DOUBLE_EQ(out.results[39].finish_ms, 1.0 + out.duration_ms);
   }
-  BatchOutcome out = ExecuteBatch(session, batch, /*start_ms=*/1.0);
-  ASSERT_FALSE(out.device_failed);
-  ASSERT_TRUE(out.unserved.empty());
-  ASSERT_EQ(out.results.size(), kRequests);
-  for (size_t i = 0; i < kRequests; ++i) {
-    const QueryResult& q = out.results[i];
-    EXPECT_EQ(q.batch_size, i < 32 ? 32u : 8u) << "request " << i;
-    auto labels = core::CpuReference(csr, core::Algo::kBfs, batch.requests[i].source);
-    EXPECT_EQ(q.reached_vertices, CountReached(core::Algo::kBfs, labels))
-        << "request " << i;
-  }
-  // The waves tile [start, start + duration]: wave 1 starts where wave 0
-  // finished.
-  EXPECT_DOUBLE_EQ(out.results[0].start_ms, 1.0);
-  EXPECT_DOUBLE_EQ(out.results[32].start_ms, out.results[0].finish_ms);
-  EXPECT_DOUBLE_EQ(out.results[39].finish_ms, 1.0 + out.duration_ms);
 }
 
 TEST(SingleShardServe, MaxBatchBeyondAttributionCapWaveSplitsWithExactAnswers) {
