@@ -47,7 +47,9 @@ gprof -b -p ./perfbench gmon.out > flat.txt
 
 echo
 echo "top functions by self time:"
-grep -E '^ +[0-9]' flat.txt | head -15 | cut -c1-150
+# One awk pass, not grep | head: head exiting early would kill grep with
+# SIGPIPE, which pipefail turns into the script's exit status.
+awk '/^ +[0-9]/ && ++n <= 15 { print substr($0, 1, 150) }' flat.txt
 
 echo
 echo "self time by host layer:"
@@ -64,7 +66,7 @@ grep -E '^ +[0-9]' flat.txt | awk '
     else if (fn ~ /CoalesceSectors|MaxLaneMultiplicity|CheckAndCoalesce|FindOrAppend/) layer = "coalescer"
     else if (fn ~ /UnifiedMemory|TouchManaged/) layer = "unified memory"
     else if (fn ~ /WarpCtx::/) layer = "warp operations"
-    else if (fn ~ /Kernel|::Run$/) layer = "kernel bodies"
+    else if (fn ~ /Kernel|RelaxStep|::Run$/) layer = "kernel bodies"
     else if (fn ~ /eta::baselines::/) layer = "baselines"
     else if (fn ~ /eta::serve::/) layer = "serving"
     else if (fn ~ /eta::cpu::/) layer = "cpu reference"

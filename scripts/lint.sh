@@ -52,6 +52,27 @@ if [[ -n "$RAW_NUMBERS" ]]; then
   exit 1
 fi
 
+# Relax gates: a label is relaxed in one place, core::RelaxStep
+# (src/core/relax_step.hpp), under a semiring policy fixed per launch
+# (core/traversal.hpp). A label AtomicMin/AtomicMax anywhere else is a
+# hand-written relax loop again, and a Propagate/Improves call over a
+# runtime Algo is a per-lane switch again.
+LABEL_ATOMICS=$(grep -rnE 'Atomic(Min|Max)\([^,]*labels\b' src tools bench examples \
+                  --include='*.cpp' --include='*.hpp' |
+                grep -v '^src/core/relax_step\.hpp:' || true)
+if [[ -n "$LABEL_ATOMICS" ]]; then
+  echo "lint.sh: label atomic outside core::RelaxStep (core/relax_step.hpp):" >&2
+  echo "$LABEL_ATOMICS" >&2
+  exit 1
+fi
+RUNTIME_SEMIRING=$(grep -rnE '\b(Propagate|Improves)\((core::)?(Algo\b|[A-Za-z_.>-]*algo\b)' \
+                     src tools bench examples tests --include='*.cpp' --include='*.hpp' || true)
+if [[ -n "$RUNTIME_SEMIRING" ]]; then
+  echo "lint.sh: Propagate/Improves over a runtime Algo; use a semiring policy via core::WithSemiring:" >&2
+  echo "$RUNTIME_SEMIRING" >&2
+  exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   echo "lint.sh: clang-tidy ($(clang-tidy --version | head -1))"

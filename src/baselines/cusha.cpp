@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "baselines/run_common.hpp"
 #include "sim/device.hpp"
 #include "util/check.hpp"
 
@@ -34,6 +35,49 @@ struct DeviceState {
   Buffer<Weight> labels;
   Buffer<uint32_t> changed;
 };
+
+/// Shard relaxation: one thread per shard edge streams its source-value
+/// snapshot, destination and weight, and relaxes the destination window
+/// (held in shared memory) under semiring S. Counts improved lanes into
+/// `improvements`.
+template <class S>
+void ShardRelaxKernel(WarpCtx& w, DeviceState& d, std::span<Weight> labels_host,
+                      uint64_t& improvements) {
+  uint32_t mask = w.ActiveMask();
+  if (!mask) return;
+  uint64_t base = w.WarpId() * kWarpSize;
+  LaneArray<Weight> sval{};
+  w.GatherContiguous(d.src_val, base, mask, sval);
+  LaneArray<VertexId> dst{};
+  w.GatherContiguous(d.shard_dst, base, mask, dst);
+  LaneArray<Weight> ew{};
+  if (S::kWeighted) w.GatherContiguous(d.shard_w, base, mask, ew);
+  w.ChargeAlu(2, mask);
+
+  // Compare/update against the shard's destination window, which the block
+  // holds in shared memory.
+  uint32_t imask = 0;
+  LaneArray<Weight> cand{};
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    if (!S::Reached(sval[lane])) return;
+    cand[lane] = S::Propagate(sval[lane], ew[lane]);
+    if (S::Improves(cand[lane], labels_host[dst[lane]])) imask |= 1u << lane;
+  });
+  w.ChargeShared(1, mask);
+  if (!imask) return;
+  w.ChargeShared(1, imask);
+  WarpCtx::ForActive(imask, [&](uint32_t lane) {
+    labels_host[dst[lane]] = cand[lane];  // shared-memory reduction
+    ++improvements;
+  });
+  // One flag store per warp that saw an improvement.
+  LaneArray<uint64_t> zero_idx{};
+  LaneArray<uint32_t> one{};
+  one.fill(1);
+  LaneArray<uint32_t> dummy{};
+  uint32_t first = static_cast<uint32_t>(std::countr_zero(imask));
+  w.AtomicAdd(d.changed, zero_idx, one, 1u << first, dummy);
+}
 
 }  // namespace
 
@@ -121,9 +165,7 @@ core::RunReport Cusha::Run(const graph::Csr& csr, Algo algo, VertexId source) co
   if (weighted) device.CopyToDevice(d.shard_w, std::span<const Weight>(shards.weight));
   device.CopyToDevice(d.cw_map, std::span<const VertexId>(shards.src));  // CW order
 
-  std::vector<Weight> init_labels(n, core::InitLabel(algo, false));
-  init_labels[source] = core::InitLabel(algo, true);
-  device.CopyToDevice(d.labels, std::span<const Weight>(init_labels));
+  UploadInitLabels(device, d.labels, algo, source);
 
   std::span<Weight> labels_host = d.labels.HostSpan();
   double kernel_ms = 0;
@@ -158,46 +200,11 @@ core::RunReport Cusha::Run(const graph::Csr& csr, Algo algo, VertexId source) co
 
     // ---- Shard relaxation: stream every edge ------------------------------
     uint64_t improvements = 0;
-    auto relax = device.Launch(
-        "cusha_relax", {m, options_.block_size}, [&](WarpCtx& w) {
-          uint32_t mask = w.ActiveMask();
-          if (!mask) return;
-          uint64_t base = w.WarpId() * kWarpSize;
-          LaneArray<Weight> sval{};
-          w.GatherContiguous(d.src_val, base, mask, sval);
-          LaneArray<VertexId> dst{};
-          w.GatherContiguous(d.shard_dst, base, mask, dst);
-          LaneArray<Weight> ew{};
-          if (weighted) w.GatherContiguous(d.shard_w, base, mask, ew);
-          w.ChargeAlu(2, mask);
-
-          // Compare/update against the shard's destination window, which
-          // the block holds in shared memory.
-          uint32_t imask = 0;
-          LaneArray<Weight> cand{};
-          WarpCtx::ForActive(mask, [&](uint32_t lane) {
-            bool reached = core::IsWidest(algo) ? sval[lane] > 0 : sval[lane] != core::kInf;
-            if (!reached) return;
-            cand[lane] = core::Propagate(algo, sval[lane], ew[lane]);
-            if (core::Improves(algo, cand[lane], labels_host[dst[lane]])) {
-              imask |= 1u << lane;
-            }
-          });
-          w.ChargeShared(1, mask);
-          if (!imask) return;
-          w.ChargeShared(1, imask);
-          WarpCtx::ForActive(imask, [&](uint32_t lane) {
-            labels_host[dst[lane]] = cand[lane];  // shared-memory reduction
-            ++improvements;
-          });
-          // One flag store per warp that saw an improvement.
-          LaneArray<uint64_t> zero_idx{};
-          LaneArray<uint32_t> one{};
-          one.fill(1);
-          LaneArray<uint32_t> dummy{};
-          uint32_t first = static_cast<uint32_t>(std::countr_zero(imask));
-          w.AtomicAdd(d.changed, zero_idx, one, 1u << first, dummy);
-        });
+    auto relax = core::WithSemiring(algo, [&]<class S>(S) {
+      return device.Launch("cusha_relax", {m, options_.block_size}, [&](WarpCtx& w) {
+        ShardRelaxKernel<S>(w, d, labels_host, improvements);
+      });
+    });
     kernel_ms += relax.compute_ms;
 
     // ---- Window apply: write reduced windows back to global values -------
@@ -224,18 +231,7 @@ core::RunReport Cusha::Run(const graph::Csr& csr, Algo algo, VertexId source) co
         {iter, improvements, 0, device.NowMs(), activated_cum});
   }
 
-  report.labels.resize(n);
-  device.CopyToHost(std::span<Weight>(report.labels), d.labels);
-
-  report.kernel_ms = kernel_ms;
-  report.total_ms = device.NowMs();
-  report.iterations = static_cast<uint32_t>(report.iteration_stats.size());
-  for (Weight label : report.labels) {
-    if (core::Reached(algo, label)) ++report.activated;
-  }
-  report.activated_fraction = n ? static_cast<double>(report.activated) / n : 0;
-  report.counters = device.TotalCounters();
-  report.timeline = device.GetTimeline();
+  FinishReport(device, d.labels, kernel_ms, report);
   return report;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "baselines/run_common.hpp"
+#include "core/relax_step.hpp"
 #include "sim/device.hpp"
 #include "util/check.hpp"
 
@@ -39,6 +41,61 @@ struct WorkList {
   std::vector<EdgeId> edge;
   std::vector<uint32_t> segment;  // frontier slot owning the work item
 };
+
+/// Gunrock's advance: edge-parallel relaxation of every (src, edge) work
+/// item of the frontier under semiring S.
+template <class S>
+void AdvanceKernel(WarpCtx& w, DeviceState& d, const WorkList& work, Buffer<VertexId>& raw,
+                   uint32_t search_cost, uint32_t iter) {
+  uint32_t mask = w.ActiveMask();
+  if (!mask) return;
+  uint64_t base = w.WarpId() * kWarpSize;
+
+  // Sorted-search for each lane's owning frontier segment.
+  LaneArray<uint64_t> seg_idx{};
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    seg_idx[lane] = work.segment[base + lane];
+  });
+  LaneArray<EdgeId> seg_off{};
+  w.Gather(d.scan, seg_idx, mask, seg_off);
+  w.ChargeAlu(search_cost, mask);
+
+  LaneArray<uint64_t> src_idx{}, edge_idx{};
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    src_idx[lane] = work.src[base + lane];
+    edge_idx[lane] = work.edge[base + lane];
+  });
+  LaneArray<Weight> src_label{};
+  w.Gather(d.labels, src_idx, mask, src_label);
+  LaneArray<VertexId> u{};
+  w.Gather(d.col, edge_idx, mask, u);
+  LaneArray<Weight> ew{};
+  if (S::kWeighted) w.Gather(d.wts, edge_idx, mask, ew);
+
+  LaneArray<uint64_t> u_idx{};
+  LaneArray<Weight> cand{};
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    u_idx[lane] = u[lane];
+    cand[lane] = S::Propagate(src_label[lane], ew[lane]);
+  });
+  if (const uint32_t cmask = core::RelaxStep<S>(w, d.labels, u_idx, cand, mask)) {
+    LaneArray<uint32_t> next_mark{};
+    next_mark.fill(iter + 1);
+    LaneArray<uint32_t> prev{};
+    w.AtomicMax(d.stamp, u_idx, next_mark, cmask, prev);
+  }
+
+  // Gunrock's advance emits the *entire* expanded neighbor list into the
+  // output (edge) frontier; pruning is the filter's job.
+  LaneArray<uint32_t> one{};
+  one.fill(1);
+  LaneArray<uint64_t> zero_idx{};
+  LaneArray<uint32_t> slot{};
+  w.AtomicAdd(d.cursors, zero_idx, one, mask, slot);
+  LaneArray<uint64_t> slot_idx{};
+  WarpCtx::ForActive(mask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
+  w.Scatter(raw, slot_idx, u, mask);
+}
 
 }  // namespace
 
@@ -80,9 +137,7 @@ core::RunReport Gunrock::Run(const graph::Csr& csr, Algo algo, VertexId source) 
   device.CopyToDevice(d.col, csr.ColIndices());
   if (weighted) device.CopyToDevice(d.wts, csr.Weights());
 
-  std::vector<Weight> init_labels(n, core::InitLabel(algo, false));
-  init_labels[source] = core::InitLabel(algo, true);
-  device.CopyToDevice(d.labels, std::span<const Weight>(init_labels));
+  UploadInitLabels(device, d.labels, algo, source);
   const VertexId src_val[1] = {source};
   device.CopyToDeviceRange(d.frontier[0], 0, std::span<const VertexId>(src_val), false);
   const uint32_t one_val[1] = {1};
@@ -150,77 +205,12 @@ core::RunReport Gunrock::Run(const graph::Csr& csr, Algo algo, VertexId source) 
     const uint32_t search_cost =
         std::max(1, static_cast<int>(std::ceil(std::log2(frontier_size + 1))));
     if (total_work > 0) {
-      auto adv = device.Launch(
-          "gunrock_advance", {total_work, options_.block_size}, [&](WarpCtx& w) {
-            uint32_t mask = w.ActiveMask();
-            if (!mask) return;
-            uint64_t base = w.WarpId() * kWarpSize;
-
-            // Sorted-search for each lane's owning frontier segment.
-            LaneArray<uint64_t> seg_idx{};
-            WarpCtx::ForActive(mask, [&](uint32_t lane) {
-              seg_idx[lane] = work.segment[base + lane];
-            });
-            LaneArray<EdgeId> seg_off{};
-            w.Gather(d.scan, seg_idx, mask, seg_off);
-            w.ChargeAlu(search_cost, mask);
-
-            LaneArray<uint64_t> src_idx{}, edge_idx{};
-            WarpCtx::ForActive(mask, [&](uint32_t lane) {
-              src_idx[lane] = work.src[base + lane];
-              edge_idx[lane] = work.edge[base + lane];
-            });
-            LaneArray<Weight> src_label{};
-            w.Gather(d.labels, src_idx, mask, src_label);
-            LaneArray<VertexId> u{};
-            w.Gather(d.col, edge_idx, mask, u);
-            LaneArray<Weight> ew{};
-            if (weighted) w.Gather(d.wts, edge_idx, mask, ew);
-
-            LaneArray<uint64_t> u_idx{};
-            LaneArray<Weight> cand{};
-            WarpCtx::ForActive(mask, [&](uint32_t lane) {
-              u_idx[lane] = u[lane];
-              cand[lane] = core::Propagate(algo, src_label[lane], ew[lane]);
-            });
-            LaneArray<Weight> cur{};
-            w.Gather(d.labels, u_idx, mask, cur);
-            uint32_t imask = 0;
-            WarpCtx::ForActive(mask, [&](uint32_t lane) {
-              if (core::Improves(algo, cand[lane], cur[lane])) imask |= 1u << lane;
-            });
-            w.ChargeAlu(2, mask);
-
-            if (imask) {
-              LaneArray<Weight> old{};
-              if (core::IsWidest(algo)) {
-                w.AtomicMax(d.labels, u_idx, cand, imask, old);
-              } else {
-                w.AtomicMin(d.labels, u_idx, cand, imask, old);
-              }
-              uint32_t cmask = 0;
-              WarpCtx::ForActive(imask, [&](uint32_t lane) {
-                if (core::Improves(algo, cand[lane], old[lane])) cmask |= 1u << lane;
-              });
-              if (cmask) {
-                LaneArray<uint32_t> next_mark{};
-                next_mark.fill(iter + 1);
-                LaneArray<uint32_t> prev{};
-                w.AtomicMax(d.stamp, u_idx, next_mark, cmask, prev);
-              }
-            }
-
-            // Gunrock's advance emits the *entire* expanded neighbor list
-            // into the output (edge) frontier; pruning is the filter's job.
-            LaneArray<uint32_t> one{};
-            one.fill(1);
-            LaneArray<uint64_t> zero_idx{};
-            LaneArray<uint32_t> slot{};
-            w.AtomicAdd(d.cursors, zero_idx, one, mask, slot);
-            LaneArray<uint64_t> slot_idx{};
-            WarpCtx::ForActive(mask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
-            w.Scatter(raw, slot_idx, u, mask);
-          });
+      auto adv = core::WithSemiring(algo, [&]<class S>(S) {
+        return device.Launch("gunrock_advance", {total_work, options_.block_size},
+                             [&](WarpCtx& w) {
+                               AdvanceKernel<S>(w, d, work, raw, search_cost, iter);
+                             });
+      });
       kernel_ms += adv.compute_ms;
     }
 
@@ -305,18 +295,7 @@ core::RunReport Gunrock::Run(const graph::Csr& csr, Algo algo, VertexId source) 
     in_buf ^= 1;
   }
 
-  report.labels.resize(n);
-  device.CopyToHost(std::span<Weight>(report.labels), d.labels);
-
-  report.kernel_ms = kernel_ms;
-  report.total_ms = device.NowMs();
-  report.iterations = static_cast<uint32_t>(report.iteration_stats.size());
-  for (Weight label : report.labels) {
-    if (core::Reached(algo, label)) ++report.activated;
-  }
-  report.activated_fraction = n ? static_cast<double>(report.activated) / n : 0;
-  report.counters = device.TotalCounters();
-  report.timeline = device.GetTimeline();
+  FinishReport(device, d.labels, kernel_ms, report);
   return report;
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "baselines/run_common.hpp"
+#include "core/relax_step.hpp"
 #include "graph/space_model.hpp"
 #include "sim/device.hpp"
 #include "util/check.hpp"
@@ -30,8 +32,10 @@ struct DeviceState {
 };
 
 /// One thread per virtual node, every iteration. Inactive virtual nodes
-/// cost two loads (owner + activity check) and retire.
-void TigrKernel(WarpCtx& w, DeviceState& d, Algo algo, uint32_t iter) {
+/// cost two loads (owner + activity check) and retire. S is the label
+/// semiring, fixed per launch.
+template <class S>
+void TigrKernel(WarpCtx& w, DeviceState& d, uint32_t iter) {
   uint32_t mask = w.ActiveMask();
   if (!mask) return;
   uint64_t base = w.WarpId() * kWarpSize;
@@ -70,7 +74,6 @@ void TigrKernel(WarpCtx& w, DeviceState& d, Algo algo, uint32_t iter) {
   LaneArray<uint64_t> zero_idx{};
   LaneArray<uint32_t> next_iter{};
   next_iter.fill(iter + 1);
-  const bool weighted = core::IsWeighted(algo);
 
   for (uint32_t j = 0; j < max_deg; ++j) {
     uint32_t jmask = 0;
@@ -84,33 +87,15 @@ void TigrKernel(WarpCtx& w, DeviceState& d, Algo algo, uint32_t iter) {
     LaneArray<VertexId> u{};
     LaneArray<Weight> ew{};
     w.Gather(d.col, eidx, jmask, u);
-    if (weighted) w.Gather(d.wts, eidx, jmask, ew);
+    if (S::kWeighted) w.Gather(d.wts, eidx, jmask, ew);
 
     LaneArray<uint64_t> u_idx{};
     LaneArray<Weight> cand{};
     WarpCtx::ForActive(jmask, [&](uint32_t lane) {
       u_idx[lane] = u[lane];
-      cand[lane] = core::Propagate(algo, src_label[lane], ew[lane]);
+      cand[lane] = S::Propagate(src_label[lane], ew[lane]);
     });
-    LaneArray<Weight> cur{};
-    w.Gather(d.labels, u_idx, jmask, cur);
-    uint32_t imask = 0;
-    WarpCtx::ForActive(jmask, [&](uint32_t lane) {
-      if (core::Improves(algo, cand[lane], cur[lane])) imask |= 1u << lane;
-    });
-    w.ChargeAlu(2, jmask);
-    if (!imask) continue;
-
-    LaneArray<Weight> old{};
-    if (core::IsWidest(algo)) {
-      w.AtomicMax(d.labels, u_idx, cand, imask, old);
-    } else {
-      w.AtomicMin(d.labels, u_idx, cand, imask, old);
-    }
-    uint32_t cmask = 0;
-    WarpCtx::ForActive(imask, [&](uint32_t lane) {
-      if (core::Improves(algo, cand[lane], old[lane])) cmask |= 1u << lane;
-    });
+    const uint32_t cmask = core::RelaxStep<S>(w, d.labels, u_idx, cand, jmask);
     if (!cmask) continue;
 
     LaneArray<uint32_t> prev{};
@@ -191,9 +176,7 @@ core::RunReport Tigr::Run(const graph::Csr& csr, Algo algo, VertexId source) con
   device.CopyToDevice(d.col, csr.ColIndices());
   if (weighted) device.CopyToDevice(d.wts, csr.Weights());
 
-  std::vector<Weight> init_labels(n, core::InitLabel(algo, false));
-  init_labels[source] = core::InitLabel(algo, true);
-  device.CopyToDevice(d.labels, std::span<const Weight>(init_labels));
+  UploadInitLabels(device, d.labels, algo, source);
   const uint32_t one_val[1] = {1};
   device.CopyToDeviceRange(d.stamp, source, std::span<const uint32_t>(one_val), false);
 
@@ -203,8 +186,10 @@ core::RunReport Tigr::Run(const graph::Csr& csr, Algo algo, VertexId source) con
   const uint32_t zero[1] = {0};
   for (uint32_t iter = 1; active > 0 && iter <= options_.max_iterations; ++iter) {
     device.CopyToDevice(d.act_counter, std::span<const uint32_t>(zero, 1), false);
-    auto r = device.Launch("tigr", {num_virtual, options_.block_size},
-                           [&](WarpCtx& w) { TigrKernel(w, d, algo, iter); });
+    auto r = core::WithSemiring(algo, [&]<class S>(S) {
+      return device.Launch("tigr", {num_virtual, options_.block_size},
+                           [&](WarpCtx& w) { TigrKernel<S>(w, d, iter); });
+    });
     kernel_ms += r.compute_ms;
     uint64_t prev_active = active;
     device.CopyToHost(std::span<uint32_t>(&active, 1), d.act_counter, false);
@@ -213,18 +198,7 @@ core::RunReport Tigr::Run(const graph::Csr& csr, Algo algo, VertexId source) con
         {iter, prev_active, 0, device.NowMs(), activated_cum});
   }
 
-  report.labels.resize(n);
-  device.CopyToHost(std::span<Weight>(report.labels), d.labels);
-
-  report.kernel_ms = kernel_ms;
-  report.total_ms = device.NowMs();
-  report.iterations = static_cast<uint32_t>(report.iteration_stats.size());
-  for (Weight label : report.labels) {
-    if (core::Reached(algo, label)) ++report.activated;
-  }
-  report.activated_fraction = n ? static_cast<double>(report.activated) / n : 0;
-  report.counters = device.TotalCounters();
-  report.timeline = device.GetTimeline();
+  FinishReport(device, d.labels, kernel_ms, report);
   return report;
 }
 

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 
+#include "core/relax_step.hpp"
 #include "core/udc.hpp"
+#include "cpu/reference.hpp"
 #include "sanitizer/sanitizer.hpp"
 #include "sim/device.hpp"
 #include "util/check.hpp"
@@ -137,14 +139,10 @@ void UdcKernel(WarpCtx& w, DeviceState& d, uint32_t k) {
 }
 
 struct TraverseParams {
-  Algo algo = Algo::kBfs;
   bool use_smp = true;
   bool full_set = true;  // which virtual active set this launch processes
   uint32_t k = 16;
   uint32_t iteration = 1;
-  /// Min-label-propagation mode (connected components): the candidate label
-  /// is the source label itself rather than Propagate(algo, ...).
-  bool copy_label = false;
   /// Attributed multi-source mode: propagate per-vertex source bitmasks
   /// alongside the labels, reactivating vertices whose mask grows.
   bool attribute = false;
@@ -157,7 +155,9 @@ struct TraverseParams {
 /// With SMP it first bulk-fetches its (at most K) neighbor IDs (and
 /// weights) into the shared-memory partition with unrolled loads, then
 /// relaxes each neighbor from the scratchpad; without SMP it loads
-/// neighbors one by one from global memory (the paper's strawman).
+/// neighbors one by one from global memory (the paper's strawman). S is the
+/// label semiring (core/traversal.hpp), fixed per launch.
+template <class S>
 void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
   uint32_t mask = w.ActiveMask();
   if (!mask) return;
@@ -195,7 +195,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
   LaneArray<uint32_t> src_mask{};
   if (p.attribute) w.Gather(d.reach_mask, id_idx, mask, src_mask);
 
-  const bool weighted = !p.copy_label && IsWeighted(p.algo);
+  constexpr bool weighted = S::kWeighted;
   // The shared-memory partition of this warp (functional stand-in; the
   // traffic is charged through GatherBulk / ChargeShared).
   uint32_t nbr_buf[kWarpSize * kMaxDegreeLimit];
@@ -238,16 +238,11 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
       if (weighted) w.Gather(d.wts, eidx, jmask, ew);
     }
 
-    const bool maximize = !p.copy_label && IsWidest(p.algo);
-    auto improves = [&](Weight candidate, Weight current) {
-      return p.copy_label ? candidate < current : Improves(p.algo, candidate, current);
-    };
     LaneArray<uint64_t> u_idx;
     LaneArray<Weight> cand;
     WarpCtx::ForActive(jmask, [&](uint32_t lane) {
       u_idx[lane] = u[lane];
-      cand[lane] =
-          p.copy_label ? src_label[lane] : Propagate(p.algo, src_label[lane], ew[lane]);
+      cand[lane] = S::Propagate(src_label[lane], ew[lane]);
     });
 
     // Attribution: reach masks flow along every traversed edge whose
@@ -261,7 +256,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     if (p.attribute) {
       uint32_t fmask = 0;
       WarpCtx::ForActive(jmask, [&](uint32_t lane) {
-        if (Reached(p.algo, cand[lane])) fmask |= 1u << lane;
+        if (S::Reached(cand[lane])) fmask |= 1u << lane;
       });
       if (fmask) {
         LaneArray<uint32_t> old_mask;
@@ -285,27 +280,8 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
       }
     }
 
-    LaneArray<Weight> cur;
-    w.Gather(d.labels, u_idx, jmask, cur);
-    uint32_t imask = 0;
-    WarpCtx::ForActive(jmask, [&](uint32_t lane) {
-      if (improves(cand[lane], cur[lane])) imask |= 1u << lane;
-    });
-    w.ChargeAlu(2, jmask);
-
-    uint32_t cmask = 0;
-    if (imask) {
-      LaneArray<Weight> old;
-      if (maximize) {
-        w.AtomicMax(d.labels, u_idx, cand, imask, old);
-      } else {
-        w.AtomicMin(d.labels, u_idx, cand, imask, old);
-      }
-      WarpCtx::ForActive(imask, [&](uint32_t lane) {
-        if (improves(cand[lane], old[lane])) cmask |= 1u << lane;
-      });
-    }
-    uint32_t amask = cmask | gmask;
+    const uint32_t cmask = RelaxStep<S>(w, d.labels, u_idx, cand, jmask);
+    const uint32_t amask = cmask | gmask;
     if (!amask) continue;
 
     // Append to the next active set, deduplicated per iteration by the
@@ -566,12 +542,8 @@ double ResidentGraph::PrefetchTopology() {
 }
 
 RunReport ResidentGraph::Run(Algo algo, VertexId source) {
-  ETA_CHECK(source < csr_.NumVertices());
-  std::vector<Weight> init_labels(csr_.NumVertices(), InitLabel(algo, false));
-  init_labels[source] = InitLabel(algo, true);
   const VertexId sources[1] = {source};
-  return Execute(algo, std::move(init_labels), std::span<const VertexId>(sources),
-                 /*copy_label=*/false, /*attribute_sources=*/false);
+  return RunMultiSource(algo, sources);
 }
 
 RunReport ResidentGraph::RunMultiSource(Algo algo, std::span<const VertexId> sources,
@@ -583,8 +555,7 @@ RunReport ResidentGraph::RunMultiSource(Algo algo, std::span<const VertexId> sou
     ETA_CHECK(s < csr_.NumVertices());
     init_labels[s] = InitLabel(algo, true);
   }
-  return Execute(algo, std::move(init_labels), sources, /*copy_label=*/false,
-                 attribute_sources);
+  return Execute(algo, std::move(init_labels), sources, attribute_sources);
 }
 
 RunReport ResidentGraph::RunConnectedComponents() {
@@ -595,15 +566,13 @@ RunReport ResidentGraph::RunConnectedComponents() {
     init_labels[v] = v;
     sources[v] = v;
   }
-  // Unweighted kernel path; the copy_label flag overrides the propagation.
-  return Execute(Algo::kBfs, std::move(init_labels),
-                 std::span<const VertexId>(sources), /*copy_label=*/true,
+  return Execute(Algo::kCc, std::move(init_labels), std::span<const VertexId>(sources),
                  /*attribute_sources=*/false);
 }
 
 RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
                                  std::span<const VertexId> initial_active,
-                                 bool copy_label, bool attribute_sources) {
+                                 bool attribute_sources) {
   ETA_CHECK(!shutdown_);
   RunReport report;
   report.framework = std::string("EtaGraph[") + ModeNameImpl(options_.memory_mode) +
@@ -618,8 +587,7 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
     report.faults.device_lost = true;
     return report;
   }
-  const bool weighted = !copy_label && IsWeighted(algo);
-  ETA_CHECK(!weighted || weights_staged_);
+  ETA_CHECK(!IsWeighted(algo) || weights_staged_);
   ETA_CHECK(!attribute_sources || initial_active.size() <= kMaxAttributedSources);
 
   sim::Device& device = state_->device;
@@ -661,8 +629,8 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
   for (uint32_t attempt = 0;; ++attempt) {
     AttemptFailure failure;
     RunReport attempt_report =
-        ExecuteAttempt(algo, init_labels, initial_active, copy_label, attribute_sources,
-                       &faults, &failure);
+        ExecuteAttempt(algo, init_labels, initial_active, attribute_sources, &faults,
+                       &failure);
     if (!failure.failed) {
       if (trace) {
         AttemptRecord rec;
@@ -768,8 +736,8 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
 
 RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& init_labels,
                                         std::span<const VertexId> initial_active,
-                                        bool copy_label, bool attribute_sources,
-                                        FaultStats* faults, AttemptFailure* failure) {
+                                        bool attribute_sources, FaultStats* faults,
+                                        AttemptFailure* failure) {
   RunReport report;
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;
@@ -887,17 +855,20 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
     }
 
     TraverseParams params;
-    params.algo = algo;
     params.use_smp = options_.use_smp;
     params.k = k;
     params.iteration = stamp_base_ + iter + 1;  // stamps compare against the *next* set
-    params.copy_label = copy_label;
     params.attribute = attribute_sources;
     params.drop_reach_atomic = options_.inject.drop_reach_atomic;
+    auto traverse = [&](const char* label, uint32_t shadows) {
+      return WithSemiring(algo, [&]<class S>(S) {
+        return device.Launch(label, {shadows, options_.block_size},
+                             [&](WarpCtx& w) { TraverseKernel<S>(w, d, params); });
+      });
+    };
     if (vc[0] > 0) {
       params.full_set = true;
-      auto r = device.Launch("traverse_full", {vc[0], options_.block_size},
-                             [&](WarpCtx& w) { TraverseKernel(w, d, params); });
+      auto r = traverse("traverse_full", vc[0]);
       kernel_ms += r.compute_ms;
       if (!launch_ok(r, iter)) {
         report.kernel_ms = kernel_ms;
@@ -906,8 +877,7 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
     }
     if (vc[1] > 0) {
       params.full_set = false;
-      auto r = device.Launch("traverse_part", {vc[1], options_.block_size},
-                             [&](WarpCtx& w) { TraverseKernel(w, d, params); });
+      auto r = traverse("traverse_part", vc[1]);
       kernel_ms += r.compute_ms;
       if (!launch_ok(r, iter)) {
         report.kernel_ms = kernel_ms;
@@ -946,9 +916,7 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
 
   report.kernel_ms = kernel_ms;
   report.iterations = static_cast<uint32_t>(report.iteration_stats.size());
-  for (Weight label : report.labels) {
-    if (Reached(algo, label)) ++report.activated;
-  }
+  report.activated = cpu::CountReached(report.labels, IsWidest(algo));
   report.activated_fraction = n ? static_cast<double>(report.activated) / n : 0;
 
   stamp_base_ += report.iterations + 1;

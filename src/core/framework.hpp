@@ -144,7 +144,7 @@ class ResidentGraph {
   };
 
   RunReport Execute(Algo algo, std::vector<graph::Weight> init_labels,
-                    std::span<const graph::VertexId> initial_active, bool copy_label,
+                    std::span<const graph::VertexId> initial_active,
                     bool attribute_sources);
 
   /// One start-to-finish execution of the query body. On a failed launch it
@@ -152,8 +152,8 @@ class ResidentGraph {
   /// into *faults either way.
   RunReport ExecuteAttempt(Algo algo, const std::vector<graph::Weight>& init_labels,
                            std::span<const graph::VertexId> initial_active,
-                           bool copy_label, bool attribute_sources,
-                           FaultStats* faults, AttemptFailure* failure);
+                           bool attribute_sources, FaultStats* faults,
+                           AttemptFailure* failure);
 
   /// Post-UECC recovery: verifies the resident topology against the host
   /// CSR and re-stages (charged) whatever diverged; re-zeroes the stamp

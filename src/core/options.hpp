@@ -92,7 +92,7 @@ struct EtaGraphOptions {
     /// Optional fleet-wide retry budget shared across sessions (copies of
     /// these options alias the same bucket). Before each in-session retry
     /// the attempt loop draws a token; denial ends recovery for that query
-    /// as if retries were exhausted. nullptr = legacy unbounded retries.
+    /// as if retries were exhausted. nullptr = unbounded retries.
     std::shared_ptr<RetryBudget> budget{};
   } recovery{};
   /// Test-only fault injection: reintroduces the bug classes etacheck

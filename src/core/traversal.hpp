@@ -3,15 +3,24 @@
 // All three problems are label-propagation traversals: a source label
 // propagates along out-edges, each edge transforming it (Propagate) and
 // each vertex keeping the best value seen (Improves + the matching atomic).
-// BFS and SSSP minimize; SSWP maximizes a min-width. These helpers are the
-// single source of truth for label semantics across EtaGraph, all three
-// baselines, and the CPU references.
+// BFS and SSSP minimize; SSWP maximizes a min-width; CC (min-label
+// propagation) copies the label unchanged and minimizes.
+//
+// Each traversal is a compile-time semiring policy — BfsLevel, MinPlus,
+// MaxMin, CopyMin — so the relax loops carry no per-lane switch over Algo.
+// WithSemiring is the one runtime switch: callers make it once per launch
+// and instantiate their kernel for the policy it picks. core::RelaxStep
+// (core/relax_step.hpp) is the one warp routine that applies a policy's
+// compare and label atomic; the baselines, EtaGraph and the CPU references
+// all read their label semantics from here.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "util/check.hpp"
 
 namespace eta::core {
 
@@ -39,31 +48,65 @@ inline graph::Weight InitLabel(Algo algo, bool is_source) {
   return is_source ? 0 : kInf;
 }
 
-/// Candidate label for an edge's destination, given the source label and
-/// edge weight.
-inline graph::Weight Propagate(Algo algo, graph::Weight src_label, graph::Weight w) {
-  switch (algo) {
-    case Algo::kBfs: return src_label + 1;
-    case Algo::kSssp: return src_label + w;
-    case Algo::kSswp: return src_label < w ? src_label : w;  // min along path
-    // Min-label propagation: the label travels unchanged; Improves() (min)
-    // keeps the smallest reachable label. kPr never runs on the frontier
-    // engine (it lowers to core::RunPageRank), but the case keeps the
-    // switch total.
-    case Algo::kCc: return src_label;
-    case Algo::kPr: return src_label;
+/// The atomic a semiring resolves concurrent relaxes of one label with.
+enum class LabelAtomic { kMin, kMax };
+
+// A semiring policy gives kWeighted (whether Propagate reads the edge
+// weight), kAtomic, Propagate (candidate label for an edge's destination
+// from the source label and edge weight), Improves (true if `cand` is
+// strictly better than `cur`) and Reached.
+
+/// Smaller is better and kInf marks an unreached vertex: the common half of
+/// the three minimizing semirings.
+struct MinLabel {
+  static constexpr LabelAtomic kAtomic = LabelAtomic::kMin;
+  static bool Improves(graph::Weight cand, graph::Weight cur) { return cand < cur; }
+  static bool Reached(graph::Weight label) { return label != kInf; }
+};
+
+/// BFS: hop count.
+struct BfsLevel : MinLabel {
+  static constexpr bool kWeighted = false;
+  static graph::Weight Propagate(graph::Weight label, graph::Weight /*w*/) { return label + 1; }
+};
+
+/// SSSP: path length.
+struct MinPlus : MinLabel {
+  static constexpr bool kWeighted = true;
+  static graph::Weight Propagate(graph::Weight label, graph::Weight w) { return label + w; }
+};
+
+/// CC: the label travels unchanged; the smallest reachable label wins.
+struct CopyMin : MinLabel {
+  static constexpr bool kWeighted = false;
+  static graph::Weight Propagate(graph::Weight label, graph::Weight /*w*/) { return label; }
+};
+
+/// SSWP: the widest path's bottleneck — min along a path, max over paths;
+/// width 0 marks an unreached vertex.
+struct MaxMin {
+  static constexpr bool kWeighted = true;
+  static constexpr LabelAtomic kAtomic = LabelAtomic::kMax;
+  static graph::Weight Propagate(graph::Weight label, graph::Weight w) {
+    return std::min(label, w);
   }
-  return 0;
-}
+  static bool Improves(graph::Weight cand, graph::Weight cur) { return cand > cur; }
+  static bool Reached(graph::Weight label) { return label > 0; }
+};
 
-/// True if `candidate` is strictly better than `current`.
-inline bool Improves(Algo algo, graph::Weight candidate, graph::Weight current) {
-  return IsWidest(algo) ? candidate > current : candidate < current;
-}
-
-/// True if `label` marks a reached vertex.
-inline bool Reached(Algo algo, graph::Weight label) {
-  return IsWidest(algo) ? label > 0 : label != kInf;
+/// Returns fn(S{}) for the semiring policy S of `algo`: the one runtime
+/// switch over Algo on the traversal path. kPr never runs on a frontier
+/// engine (it lowers to core::RunPageRank).
+template <class Fn>
+decltype(auto) WithSemiring(Algo algo, Fn&& fn) {
+  switch (algo) {
+    case Algo::kBfs: return fn(BfsLevel{});
+    case Algo::kSssp: return fn(MinPlus{});
+    case Algo::kSswp: return fn(MaxMin{});
+    case Algo::kCc: return fn(CopyMin{});
+    case Algo::kPr: break;
+  }
+  util::CheckFailed("algo has a label semiring", __FILE__, __LINE__);
 }
 
 /// CPU ground truth for `algo` (dispatches to cpu::reference).

@@ -96,6 +96,11 @@ TEST(ConnectedComponents, SymmetrizedComponentsAreConsistent) {
   EXPECT_EQ(report.labels[15], 15u);  // isolated keeps its own id
 }
 
+TEST(ConnectedComponents, ReportsItsOwnAlgorithm) {
+  graph::Csr csr = RandomGraph(35, /*symmetric=*/true);
+  EXPECT_EQ(EtaGraph().RunConnectedComponents(csr).algo, Algo::kCc);
+}
+
 TEST(ConnectedComponents, SmpToggleGivesSameLabels) {
   graph::Csr csr = RandomGraph(33, /*symmetric=*/true);
   EtaGraphOptions no_smp;

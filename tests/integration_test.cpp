@@ -126,7 +126,7 @@ TEST(ReportInvariants, EtaGraphReportConsistent) {
   }
   // Activated fraction consistent with labels.
   uint64_t reached = 0;
-  for (auto label : r.labels) reached += core::Reached(Algo::kBfs, label);
+  for (auto label : r.labels) reached += core::BfsLevel::Reached(label);
   EXPECT_EQ(r.activated, reached);
   // BFS on a connected-ish graph produces sane counters.
   EXPECT_GT(r.counters.warp_instructions, 0u);

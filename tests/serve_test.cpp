@@ -30,9 +30,7 @@ graph::Csr RandomGraph(uint64_t seed) {
 }
 
 uint64_t CountReached(core::Algo algo, const std::vector<graph::Weight>& labels) {
-  uint64_t reached = 0;
-  for (graph::Weight label : labels) reached += core::Reached(algo, label) ? 1 : 0;
-  return reached;
+  return cpu::CountReached(labels, core::IsWidest(algo));
 }
 
 /// Replays `trace` on a one-shard fleet — the plain single-device server.

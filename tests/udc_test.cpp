@@ -150,7 +150,7 @@ TEST(UdcDevice, BfsShadowTotalsMatchFormula) {
   for (const auto& it : report.iteration_stats) total_shadows += it.shadow_vertices;
   uint64_t expected = 0;
   for (VertexId v = 0; v < csr.NumVertices(); ++v) {
-    if (!Reached(Algo::kBfs, report.labels[v])) continue;
+    if (!BfsLevel::Reached(report.labels[v])) continue;
     expected += (csr.OutDegree(v) + 7) / 8;
   }
   EXPECT_EQ(total_shadows, expected);
