@@ -4,12 +4,54 @@ namespace eta::sim {
 
 namespace internal {
 
+namespace {
+
+/// Membership filter over the at most 32 keys of one warp op: a 256-bit map
+/// of occupied buckets plus, per occupied bucket, the list slot of its first
+/// key. `first[b]` is read only once bit b of `seen` is set, which is when
+/// it is written.
+struct KeyFilter {
+  uint64_t seen[4] = {};
+  uint8_t first[256];
+};
+
+/// Index of `key` in keys[0..*n), appending it first when absent. A clear
+/// bucket bit proves the key new; a bucket whose first key is `key` proves
+/// a repeat. Only a second distinct key in one bucket (about one in eight
+/// once 32 keys are in) pays a scan, from just past the bucket's first key.
+uint32_t FindOrAppend(uint64_t key, uint64_t* keys, uint32_t* n, KeyFilter& filter) {
+  const uint32_t h = KeyBucket(key);
+  const uint64_t bit = 1ULL << (h & 63);
+  if ((filter.seen[h >> 6] & bit) == 0) {
+    filter.seen[h >> 6] |= bit;
+    filter.first[h] = static_cast<uint8_t>(*n);
+    keys[*n] = key;
+    return (*n)++;
+  }
+  uint32_t i = filter.first[h];
+  if (keys[i] == key) return i;
+  while (++i < *n && keys[i] != key) {}
+  if (i == *n) keys[(*n)++] = key;
+  return i;
+}
+
+}  // namespace
+
 uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
                          uint32_t elem_bytes, uint64_t* sectors) {
   (void)elem_bytes;  // elements are 4/8B and aligned: never straddle a sector
-  SectorList list(sectors);
-  WarpCtx::ForActive(mask, [&](uint32_t lane) { list.Add(addrs[lane] / 32); });
-  return list.Count();
+  // Neighbouring lanes usually share a sector, so a repeat of the previous
+  // sector is dropped before the filter is consulted.
+  KeyFilter filter;
+  uint64_t last = ~0ULL;
+  uint32_t n = 0;
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    const uint64_t sector = addrs[lane] / 32;
+    if (sector == last) return;
+    last = sector;
+    FindOrAppend(sector, sectors, &n, filter);
+  });
+  return n;
 }
 
 uint32_t MaxLaneMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask) {
@@ -242,7 +284,7 @@ void Device::ReportLeaks() {
 }
 
 uint32_t Device::ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t count,
-                             bool managed) {
+                             UnifiedMemory::Range* managed) {
   ETA_DCHECK(sm < l1_.size());
   // Tallies stay in locals: the cache tag stores could otherwise alias the
   // counters and force a memory round trip per probe.
@@ -262,7 +304,7 @@ uint32_t Device::ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t coun
       continue;
     }
     worst = std::max(worst, spec_.lat_dram);
-    if (managed) TouchManaged(sector * spec_.sector_bytes, /*write=*/false);
+    if (managed != nullptr) TouchManaged(*managed, sector * spec_.sector_bytes, /*write=*/false);
   }
   Counters& c = accum_.c;
   c.l1_accesses += count;
@@ -273,13 +315,14 @@ uint32_t Device::ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t coun
   return worst;
 }
 
-void Device::WriteSectors(const uint64_t* sectors, uint32_t count, bool managed) {
+void Device::WriteSectors(const uint64_t* sectors, uint32_t count,
+                          UnifiedMemory::Range* managed) {
   // L1 is write-through no-allocate: stores go straight to L2.
   uint32_t hits = 0;
   for (uint32_t i = 0; i < count; ++i) {
     uint64_t sector = sectors[i];
     hits += l2_.Access(sector) ? 1 : 0;
-    if (managed) TouchManaged(sector * spec_.sector_bytes, /*write=*/true);
+    if (managed != nullptr) TouchManaged(*managed, sector * spec_.sector_bytes, /*write=*/true);
   }
   Counters& c = accum_.c;
   c.l2_accesses += count;
@@ -287,8 +330,8 @@ void Device::WriteSectors(const uint64_t* sectors, uint32_t count, bool managed)
   c.dram_write_transactions += count - hits;
 }
 
-void Device::TouchManaged(uint64_t addr, bool write) {
-  auto r = um_.Touch(addr, write, now_ms_);
+void Device::TouchManaged(UnifiedMemory::Range& range, uint64_t addr, bool write) {
+  auto r = um_.Touch(range, addr, write, now_ms_);
   accum_.migrated_bytes += r.migrated_bytes;
   accum_.fault_ops += r.fault_ops;
   accum_.evicted_bytes += r.evicted_bytes;

@@ -209,11 +209,12 @@ class WarpCtx {
   /// functional load/store must use. The clamped addresses' distinct 32-byte
   /// sectors go to `sectors` in order of first occurrence by lane (the order
   /// the caches are probed in), exactly as internal::CoalesceSectors would
-  /// emit them; returns their count.
+  /// emit them; returns their count. When `depth` is non-null it receives
+  /// the atomic serialization depth, internal::MaxLaneMultiplicity(idx, mask).
   template <typename T>
   uint32_t CheckAndCoalesce(const Buffer<T>& buf, const LaneArray<uint64_t>& idx,
                             uint32_t mask, AccessKind kind, LaneArray<uint64_t>& safe,
-                            uint64_t* sectors) const;
+                            uint64_t* sectors, uint32_t* depth = nullptr) const;
 
   Device& device_;
   uint64_t warp_id_;
@@ -451,16 +452,33 @@ class Device {
   void RecordTransfer(uint64_t bytes, bool pageable, SpanKind kind,
                       const std::string& label);
 
+  /// The unified-memory range of `buf`, or nullptr when it is not managed:
+  /// warp operations resolve it once from the buffer, never per sector.
+  UnifiedMemory::Range* ManagedRange(const RawBuffer& buf) {
+    return buf.kind == MemKind::kUnified ? um_.FindRange(buf.base_addr) : nullptr;
+  }
   /// Cache/DRAM read path for `count` unique sectors on SM `sm`. Returns
-  /// the worst latency level encountered (cycles). `managed` is whether the
-  /// sectors belong to a unified-memory buffer: the routing is resolved
-  /// once per warp operation from the buffer's kind, never per sector.
-  uint32_t ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t count, bool managed);
+  /// the worst latency level encountered (cycles). `managed` is the range
+  /// the sectors lie in (ManagedRange), or nullptr.
+  uint32_t ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t count,
+                       UnifiedMemory::Range* managed);
   /// Write-through store path.
-  void WriteSectors(const uint64_t* sectors, uint32_t count, bool managed);
+  void WriteSectors(const uint64_t* sectors, uint32_t count, UnifiedMemory::Range* managed);
   /// Unified-memory residency handling for one DRAM-level access to a
   /// managed buffer.
-  void TouchManaged(uint64_t addr, bool write);
+  void TouchManaged(UnifiedMemory::Range& range, uint64_t addr, bool write);
+
+  /// The coalescer's scratch (WarpCtx::CheckAndCoalesce), grown to at least
+  /// `size` entries. Both are all zero between warp operations: each op
+  /// clears exactly the entries it set.
+  uint64_t* SectorBits(uint64_t size) {
+    if (sector_bits_.size() < size) sector_bits_.resize(size);
+    return sector_bits_.data();
+  }
+  uint8_t* ElementDepths(uint64_t size) {
+    if (element_depths_.size() < size) element_depths_.resize(size);
+    return element_depths_.data();
+  }
 
   DeviceSpec spec_;
   DeviceMemory mem_;
@@ -482,6 +500,11 @@ class Device {
   bool lost_ = false;
   bool leaks_reported_ = false;
   uint32_t pending_ecc_corrected_ = 0;
+  /// One bit per 32-byte sector of the largest buffer a warp op has
+  /// indexed, relative to the buffer's base.
+  std::vector<uint64_t> sector_bits_;
+  /// One lane count per element of the largest atomic target.
+  std::vector<uint8_t> element_depths_;
 };
 
 // ---------------------------------------------------------------------------
@@ -491,68 +514,24 @@ class Device {
 
 namespace internal {
 
-/// Hash bucket (0..255) of a sector or element index in KeyFilter.
+/// Hash bucket (0..255) of a sector or element index in the duplicate
+/// filter of the two functions below.
 inline uint32_t KeyBucket(uint64_t key) {
   return static_cast<uint32_t>((key * 0x9e3779b97f4a7c15ULL) >> 56);
 }
 
-/// Membership filter over the at most 32 keys of one warp op: a 256-bit map
-/// of occupied buckets plus, per occupied bucket, the list slot of its first
-/// key. Lives on the caller's stack; `first[b]` is read only once bit b of
-/// `seen` is set, which is when it is written.
-struct KeyFilter {
-  uint64_t seen[4] = {};
-  uint8_t first[256];
-};
-
-/// Index of `key` in keys[0..*n), appending it first when absent. A clear
-/// bucket bit proves the key new; a bucket whose first key is `key` proves
-/// a repeat. Only a second distinct key in one bucket (about one in eight
-/// once 32 keys are in) pays a scan, from just past the bucket's first key.
-inline uint32_t FindOrAppend(uint64_t key, uint64_t* keys, uint32_t* n, KeyFilter& filter) {
-  const uint32_t h = KeyBucket(key);
-  const uint64_t bit = 1ULL << (h & 63);
-  if ((filter.seen[h >> 6] & bit) == 0) {
-    filter.seen[h >> 6] |= bit;
-    filter.first[h] = static_cast<uint8_t>(*n);
-    keys[*n] = key;
-    return (*n)++;
-  }
-  uint32_t i = filter.first[h];
-  if (keys[i] == key) return i;
-  while (++i < *n && keys[i] != key) {}
-  if (i == *n) keys[(*n)++] = key;
-  return i;
-}
-
-/// Accumulates a warp op's distinct sectors in order of first occurrence.
-/// Neighbouring lanes usually share a sector, so a repeat of the previous
-/// sector is dropped before the filter is consulted.
-class SectorList {
- public:
-  explicit SectorList(uint64_t* sectors) : sectors_(sectors) {}
-  void Add(uint64_t sector) {
-    if (sector == last_) return;
-    last_ = sector;
-    FindOrAppend(sector, sectors_, &n_, filter_);
-  }
-  uint32_t Count() const { return n_; }
-
- private:
-  uint64_t* sectors_;
-  uint64_t last_ = ~0ULL;
-  uint32_t n_ = 0;
-  KeyFilter filter_;
-};
-
 /// Writes the distinct 32-byte sectors the active lanes' addresses fall in
 /// to `sectors`, in order of first occurrence by lane (the order the caches
 /// are probed in); returns their count. One pass over the lanes: O(32).
+/// The reference for WarpCtx::CheckAndCoalesce, which needs no filter
+/// because it knows the buffer's base.
 uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
                          uint32_t elem_bytes, uint64_t* sectors);
 
 /// Largest number of active lanes (mask != 0) that share one index: the
 /// serialization depth of a warp atomic. One pass over the lanes: O(32).
+/// CheckAndCoalesce counts it per element, and calls this only when a lane
+/// was clamped.
 uint32_t MaxLaneMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask);
 
 }  // namespace internal
@@ -560,13 +539,19 @@ uint32_t MaxLaneMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask);
 template <typename T>
 uint32_t WarpCtx::CheckAndCoalesce(const Buffer<T>& buf, const LaneArray<uint64_t>& idx,
                                    uint32_t mask, AccessKind kind,
-                                   LaneArray<uint64_t>& safe, uint64_t* sectors) const {
+                                   LaneArray<uint64_t>& safe, uint64_t* sectors,
+                                   uint32_t* depth) const {
   AccessObserver* obs = device_.observer_;
   // Locals, so the stores to `safe` cannot force reloads of the buffer.
   const uint64_t count = buf.count;
-  const uint64_t base_addr = buf.raw.base_addr;
   const uint64_t last_elem = count > 0 ? count - 1 : 0;
-  internal::SectorList list(sectors);
+  // Buffers are page-aligned, so element i lies in sector
+  // base_addr / 32 + i * sizeof(T) / 32 exactly: that offset is its bit.
+  ETA_DCHECK(buf.raw.base_addr % 32 == 0);
+  const uint64_t base_sector = buf.raw.base_addr / 32;
+  uint64_t* seen = device_.SectorBits(last_elem * sizeof(T) / 32 / 64 + 1);
+  uint32_t n = 0;
+  bool clamped = false;
   ForActive(mask, [&](uint32_t lane) {
     uint64_t i = idx[lane];
     if (obs != nullptr) {
@@ -574,13 +559,37 @@ uint32_t WarpCtx::CheckAndCoalesce(const Buffer<T>& buf, const LaneArray<uint64_
     } else {
       ETA_DCHECK(i < count);
     }
+    clamped |= i >= count;
     if (i >= count) i = last_elem;
     safe[lane] = i;
-    // Not AddrOf: after clamping the address is in range by construction,
-    // and AddrOf's own DCHECK stays armed for out-of-simulator callers.
-    list.Add((base_addr + i * sizeof(T)) / 32);
+    const uint64_t bit = i * sizeof(T) / 32;
+    const uint64_t word = seen[bit / 64];
+    const uint64_t flag = uint64_t{1} << (bit % 64);
+    seen[bit / 64] = word | flag;
+    sectors[n] = base_sector + bit;
+    n += (word & flag) == 0;
   });
-  return list.Count();
+  // Back to all zero: the emitted sectors' words are exactly those set.
+  for (uint32_t j = 0; j < n; ++j) seen[(sectors[j] - base_sector) / 64] = 0;
+  if (depth != nullptr) {
+    // One sector per active lane proves the indices distinct. Otherwise
+    // count lanes per element. Depth counts raw indices, though: lanes
+    // clamped onto one element are still distinct.
+    if (n == PopCount(mask)) {
+      *depth = 1;
+    } else if (clamped) {
+      *depth = internal::MaxLaneMultiplicity(idx, mask);
+    } else {
+      uint8_t* lanes_on = device_.ElementDepths(count);
+      uint32_t most = 0;
+      ForActive(mask, [&](uint32_t lane) {
+        most = std::max<uint32_t>(most, ++lanes_on[safe[lane]]);
+      });
+      ForActive(mask, [&](uint32_t lane) { lanes_on[safe[lane]] = 0; });
+      *depth = most;
+    }
+  }
+  return n;
 }
 
 template <typename T>
@@ -590,8 +599,7 @@ void WarpCtx::Gather(const Buffer<T>& buf, const LaneArray<uint64_t>& idx, uint3
   LaneArray<uint64_t> safe;
   uint64_t sectors[kWarpSize];
   const uint32_t n = CheckAndCoalesce(buf, idx, mask, AccessKind::kRead, safe, sectors);
-  const uint32_t worst =
-      device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
+  const uint32_t worst = device_.ReadSectors(sm_, sectors, n, device_.ManagedRange(buf.raw));
   AccumGatherCost(mask, n, worst);
   const T* data = reinterpret_cast<const T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { out[lane] = data[safe[lane]]; });
@@ -625,8 +633,7 @@ void WarpCtx::GatherContiguous(const Buffer<T>& buf, uint64_t base, uint32_t mas
   for (uint64_t sector = addr / 32; lanes != 0; ++sector, lanes >>= per_sector) {
     if ((lanes & ((uint64_t{1} << per_sector) - 1)) != 0) sectors[n++] = sector;
   }
-  const uint32_t worst =
-      device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
+  const uint32_t worst = device_.ReadSectors(sm_, sectors, n, device_.ManagedRange(buf.raw));
   AccumGatherCost(mask, n, worst);
   const T* data = reinterpret_cast<const T*>(buf.raw.data) + base;
   if (mask == kFullMask) {
@@ -678,7 +685,7 @@ void WarpCtx::GatherBulk(const Buffer<T>& buf, const LaneArray<uint64_t>& start,
   uint32_t max_count = 0;
   uint32_t total_sectors = 0;
   const uint32_t sector_bytes = device_.Spec().sector_bytes;
-  const bool managed = buf.raw.kind == MemKind::kUnified;
+  UnifiedMemory::Range* managed = device_.ManagedRange(buf.raw);
   uint64_t chunk[4 * kWarpSize];
   uint32_t n = 0;
   auto flush = [&] {
@@ -716,7 +723,7 @@ void WarpCtx::ScatterImpl(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
   LaneArray<uint64_t> safe;
   uint64_t sectors[kWarpSize];
   const uint32_t n = CheckAndCoalesce(buf, idx, mask, kind, safe, sectors);
-  device_.WriteSectors(sectors, n, buf.raw.kind == MemKind::kUnified);
+  device_.WriteSectors(sectors, n, device_.ManagedRange(buf.raw));
   AccumStoreCost(mask);
   T* data = reinterpret_cast<T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { data[safe[lane]] = val[lane]; });
@@ -740,11 +747,12 @@ void WarpCtx::AtomicOp(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
   if (!mask) return;
   LaneArray<uint64_t> safe;
   uint64_t sectors[kWarpSize];
-  const uint32_t n = CheckAndCoalesce(buf, idx, mask, AccessKind::kAtomic, safe, sectors);
-  // Atomics resolve at the L2; same-address lanes serialize. One sector per
-  // active lane proves the indices distinct, so nothing serializes.
-  device_.WriteSectors(sectors, n, buf.raw.kind == MemKind::kUnified);
-  AccumAtomicCost(mask, n == PopCount(mask) ? 1 : internal::MaxLaneMultiplicity(idx, mask));
+  uint32_t depth = 0;
+  const uint32_t n =
+      CheckAndCoalesce(buf, idx, mask, AccessKind::kAtomic, safe, sectors, &depth);
+  // Atomics resolve at the L2; same-address lanes serialize.
+  device_.WriteSectors(sectors, n, device_.ManagedRange(buf.raw));
+  AccumAtomicCost(mask, depth);
   T* data = reinterpret_cast<T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { old[lane] = op(&data[safe[lane]], val[lane]); });
 }

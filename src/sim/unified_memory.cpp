@@ -73,21 +73,27 @@ uint64_t UnifiedMemory::EnsureRoom(uint64_t needed) {
 }
 
 UnifiedMemory::TouchResult UnifiedMemory::Touch(uint64_t addr, bool write, double now_ms) {
-  TouchResult result;
   Range* r = FindRange(addr);
-  if (r == nullptr) return result;  // unmanaged (e.g. a freed buffer): no-op
-  uint64_t page = PageOf(*r, addr);
+  if (r == nullptr) return {};  // unmanaged (e.g. a freed buffer): no-op
+  return Touch(*r, addr, write, now_ms);
+}
 
-  if (r->state[page] == PageState::kResident) {
-    if (write) r->dirty[page] = 1;
+UnifiedMemory::TouchResult UnifiedMemory::Touch(Range& r, uint64_t addr, bool write,
+                                                double now_ms) {
+  ETA_DCHECK(addr >= r.base && addr < r.base + r.bytes);
+  TouchResult result;
+  uint64_t page = PageOf(r, addr);
+
+  if (r.state[page] == PageState::kResident) {
+    if (write) r.dirty[page] = 1;
     return result;
   }
-  if (r->state[page] == PageState::kInFlight) {
+  if (r.state[page] == PageState::kInFlight) {
     // Scheduled by a prefetch; the warp stalls until the chunk lands.
     // Residency was accounted when the prefetch was issued.
-    result.arrival_ms = r->arrival_ms[page];
-    r->state[page] = PageState::kResident;
-    if (write) r->dirty[page] = 1;
+    result.arrival_ms = r.arrival_ms[page];
+    r.state[page] = PageState::kResident;
+    if (write) r.dirty[page] = 1;
     return result;
   }
 
@@ -109,32 +115,32 @@ UnifiedMemory::TouchResult UnifiedMemory::Touch(uint64_t addr, bool write, doubl
   // show on-demand batches topping out under ~1 MB — Table V).
   const uint64_t max_log =
       std::min(log2_pages(spec_.max_migration_bytes), log2_pages(1 * util::kMiB));
-  if (r->window_log < base_log) r->window_log = static_cast<uint32_t>(base_log);
-  uint64_t window_pages = 1ULL << r->window_log;
-  if (r->last_fault_page != ~0ULL) {
-    uint64_t dist = page > r->last_fault_page ? page - r->last_fault_page
-                                              : r->last_fault_page - page;
+  if (r.window_log < base_log) r.window_log = static_cast<uint32_t>(base_log);
+  uint64_t window_pages = 1ULL << r.window_log;
+  if (r.last_fault_page != ~0ULL) {
+    uint64_t dist = page > r.last_fault_page ? page - r.last_fault_page
+                                             : r.last_fault_page - page;
     if (dist <= window_pages) {
       // Strictly local follow-up fault: grow the granule.
-      r->window_log = static_cast<uint32_t>(std::min<uint64_t>(r->window_log + 1, max_log));
+      r.window_log = static_cast<uint32_t>(std::min<uint64_t>(r.window_log + 1, max_log));
     } else {
-      r->window_log = static_cast<uint32_t>(base_log);
+      r.window_log = static_cast<uint32_t>(base_log);
     }
   }
-  r->last_fault_page = page;
+  r.last_fault_page = page;
   // Never migrate a batch larger than the whole device budget (the driver
   // caps its prefetch block at what can be made resident at all).
   uint64_t budget_pages = std::max<uint64_t>(1, budget_bytes_ / spec_.page_bytes);
-  while (r->window_log > 0 && (1ULL << r->window_log) > budget_pages) {
-    --r->window_log;
+  while (r.window_log > 0 && (1ULL << r.window_log) > budget_pages) {
+    --r.window_log;
   }
-  window_pages = 1ULL << r->window_log;
+  window_pages = 1ULL << r.window_log;
 
   uint64_t first = page / window_pages * window_pages;
-  uint64_t last = std::min<uint64_t>(first + window_pages, r->state.size());
+  uint64_t last = std::min<uint64_t>(first + window_pages, r.state.size());
   uint64_t batch_pages = 0;
   for (uint64_t p = first; p < last; ++p) {
-    if (r->state[p] != PageState::kHost) continue;
+    if (r.state[p] != PageState::kHost) continue;
     ++batch_pages;
   }
   ETA_CHECK(batch_pages >= 1);  // the faulting page itself is kHost
@@ -144,12 +150,12 @@ UnifiedMemory::TouchResult UnifiedMemory::Touch(uint64_t addr, bool write, doubl
   result.cache_flush = result.evicted_bytes > 0;
 
   for (uint64_t p = first; p < last; ++p) {
-    if (r->state[p] != PageState::kHost) continue;
-    r->state[p] = PageState::kResident;
+    if (r.state[p] != PageState::kHost) continue;
+    r.state[p] = PageState::kResident;
     resident_bytes_ += spec_.page_bytes;
-    resident_fifo_.emplace_back(r->base, p);
+    resident_fifo_.emplace_back(r.base, p);
   }
-  if (write) r->dirty[page] = 1;
+  if (write) r.dirty[page] = 1;
 
   result.migrated_bytes = batch_bytes;
   result.fault_ops = 1;

@@ -43,11 +43,33 @@ class UnifiedMemory {
     bool cache_flush = false;      // eviction happened: stale sectors exist
   };
 
+  enum class PageState : uint8_t { kHost, kInFlight, kResident };
+
+  /// One managed allocation's page state. Callers only hold it as the
+  /// handle FindRange returns; it stays valid until Unregister.
+  struct Range {
+    uint64_t base = 0;
+    uint64_t bytes = 0;
+    std::vector<PageState> state;   // per page
+    std::vector<uint8_t> dirty;
+    std::vector<float> arrival_ms;  // valid when kInFlight
+    /// Migration-merge escalation: consecutive nearby faults double the
+    /// migration window (4 KB -> ... -> max_migration_bytes), mimicking the
+    /// UM driver's density prefetcher. Distant faults reset it.
+    uint32_t window_log = 0;
+    uint64_t last_fault_page = ~0ULL;
+  };
+
+  /// The range containing `addr`, or nullptr.
+  Range* FindRange(uint64_t addr);
+
   /// Models a GPU-side access to `addr` at simulated time `now_ms`.
   /// Non-resident pages fault and migrate (merged per the escalation
   /// policy); pages scheduled by a prefetch report their arrival time.
   /// An address outside every managed range is a no-op (empty result).
   TouchResult Touch(uint64_t addr, bool write, double now_ms);
+  /// Touch of `addr` inside `range`, already resolved.
+  TouchResult Touch(Range& range, uint64_t addr, bool write, double now_ms);
 
   /// cudaMemPrefetchAsync: schedules migration of the whole allocation in
   /// max_migration_bytes chunks starting at `start_ms`, at full PCIe rate.
@@ -65,22 +87,6 @@ class UnifiedMemory {
   uint64_t TotalEvictedBytes() const { return evicted_bytes_; }
 
  private:
-  enum class PageState : uint8_t { kHost, kInFlight, kResident };
-
-  struct Range {
-    uint64_t base = 0;
-    uint64_t bytes = 0;
-    std::vector<PageState> state;   // per page
-    std::vector<uint8_t> dirty;
-    std::vector<float> arrival_ms;  // valid when kInFlight
-    /// Migration-merge escalation: consecutive nearby faults double the
-    /// migration window (4 KB -> ... -> max_migration_bytes), mimicking the
-    /// UM driver's density prefetcher. Distant faults reset it.
-    uint32_t window_log = 0;
-    uint64_t last_fault_page = ~0ULL;
-  };
-
-  Range* FindRange(uint64_t addr);
   const Range* FindRangeConst(uint64_t addr) const;
   uint64_t PageOf(const Range& r, uint64_t addr) const {
     return (addr - r.base) / spec_.page_bytes;

@@ -719,6 +719,213 @@ TEST(GatherContiguous, MatchesIndexedGatherUnderSanitizer) {
   ExpectContiguousMatchesIndexed<uint64_t>(MemKind::kUnified, true, 6);
 }
 
+// --- Indexed warp ops vs the reference coalescer -------------------------------
+
+/// The device's memory path stated from its parts: the sectors of
+/// internal::CoalesceSectors over the clamped addresses, probed through
+/// standalone caches of the device's geometry, and the atomic depth of
+/// internal::MaxLaneMultiplicity over the raw indices.
+class ReferenceMemory {
+ public:
+  explicit ReferenceMemory(const DeviceSpec& spec)
+      : spec_(spec), l2_(spec.l2_bytes, spec.l2_ways, spec.sector_bytes) {
+    const uint64_t l1_bytes =
+        std::max<uint64_t>(spec.l1_bytes / std::max(1u, spec.l1_interleave_factor),
+                           uint64_t{spec.l1_ways} * spec.sector_bytes);
+    for (uint32_t sm = 0; sm < spec.num_sms; ++sm) {
+      l1_.emplace_back(l1_bytes, spec.l1_ways, spec.sector_bytes);
+    }
+  }
+
+  template <typename T>
+  void Gather(uint32_t sm, const Buffer<T>& buf, const LaneArray<uint64_t>& safe, uint32_t mask) {
+    uint64_t sectors[kWarpSize];
+    const uint32_t n = Coalesce(buf, safe, mask, sectors);
+    uint32_t worst = spec_.lat_l1;
+    for (uint32_t i = 0; i < n; ++i) {
+      ++counters.l1_accesses;
+      if (l1_[sm].Access(sectors[i])) {
+        ++counters.l1_hits;
+        continue;
+      }
+      ++counters.l2_accesses;
+      if (l2_.Access(sectors[i])) {
+        ++counters.l2_hits;
+        worst = std::max(worst, spec_.lat_l2);
+      } else {
+        ++counters.dram_read_transactions;
+        worst = std::max(worst, spec_.lat_dram);
+      }
+    }
+    counters.mem_latency_cycles += worst;
+  }
+
+  template <typename T>
+  void Scatter(const Buffer<T>& buf, const LaneArray<uint64_t>& safe, uint32_t mask) {
+    Store(buf, safe, mask);
+    counters.mem_latency_cycles += 4;
+  }
+
+  template <typename T>
+  void Atomic(const Buffer<T>& buf, const LaneArray<uint64_t>& idx,
+              const LaneArray<uint64_t>& safe, uint32_t mask) {
+    Store(buf, safe, mask);
+    counters.mem_latency_cycles +=
+        spec_.lat_atomic + 32ull * (internal::MaxLaneMultiplicity(idx, mask) - 1);
+  }
+
+  Counters counters;  // the memory-path fields only
+
+ private:
+  template <typename T>
+  static uint32_t Coalesce(const Buffer<T>& buf, const LaneArray<uint64_t>& safe,
+                           uint32_t mask, uint64_t* sectors) {
+    LaneArray<uint64_t> addrs{};
+    WarpCtx::ForActive(mask, [&](uint32_t lane) { addrs[lane] = buf.AddrOf(safe[lane]); });
+    return internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
+  }
+
+  template <typename T>
+  void Store(const Buffer<T>& buf, const LaneArray<uint64_t>& safe, uint32_t mask) {
+    uint64_t sectors[kWarpSize];
+    const uint32_t n = Coalesce(buf, safe, mask, sectors);
+    for (uint32_t i = 0; i < n; ++i) {
+      ++counters.l2_accesses;
+      if (l2_.Access(sectors[i])) {
+        ++counters.l2_hits;
+      } else {
+        ++counters.dram_write_transactions;
+      }
+    }
+  }
+
+  DeviceSpec spec_;
+  std::vector<SectorCache> l1_;
+  SectorCache l2_;
+};
+
+/// A device buffer with a host copy that every op is also applied to.
+template <typename T>
+struct Mirrored {
+  Mirrored(Device& device, uint64_t count, const char* name)
+      : buf(device.Alloc<T>(count, MemKind::kDevice, name)), host(count) {
+    util::SplitMix64 rng(count);
+    for (T& v : host) v = static_cast<T>(rng.Next());
+    std::copy(host.begin(), host.end(), buf.HostSpan().begin());
+    device.MarkHostInitialized(buf);
+  }
+  Buffer<T> buf;
+  std::vector<T> host;
+};
+
+/// One random warp op (Gather, Scatter, AtomicMin, AtomicAdd or AtomicOr)
+/// on `m`, checked lane by lane against the host copy and replayed through
+/// `ref`. Indices are LanePattern's (contiguous, strided, random, a few
+/// repeated, one element, filter-bucket mates) folded into the buffer,
+/// under full, random, sparse or single-lane masks.
+template <typename T>
+void RandomWarpOp(WarpCtx& w, uint32_t sm, Mirrored<T>& m, ReferenceMemory& ref,
+                  util::SplitMix64& rng, const std::vector<uint64_t>& pool) {
+  const uint64_t count = m.host.size();
+  LaneArray<uint64_t> idx = LanePattern(rng, static_cast<uint32_t>(rng.NextBounded(6)), pool);
+  for (uint64_t& i : idx) i %= count;
+#ifdef NDEBUG
+  // Out-of-range lanes clamp where the device's DCHECK is compiled out:
+  // they share the last element's sector but not its atomic chain.
+  if (rng.NextBounded(8) == 0) {
+    for (uint32_t k = 0; k < 3; ++k) idx[rng.NextBounded(kWarpSize)] = count + rng.NextBounded(2);
+  }
+#endif
+  uint32_t mask = kFullMask;
+  switch (rng.NextBounded(4)) {
+    case 0: break;
+    case 1: mask = static_cast<uint32_t>(rng.Next()) | 1u; break;
+    case 2: mask = static_cast<uint32_t>(rng.Next() & rng.Next() & rng.Next()) | 2u; break;
+    default: mask = 1u << rng.NextBounded(kWarpSize); break;
+  }
+  LaneArray<uint64_t> safe{};
+  for (uint32_t lane = 0; lane < kWarpSize; ++lane) safe[lane] = std::min(idx[lane], count - 1);
+  LaneArray<T> val{};
+  for (T& v : val) v = static_cast<T>(rng.Next());
+  LaneArray<T> got{};
+  const uint64_t op = rng.NextBounded(5);
+  switch (op) {
+    case 0:
+      w.Gather(m.buf, idx, mask, got);
+      ref.Gather(sm, m.buf, safe, mask);
+      WarpCtx::ForActive(mask, [&](uint32_t lane) { ASSERT_EQ(got[lane], m.host[safe[lane]]); });
+      return;
+    case 1:
+      w.Scatter(m.buf, idx, val, mask);
+      ref.Scatter(m.buf, safe, mask);
+      WarpCtx::ForActive(mask, [&](uint32_t lane) { m.host[safe[lane]] = val[lane]; });
+      return;
+    case 2: w.AtomicMin(m.buf, idx, val, mask, got); break;
+    case 3: w.AtomicAdd(m.buf, idx, val, mask, got); break;
+    default: w.AtomicOr(m.buf, idx, val, mask, got); break;
+  }
+  ref.Atomic(m.buf, idx, safe, mask);
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    T& slot = m.host[safe[lane]];
+    ASSERT_EQ(got[lane], slot) << "op " << op << " lane " << lane;
+    slot = op == 2 ? std::min(slot, val[lane]) : op == 3 ? slot + val[lane] : slot | val[lane];
+  });
+}
+
+TEST(WarpMemoryOps, MatchReferenceCoalescerAndDepth) {
+  DeviceSpec spec = TestSpec();
+  spec.num_sms = 3;
+  spec.l1_bytes = 4 * util::kKiB;  // small caches, so evictions matter
+  spec.l2_bytes = 16 * util::kKiB;
+  Device device(spec);
+  ReferenceMemory ref(spec);
+  // Sizes from under one 64-sector bitmap word to many words, both element
+  // widths, visited back to back: a bit one op left set would drop the
+  // same-offset sector of whichever buffer comes next.
+  Mirrored<uint32_t> tiny32(device, 40, "tiny32");
+  Mirrored<uint32_t> mid32(device, 3000, "mid32");
+  Mirrored<uint32_t> big32(device, 70000, "big32");
+  Mirrored<uint64_t> tiny64(device, 24, "tiny64");
+  Mirrored<uint64_t> big64(device, 20000, "big64");
+  // Elements 0 and 5 of six sectors of big32 that share a filter bucket.
+  const uint64_t big_sector = big32.buf.raw.base_addr / 32;
+  std::vector<uint64_t> pool;
+  for (uint64_t sector : BucketMates(big_sector + 100, 1, 6)) {
+    pool.push_back((sector - big_sector) * 8);
+    pool.push_back((sector - big_sector) * 8 + 5);
+  }
+  util::SplitMix64 rng(23);
+  constexpr uint32_t kWarps = 6;
+  for (uint32_t launch = 0; launch < 300; ++launch) {
+    ref.counters = Counters{};
+    const LaunchResult result =
+        device.Launch("ops", {kWarps * kWarpSize, kWarpSize}, [&](WarpCtx& w) {
+          const uint32_t sm = static_cast<uint32_t>(w.WarpId() % spec.num_sms);
+          for (uint32_t op = 0; op < 8; ++op) {
+            switch (rng.NextBounded(5)) {
+              case 0: RandomWarpOp(w, sm, tiny32, ref, rng, pool); break;
+              case 1: RandomWarpOp(w, sm, mid32, ref, rng, pool); break;
+              case 2: RandomWarpOp(w, sm, big32, ref, rng, pool); break;
+              case 3: RandomWarpOp(w, sm, tiny64, ref, rng, pool); break;
+              default: RandomWarpOp(w, sm, big64, ref, rng, pool); break;
+            }
+          }
+        });
+    const Counters& got = result.counters;
+    const Counters& want = ref.counters;
+    const std::string where = "launch " + std::to_string(launch);
+    ASSERT_EQ(got.l1_accesses, want.l1_accesses) << where;
+    ASSERT_EQ(got.l1_hits, want.l1_hits) << where;
+    ASSERT_EQ(got.l2_accesses, want.l2_accesses) << where;
+    ASSERT_EQ(got.l2_hits, want.l2_hits) << where;
+    ASSERT_EQ(got.dram_read_transactions, want.dram_read_transactions) << where;
+    ASSERT_EQ(got.dram_write_transactions, want.dram_write_transactions) << where;
+    ASSERT_EQ(got.mem_latency_cycles, want.mem_latency_cycles) << where;
+  }
+  EXPECT_TRUE(std::equal(tiny32.host.begin(), tiny32.host.end(), tiny32.buf.HostSpan().begin()));
+  EXPECT_TRUE(std::equal(big64.host.begin(), big64.host.end(), big64.buf.HostSpan().begin()));
+}
+
 TEST(Device, PageableCopySlowerThanPinned) {
   Device a(TestSpec()), b(TestSpec());
   auto ba = a.Alloc<uint32_t>(1 << 20, MemKind::kDevice, "x");
