@@ -33,7 +33,10 @@
 # --faults builds normally and then exercises the fault model end to end
 # (DESIGN.md section 8): the fault/recovery test binaries, a CLI fault
 # matrix (every fault class through etagraph and etagraph_serve, with a
-# replay-determinism diff), and the bench_fault_overhead zero-cost contract.
+# replay-determinism diff), the two etacheck plants through etagraph_serve
+# (rmw=reach_mask under racecheck, short=act_set under memcheck: each must
+# fail naming its buffer, and pass without the key), and the
+# bench_fault_overhead zero-cost contract.
 #
 # --shard builds normally and then exercises the sharded serving fleet
 # (DESIGN.md section 10): the scheduler/router test binaries, the
@@ -52,7 +55,7 @@
 #
 # --verify builds normally and then exercises etaverify end to end
 # (DESIGN.md section 12): the verifier test binary, a planted-bug matrix
-# (each surgical DAG plant x BFS/SSSP must exit nonzero and report the
+# (each --faults=dag= plant x BFS/SSSP must exit nonzero and report the
 # expected finding kind with buffer attribution, while the replay stays
 # byte-identical to the healthy run — the timing-luck defects replay
 # diffs cannot see), a clean multi-graph matrix over shards x faults that
@@ -198,6 +201,36 @@ if [[ "$FAULTS" == "1" ]]; then
       exit 1
     fi
     echo "-- $spec: replays identical"
+  done
+
+  echo "== etacheck plants through etagraph_serve =="
+  # A bursty all-BFS trace on a complete 16-vertex graph folds into
+  # attributed multi-source waves, so the reach-mask atomic is contended and
+  # one wave appends every vertex to the frontier.
+  for u in $(seq 0 15); do
+    for v in $(seq 0 15); do
+      if [[ "$u" != "$v" ]]; then echo "$u $v"; fi
+    done
+  done > "$REPLAY_DIR/k16.txt"
+  PLANT_ARGS=(--graph="$REPLAY_DIR/k16.txt" --requests=32 --mean-arrival=0.01
+              --bfs-frac=1 --sssp-frac=0)
+  for plant in "rmw=reach_mask racecheck reach_mask" "short=act_set memcheck act_set"; do
+    read -r key check buffer <<< "$plant"
+    if "$BUILD_DIR/src/etagraph_serve" "${PLANT_ARGS[@]}" --faults="$key" \
+        --check="$check" > "$REPLAY_DIR/plant.out"; then
+      echo "check.sh: --faults=$key --check=$check was not reported (exit 0)" >&2
+      exit 1
+    fi
+    if ! grep -q "ERROR \[$check\] .*$buffer\[" "$REPLAY_DIR/plant.out"; then
+      echo "check.sh: --faults=$key --check=$check did not name $buffer:" >&2
+      cat "$REPLAY_DIR/plant.out" >&2
+      exit 1
+    fi
+    if ! "$BUILD_DIR/src/etagraph_serve" "${PLANT_ARGS[@]}" --check="$check" > /dev/null; then
+      echo "check.sh: --check=$check failed without a plant" >&2
+      exit 1
+    fi
+    echo "-- $key: $check names $buffer; clean without the key"
   done
 
   echo "== zero-cost contract =="
@@ -411,9 +444,9 @@ if [[ "$VERIFY" == "1" ]]; then
 
   echo "== planted-bug matrix (plant x algorithm) =="
   declare -A EXPECT=(
-    [drop-ready-wait]="race-read-write use-before-ready"
-    [swap-record-wait]="wait-unrecorded"
-    [double-prestage]="race-write-write"
+    [drop-wait]="race-read-write use-before-ready"
+    [late-record]="wait-unrecorded"
+    [dup-copy]="race-write-write"
   )
   for algo_frac in "--bfs-frac=1 --sssp-frac=0" "--bfs-frac=0 --sssp-frac=1"; do
     # Healthy baseline for this trace mix: must verify clean, and its
@@ -422,12 +455,12 @@ if [[ "$VERIFY" == "1" ]]; then
     # shellcheck disable=SC2086
     "$BUILD_DIR/src/etagraph_serve" "${CATALOG_ARGS[@]}" --verify-dag $algo_frac \
       --replay-out="$VERIFY_DIR/healthy.$frac_safe.txt" > /dev/null
-    for plant in drop-ready-wait swap-record-wait double-prestage; do
-      label="plant=$plant $algo_frac"
+    for plant in drop-wait late-record dup-copy; do
+      label="dag=$plant $algo_frac"
       safe="${label//[^a-zA-Z0-9]/_}"
       # shellcheck disable=SC2086
       if "$BUILD_DIR/src/etagraph_serve" "${CATALOG_ARGS[@]}" --verify-dag \
-          --plant="$plant" $algo_frac \
+          --faults="dag=$plant" $algo_frac \
           --replay-out="$VERIFY_DIR/$safe.txt" > "$VERIFY_DIR/$safe.out"; then
         echo "check.sh: $label was not reported (exit 0)" >&2
         exit 1

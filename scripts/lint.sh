@@ -73,6 +73,26 @@ if [[ -n "$RUNTIME_SEMIRING" ]]; then
   exit 1
 fi
 
+# Plant gates: the test plants (a dropped atomic, a short buffer, a DAG
+# ordering bug) live in src/sim and are requested only through the keys of
+# sim::FaultConfig (rmw, short, dag). A test-only hook in the core or serve
+# options, or a flag of its own, is the old shape back; and src/core and
+# src/serve only pass a FaultConfig along, never read a plant.
+PLANT_HOOKS=$(grep -rnE '\.inject\b|DagPlant|drop_reach_atomic|shrink_frontier|\.plant\b' \
+                src tools bench examples --include='*.cpp' --include='*.hpp' || true)
+if [[ -n "$PLANT_HOOKS" ]]; then
+  echo "lint.sh: test-only plant hook; request plants through sim::FaultConfig (--faults keys rmw, short, dag):" >&2
+  echo "$PLANT_HOOKS" >&2
+  exit 1
+fi
+PLANT_READS=$(grep -rnE 'rmw_buffer|short_buffer|unsynced_atomics|Dag::k' src/core src/serve \
+                --include='*.cpp' --include='*.hpp' || true)
+if [[ -n "$PLANT_READS" ]]; then
+  echo "lint.sh: plant code outside src/sim; the device and stream scheduler own the plants:" >&2
+  echo "$PLANT_READS" >&2
+  exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   echo "lint.sh: clang-tidy ($(clang-tidy --version | head -1))"

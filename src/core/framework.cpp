@@ -146,9 +146,6 @@ struct TraverseParams {
   /// Attributed multi-source mode: propagate per-vertex source bitmasks
   /// alongside the labels, reactivating vertices whose mask grows.
   bool attribute = false;
-  /// Fault injection (EtaGraphOptions::inject): replace the reach-mask
-  /// AtomicOr with a plain read-modify-write.
-  bool drop_reach_atomic = false;
 };
 
 /// The traversal kernel of Procedure 1: one thread per shadow vertex.
@@ -260,20 +257,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
       });
       if (fmask) {
         LaneArray<uint32_t> old_mask;
-        if (p.drop_reach_atomic) {
-          // Injected bug: the unsynchronized read-modify-write a dropped
-          // AtomicOr degenerates to. Lanes of one warp targeting the same
-          // destination lose updates; racecheck must flag both the store
-          // over the foreign read and the store over the foreign store.
-          w.Gather(d.reach_mask, u_idx, fmask, old_mask);
-          LaneArray<uint32_t> new_mask;
-          WarpCtx::ForActive(fmask, [&](uint32_t lane) {
-            new_mask[lane] = old_mask[lane] | src_mask[lane];
-          });
-          w.Scatter(d.reach_mask, u_idx, new_mask, fmask);
-        } else {
-          w.AtomicOr(d.reach_mask, u_idx, src_mask, fmask, old_mask);
-        }
+        w.AtomicOr(d.reach_mask, u_idx, src_mask, fmask, old_mask);
         WarpCtx::ForActive(fmask, [&](uint32_t lane) {
           if (src_mask[lane] & ~old_mask[lane]) gmask |= 1u << lane;
         });
@@ -322,7 +306,8 @@ struct ResidentGraph::State {
   ChunkStream stream;
   Buffer<uint32_t> stream_window;  // the staging buffer (kDevice)
 
-  explicit State(const sim::DeviceSpec& spec) : device(spec) {}
+  State(const sim::DeviceSpec& spec, const sim::FaultConfig& faults)
+      : device(spec, faults) {}
 };
 
 uint64_t ResidentGraph::EstimateDeviceBytes(const graph::Csr& csr,
@@ -365,9 +350,8 @@ uint64_t ResidentGraph::EstimateDeviceBytes(const graph::Csr& csr,
   }
   total += paged(n, sizeof(Weight));    // labels
   total += paged(n, sizeof(uint32_t));  // stamp
-  const uint64_t act_cap = options.inject.shrink_frontier && n > 1 ? n - 1 : n;
-  total += paged(act_cap, sizeof(VertexId));  // act_set
-  total += paged(1, sizeof(uint32_t));        // act_count
+  total += paged(n, sizeof(VertexId));  // act_set
+  total += paged(1, sizeof(uint32_t));  // act_count
   const uint64_t shadow_cap = ShadowCapacity(csr, options.degree_limit) + 1;
   total += paged(shadow_cap, sizeof(VertexId));  // full_id
   total += paged(shadow_cap, sizeof(EdgeId));    // full_start
@@ -403,7 +387,7 @@ ResidentGraph::ResidentGraph(const graph::Csr& csr, EtaGraphOptions options,
       chunked ? sim::MemKind::kDevice
               : (unified ? sim::MemKind::kUnified : sim::MemKind::kDevice);
 
-  state_ = std::make_unique<State>(options_.spec);
+  state_ = std::make_unique<State>(options_.spec, options_.faults);
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;
   ChunkStream& stream = state_->stream;
@@ -447,8 +431,7 @@ ResidentGraph::ResidentGraph(const graph::Csr& csr, EtaGraphOptions options,
     }
     d.labels = device.Alloc<Weight>(n, sim::MemKind::kDevice, "labels");
     d.stamp = device.Alloc<uint32_t>(n, sim::MemKind::kDevice, "stamp");
-    const uint64_t act_cap = options_.inject.shrink_frontier && n > 1 ? n - 1 : n;
-    d.act_set = device.Alloc<VertexId>(act_cap, sim::MemKind::kDevice, "act_set");
+    d.act_set = device.Alloc<VertexId>(n, sim::MemKind::kDevice, "act_set");
     d.act_count = device.Alloc<uint32_t>(1, sim::MemKind::kDevice, "act_count");
     uint64_t shadow_cap = ShadowCapacity(csr, k) + 1;
     d.full_id = device.Alloc<VertexId>(shadow_cap, sim::MemKind::kDevice, "full_id");
@@ -811,8 +794,9 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
     device.CopyToHost(std::span<uint32_t>(vc, 2), d.virt_counts, false);
     // Shadow counts come back from device memory; a fault-corrupted count
     // must never launch a grid bigger than the staging arrays it indexes.
-    // Only active under injection: the planted-bug paths (options_.inject)
-    // deliberately let etacheck observe raw overflows.
+    // Only hardware faults can corrupt them, so the clamp is keyed on
+    // faults.Enabled(): a fault-free run (plants included) launches the
+    // exact counts, and etacheck observes any raw overflow.
     if (options_.faults.Enabled()) {
       vc[0] = static_cast<uint32_t>(std::min<uint64_t>(vc[0], d.full_id.count));
       vc[1] = static_cast<uint32_t>(std::min<uint64_t>(vc[1], d.part_id.count));
@@ -859,7 +843,6 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
     params.k = k;
     params.iteration = stamp_base_ + iter + 1;  // stamps compare against the *next* set
     params.attribute = attribute_sources;
-    params.drop_reach_atomic = options_.inject.drop_reach_atomic;
     auto traverse = [&](const char* label, uint32_t shadows) {
       return WithSemiring(algo, [&]<class S>(S) {
         return device.Launch(label, {shadows, options_.block_size},

@@ -81,6 +81,8 @@ struct EtaGraphOptions {
   /// faultless run (bench_fault_overhead enforces this). When enabled, the
   /// session draws deterministic launch/alloc fates from faults.seed and
   /// recovers per `recovery`; the outcome lands in RunReport::faults.
+  /// Its test plants (rmw/short buffers, dag) reach the session's device and
+  /// stream schedulers without arming the injector.
   sim::FaultConfig faults{};
   /// Recovery policy for failed launches: bounded retries with exponential
   /// backoff charged to the simulated clock (delay = base * multiplier^i
@@ -95,17 +97,6 @@ struct EtaGraphOptions {
     /// as if retries were exhausted. nullptr = unbounded retries.
     std::shared_ptr<RetryBudget> budget{};
   } recovery{};
-  /// Test-only fault injection: reintroduces the bug classes etacheck
-  /// exists to catch, inside the real shipping kernels, so the planted-bug
-  /// suite can assert exact reports. Never enable outside tests.
-  struct FaultInjection {
-    /// Replace the reach-mask AtomicOr with a plain read-modify-write —
-    /// the dropped-atomic race.
-    bool drop_reach_atomic = false;
-    /// Under-allocate the frontier (act_set) by one element — the
-    /// off-by-one overflow memcheck catches.
-    bool shrink_frontier = false;
-  } inject{};
 };
 
 }  // namespace eta::core

@@ -621,7 +621,7 @@ FleetState::FleetState(const ShardedOptions& options_in,
     s.rebuilds_left = base.max_session_rebuilds;
     s.stat.shard = i;
     if (async) {
-      s.streams = std::make_unique<sim::StreamScheduler>(base.graph.spec);
+      s.streams = std::make_unique<sim::StreamScheduler>(base.graph.spec, s.graph_options.faults);
       if (base.graph.verify_dag) s.streams->EnableDagLog();
     }
   }
@@ -819,21 +819,14 @@ void EvictFor(FleetState& f, Shard& s, uint64_t need, double t) {
 /// caller's quarantine loop owns the retry budget.
 ResidentSession* EnsureSession(FleetState& f, Shard& s, uint32_t graph_id, double& t,
                                sim::Stream dstream) {
-  using DagPlant = ShardedOptions::DagPlant;
-  const DagPlant plant = f.options.plant;
   for (ResidentSession& rs : s.sessions) {
     if (rs.graph_id != graph_id) continue;
     rs.last_used = ++f.lru_tick;
     if (dstream.valid && rs.ready_event.valid) {
-      // Plants (test-only, see ShardedOptions::DagPlant): the serve clock
-      // still honours ready_ms below, so the replay's answers and
-      // timestamps stay green — only the recorded DAG loses the ordering
-      // edge, which is exactly what etaverify must catch.
-      if (plant != DagPlant::kDropReadyWait) s.streams->Wait(dstream, rs.ready_event);
-      if (plant == DagPlant::kSwapRecordWait && rs.prestage_stream.valid &&
-          !s.streams->Recorded(rs.ready_event)) {
-        s.streams->Record(rs.prestage_stream, rs.ready_event);
-      }
+      // The serve clock honours ready_ms itself, so a dag plant
+      // (sim::FaultConfig::dag) that loses this ordering edge leaves the
+      // answers and timestamps as they were: only the DAG carries the bug.
+      s.streams->Wait(dstream, rs.ready_event);
       t = std::max(t, rs.ready_ms);
     }
     return &rs;
@@ -932,27 +925,11 @@ void Prestage(FleetState& f, Shard& s, double now) {
   s.streams->CopyAsync(cstream, sim::StreamOpKind::kCopyH2D, stage_ms, label,
                        /*earliest_ms=*/now, rs.resident_bytes);
   RegisterStageAllocs(s, rs);
-  rs.prestage_stream = cstream;
   // Copy, not reference: Record() appends to the same ops vector and a
   // reallocation would invalidate a reference taken here.
   const sim::StreamOp op = s.streams->Ops().back();
   rs.ready_event = s.streams->CreateEvent();
-  using DagPlant = ShardedOptions::DagPlant;
-  if (f.options.plant != DagPlant::kSwapRecordWait) {
-    // kSwapRecordWait (test-only): the record the consuming dispatch needs
-    // is omitted here and issued — too late — by the consumer.
-    s.streams->Record(cstream, rs.ready_event);
-  }
-  if (f.options.plant == DagPlant::kDoublePrestage) {
-    // kDoublePrestage (test-only): a duplicate zero-duration staging copy
-    // of the same buffer on its own stream, ordered by nothing — timing is
-    // untouched (the copy engine tail cannot move backward), but the DAG
-    // now carries an unordered write-write pair.
-    const sim::Stream dup = s.streams->CreateStream(ShardName(s) + "-" + label + "-dup");
-    s.streams->CopyAsync(dup, sim::StreamOpKind::kCopyH2D, 0.0, label + "-dup",
-                         /*earliest_ms=*/now, 0);
-    s.streams->AnnotateLastOp({{rs.topo_alloc, true}});
-  }
+  s.streams->Record(cstream, rs.ready_event);
   rs.ready_ms = op.end_ms;
   rs.busy_until = op.end_ms;  // mid-copy until then; not evictable
   ++s.stat.prestages;

@@ -66,9 +66,6 @@ struct ResidentSession {
   /// distinct epochs never conflict.
   uint32_t topo_alloc = sim::DagAccess::kNoAlloc;
   uint32_t state_alloc = sim::DagAccess::kNoAlloc;
-  /// The copy stream a pre-stage ran on (invalid for cold stages) — the
-  /// kSwapRecordWait plant records the ready event here, too late.
-  sim::Stream prestage_stream{};
 };
 
 /// One memoized whole-graph answer (DESIGN.md section 15): CC/PageRank

@@ -22,7 +22,6 @@ ServeReport ShardedEngine::ServeMany(std::span<const graph::Csr* const> graphs,
                                      const std::vector<Request>& trace) const {
   ETA_CHECK(!graphs.empty());
   ETA_CHECK(options_.shards >= 1);
-  ETA_CHECK(options_.plant == ShardedOptions::DagPlant::kNone || options_.async_dispatch);
   for (size_t i = 0; i < trace.size(); ++i) {
     if (i > 0) ETA_CHECK(trace[i - 1].arrival_ms <= trace[i].arrival_ms);
     ETA_CHECK(trace[i].graph_id < graphs.size());

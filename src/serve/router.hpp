@@ -103,27 +103,6 @@ struct ShardedOptions {
   /// staging overlaps compute instead of serializing behind it. Off by
   /// default; the sync path is untouched when false.
   bool async_dispatch = false;
-  /// Test-only DAG-bug plants (the etaverify analog of
-  /// EtaGraphOptions::inject): surgically reintroduces the ordering-bug
-  /// classes the static verifier exists to catch, inside the real async
-  /// dispatcher, without perturbing the functional answers — the shard
-  /// clock still honours the pre-stage ready time, so replay diffs stay
-  /// green while the recorded DAG carries the defect. Never enable
-  /// outside tests/gates; requires async_dispatch.
-  enum class DagPlant : uint8_t {
-    kNone,
-    /// Drop the dispatch's Wait on the pre-stage ready event: the launch
-    /// waves race the staging copy (race + use-before-ready).
-    kDropReadyWait,
-    /// Swap the Record/Wait pair: the pre-stage records nothing, and the
-    /// consuming dispatch waits first (an unbound no-op) then records on
-    /// the pre-stage stream (wait-unrecorded + races).
-    kSwapRecordWait,
-    /// Enqueue a second, duplicate pre-stage copy of the same buffer on
-    /// its own stream with no ordering (write-write race).
-    kDoublePrestage,
-  };
-  DagPlant plant = DagPlant::kNone;
 
   /// Backlog autoscaling (DESIGN.md section 15). Armed when backlog_ms > 0
   /// and min_shards < shards: the fleet starts with `min_shards` active

@@ -70,8 +70,10 @@ uint32_t MaxLaneMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask) {
 
 AccessObserver::~AccessObserver() = default;
 
-Device::Device(DeviceSpec spec)
+Device::Device(DeviceSpec spec, const FaultConfig& faults)
     : spec_(spec),
+      rmw_plant_(faults.rmw_buffer),
+      short_plant_(faults.short_buffer),
       mem_(spec_.device_memory_bytes, spec_.page_bytes),
       um_(spec_),
       l2_(spec_.l2_bytes, spec_.l2_ways, spec_.sector_bytes) {

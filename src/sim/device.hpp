@@ -224,19 +224,25 @@ class WarpCtx {
 
 class Device {
  public:
-  explicit Device(DeviceSpec spec = {});
+  /// `faults` supplies the buffer plants (rmw_buffer, short_buffer), armed
+  /// for every allocation; its hardware faults need SetFaultInjector.
+  explicit Device(DeviceSpec spec = {}, const FaultConfig& faults = {});
 
   const DeviceSpec& Spec() const { return spec_; }
 
   // --- Allocation ---------------------------------------------------------
   template <typename T>
   Buffer<T> Alloc(uint64_t count, MemKind kind, const std::string& name) {
+    // Test plants (FaultConfig::short_buffer, rmw_buffer); unnamed
+    // buffers never match.
+    if (count > 1 && !short_plant_.empty() && name == short_plant_) --count;
     if (fault_ != nullptr && (lost_ || fault_->NextAllocFails())) {
       // Injected allocation failure (or allocation on a lost device)
       // surfaces exactly like real memory pressure.
       throw OomError(count * sizeof(T), mem_.DeviceBytesUsed(), mem_.CapacityBytes());
     }
     RawBuffer raw = mem_.Allocate(count * sizeof(T), kind, name);
+    raw.unsynced_atomics = !rmw_plant_.empty() && name == rmw_plant_;
     if (kind == MemKind::kUnified) um_.Register(raw.base_addr, raw.bytes);
     UpdateUmBudget();
     if (observer_ != nullptr) observer_->OnAlloc(raw, name);
@@ -481,6 +487,8 @@ class Device {
   }
 
   DeviceSpec spec_;
+  std::string rmw_plant_;    // FaultConfig::rmw_buffer
+  std::string short_plant_;  // FaultConfig::short_buffer
   DeviceMemory mem_;
   UnifiedMemory um_;
   SectorCache l2_;
@@ -745,6 +753,15 @@ template <typename T, typename Op>
 void WarpCtx::AtomicOp(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
                        const LaneArray<T>& val, uint32_t mask, LaneArray<T>& old, Op op) {
   if (!mask) return;
+  if (buf.raw.unsynced_atomics) [[unlikely]] {
+    // Planted dropped atomic: each lane reads, applies `op` to its private
+    // copy and stores, so lanes that share an element lose updates.
+    Gather(buf, idx, mask, old);
+    LaneArray<T> next = old;
+    ForActive(mask, [&](uint32_t lane) { op(&next[lane], val[lane]); });
+    Scatter(buf, idx, next, mask);
+    return;
+  }
   LaneArray<uint64_t> safe;
   uint64_t sectors[kWarpSize];
   uint32_t depth = 0;

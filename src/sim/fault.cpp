@@ -1,5 +1,7 @@
 #include "sim/fault.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -14,6 +16,9 @@ namespace {
 constexpr uint64_t kLaunchStream = 0xfa017;
 constexpr uint64_t kAllocStream = 0xfa02a;
 constexpr uint64_t kVictimStream = 0xfa03b;
+
+// dag plant values, in FaultConfig::Dag order after kNone.
+constexpr std::string_view kDagValues[] = {"drop-wait", "late-record", "dup-copy"};
 
 // Words a UECC event flips; the flip loop runs once per word, so the bound
 // keeps one event cheap (a real double-bit error touches a handful).
@@ -68,7 +73,16 @@ std::optional<FaultConfig> FaultConfig::Parse(std::string_view spec, std::string
                               &(config.*field));
       }
     }
-    if (key == "watchdog") {
+    if (key == "rmw" || key == "short") {
+      (key == "rmw" ? config.rmw_buffer : config.short_buffer) = val;
+      why = val.empty() ? "needs a buffer name" : "";
+    } else if (key == "dag") {
+      const auto* it = std::find(std::begin(kDagValues), std::end(kDagValues), val);
+      config.dag = static_cast<Dag>(it - std::begin(kDagValues) + 1);
+      why = it != std::end(kDagValues)
+                ? ""
+                : "must be drop-wait, late-record or dup-copy (got '" + std::string(val) + "')";
+    } else if (key == "watchdog") {
       why = util::ParseInto(val, util::kAboveZero, std::numeric_limits<double>::max(),
                             &config.watchdog_ms);
     } else if (key == "words") {

@@ -76,6 +76,32 @@ struct FaultConfig {
   uint64_t lost_at = 0;
   uint64_t alloc_fail_at = 0;
 
+  // Test plants (DESIGN.md section 12, "Plants"): each reintroduces one bug
+  // class etacheck or etaverify exists to catch, in the layer whose
+  // contract it breaks, so the gates can assert exact reports against the
+  // shipping code. No plant makes Enabled() true: a plant arms no injector,
+  // draws no RNG and takes no recovery path.
+
+  /// rmw=<buffer>: every warp atomic on the buffer of that name runs as an
+  /// unsynchronized Gather plus Scatter (the dropped atomic racecheck
+  /// flags). Decided at Device::Alloc and carried on the buffer.
+  std::string rmw_buffer;
+  /// short=<buffer>: Device::Alloc makes the buffer of that name one
+  /// element short (the off-by-one sizing memcheck flags).
+  std::string short_buffer;
+  /// dag=<bug>: one ordering bug in every StreamScheduler the config
+  /// reaches (the classes etaverify flags).
+  enum class Dag : uint8_t {
+    kNone,
+    kDropWait,    // drop-wait: each Wait is dropped
+    kLateRecord,  // late-record: each Record is held until just after the
+                  // first Wait on its event, which thus binds to nothing
+    kDupCopy,     // dup-copy: each Record that closes an H2D copy is followed
+                  // by a zero-duration duplicate of that copy, with the same
+                  // access set, on a fresh stream ordered by nothing
+  };
+  Dag dag = Dag::kNone;
+
   /// True when any fault can ever fire; frameworks only attach an injector
   /// (and thus leave the zero-cost fast path) when this holds.
   bool Enabled() const {
@@ -84,10 +110,17 @@ struct FaultConfig {
            hang_at != 0 || lost_at != 0 || alloc_fail_at != 0;
   }
 
+  /// True when a test plant is set. Planted() never implies Enabled().
+  bool Planted() const {
+    return !rmw_buffer.empty() || !short_buffer.empty() || dag != Dag::kNone;
+  }
+
   /// Parses a comma-separated spec ("key=value,..."); keys: seed, ecc, uecc,
   /// hang, lost, alloc, watchdog, words, ecc_at, uecc_at, hang_at, lost_at,
-  /// alloc_at; empty items are skipped. Rates lie in [0,1], watchdog is
-  /// > 0, words in [1, 2^20]; seed and the *_at keys are uint64 decimals.
+  /// alloc_at, and the plants rmw, short, dag; empty items are skipped.
+  /// Rates lie in [0,1], watchdog is > 0, words in [1, 2^20]; seed and the
+  /// *_at keys are uint64 decimals; rmw and short take a non-empty buffer
+  /// name, dag one of drop-wait, late-record, dup-copy.
   /// Returns nullopt (with a message in *error) on a bad spec.
   static std::optional<FaultConfig> Parse(std::string_view spec, std::string* error);
 };

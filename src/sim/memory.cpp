@@ -21,12 +21,12 @@ RawBuffer DeviceMemory::Allocate(uint64_t bytes, MemKind kind, const std::string
   record.storage = std::make_unique<std::byte[]>(rounded);
   std::memset(record.storage.get(), 0, rounded);
   record.name = name;
-  record.handle = RawBuffer{next_id_++,
-                            next_addr_,
-                            rounded,
-                            std::max<uint64_t>(bytes, 1),
-                            kind,
-                            record.storage.get()};
+  record.handle = RawBuffer{.id = next_id_++,
+                            .base_addr = next_addr_,
+                            .bytes = rounded,
+                            .payload_bytes = std::max<uint64_t>(bytes, 1),
+                            .kind = kind,
+                            .data = record.storage.get()};
   next_addr_ += rounded + page_bytes_;  // guard page between allocations
 
   uint64_t id = record.handle.id;

@@ -52,6 +52,9 @@ struct RawBuffer {
   uint64_t bytes = 0;          // page-rounded; what capacity accounting charges
   uint64_t payload_bytes = 0;  // caller-requested size; ECC faults only hit this
   MemKind kind = MemKind::kDevice;
+  /// Planted dropped atomic (FaultConfig::rmw_buffer): warp atomics on this
+  /// buffer run as an unsynchronized Gather plus Scatter.
+  bool unsynced_atomics = false;
   std::byte* data = nullptr;
 
   bool Valid() const { return data != nullptr; }

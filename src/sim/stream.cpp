@@ -1,6 +1,7 @@
 #include "sim/stream.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/device.hpp"
 #include "util/check.hpp"
@@ -227,6 +228,44 @@ StreamOpStatus StreamScheduler::LaunchAsync(Stream s, Device& device, std::strin
 }
 
 void StreamScheduler::Record(Stream s, Event e) {
+  if (plant_ == FaultConfig::Dag::kLateRecord) {
+    ETA_CHECK(s.valid && s.id < streams_.size() && e.valid && e.id < events_.size());
+    events_[e.id].held = s;  // issued by the first Wait on e
+    return;
+  }
+  RecordNow(s, e);
+  if (plant_ == FaultConfig::Dag::kDupCopy) DuplicateLastCopy(s);
+}
+
+void StreamScheduler::Wait(Stream s, Event e) {
+  if (plant_ == FaultConfig::Dag::kDropWait) return;
+  WaitNow(s, e);
+  const Stream held = std::exchange(events_[e.id].held, Stream{});
+  if (held.valid) RecordNow(held, e);
+}
+
+void StreamScheduler::DuplicateLastCopy(Stream s) {
+  // The record just issued is last in ops_ and in the log; the op before it
+  // on `s` is the one it closes.
+  const auto op = std::find_if(ops_.rbegin() + 1, ops_.rend(),
+                               [&](const StreamOp& o) { return o.stream == s.id; });
+  if (op == ops_.rend() || op->kind != StreamOpKind::kCopyH2D) return;
+  std::vector<DagAccess> accesses;
+  if (dag_ != nullptr) {
+    const auto node =
+        std::find_if(dag_->nodes.rbegin() + 1, dag_->nodes.rend(), [&](const DagNode& n) {
+          return n.type == DagNode::Type::kOp && n.stream == s.id;
+        });
+    if (node != dag_->nodes.rend()) accesses = node->accesses;
+  }
+  // Read before the enqueue below appends to ops_.
+  const std::string label = op->label + "-dup";
+  const double start_ms = op->start_ms;
+  CopyAsync(CreateStream(StreamName(s) + "-dup"), StreamOpKind::kCopyH2D, 0.0, label, start_ms);
+  AnnotateLastOp(accesses);
+}
+
+void StreamScheduler::RecordNow(Stream s, Event e) {
   StreamState& st = Get(s);
   ETA_CHECK(e.valid && e.id < events_.size());
   LogOp(StreamOpKind::kRecord, s.id, "record", e.id);
@@ -245,7 +284,7 @@ void StreamScheduler::Record(Stream s, Event e) {
   ops_.push_back(std::move(op));
 }
 
-void StreamScheduler::Wait(Stream s, Event e) {
+void StreamScheduler::WaitNow(Stream s, Event e) {
   StreamState& st = Get(s);
   ETA_CHECK(e.valid && e.id < events_.size());
   const EventState& ev = events_[e.id];

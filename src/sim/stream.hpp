@@ -34,6 +34,12 @@
 // never deadlock; a Wait on a failed event fails the *waiting* stream too
 // (dependent work cancels), while streams with no dependency on the fault
 // keep running.
+//
+// Plants (DESIGN.md section 12, "Plants"): a scheduler built with a
+// FaultConfig whose `dag` key is set reintroduces one ordering-bug class in
+// every DAG it schedules — dropped waits, records held past their first
+// wait, or an unordered duplicate of each recorded staging copy — while the
+// caller's own clock, and so every answer, stays as it was.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault.hpp"
 #include "sim/spec.hpp"
 #include "sim/timeline.hpp"
 
@@ -134,8 +141,10 @@ struct DagNode {
 
 class StreamScheduler {
  public:
-  /// `spec` supplies the PCIe cost model for byte-sized MemcpyAsync ops.
-  explicit StreamScheduler(DeviceSpec spec = {}) : spec_(spec) {}
+  /// `spec` supplies the PCIe cost model for byte-sized MemcpyAsync ops;
+  /// `faults` supplies the dag plant (its other keys are the device's).
+  explicit StreamScheduler(DeviceSpec spec = {}, const FaultConfig& faults = {})
+      : spec_(spec), plant_(faults.dag) {}
 
   /// What a LaunchAsync work functor reports back: how long the launch ran
   /// on the simulated device and whether it aborted at a fault boundary.
@@ -271,6 +280,7 @@ class StreamScheduler {
     bool recorded = false;
     bool failed = false;
     double ready_ms = 0;
+    Stream held{};  // late-record plant: the record not yet issued
   };
 
   struct DagLog {
@@ -286,6 +296,13 @@ class StreamScheduler {
   StreamOpStatus Cancel(StreamState& st, Stream s, StreamOpKind kind,
                         std::string label, uint32_t event = DagNode::kNoEvent);
 
+  /// Record and Wait as specified, without the dag plant.
+  void RecordNow(Stream s, Event e);
+  void WaitNow(Stream s, Event e);
+  /// dup-copy plant: when the last op on `s` is an H2D copy, enqueues a
+  /// zero-duration duplicate of it on a fresh stream, same access set.
+  void DuplicateLastCopy(Stream s);
+
   /// DAG-log hook: records one kOp node when the log is enabled.
   void LogOp(StreamOpKind kind, uint32_t stream, const std::string& label,
              uint32_t event = DagNode::kNoEvent, bool bound = false,
@@ -298,6 +315,7 @@ class StreamScheduler {
   double engine_tail_[3] = {0, 0, 0};  // h2d, d2h, compute
   Timeline timeline_;
   std::unique_ptr<DagLog> dag_;
+  FaultConfig::Dag plant_ = FaultConfig::Dag::kNone;
 };
 
 }  // namespace eta::sim

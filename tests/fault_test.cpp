@@ -93,6 +93,65 @@ TEST(FaultConfig, RejectsBadSpecs) {
   EXPECT_FALSE(FaultConfig{}.Enabled());
 }
 
+TEST(FaultConfig, ParsesPlantKeysWithoutEnablingFaults) {
+  std::string error;
+  auto c = FaultConfig::Parse("rmw=reach_mask,short=act_set,dag=late-record", &error);
+  ASSERT_TRUE(c.has_value()) << error;
+  EXPECT_EQ(c->rmw_buffer, "reach_mask");
+  EXPECT_EQ(c->short_buffer, "act_set");
+  EXPECT_EQ(c->dag, FaultConfig::Dag::kLateRecord);
+  EXPECT_TRUE(c->Planted());
+  EXPECT_FALSE(c->Enabled());
+  EXPECT_EQ(FaultConfig::Parse("dag=drop-wait", &error)->dag, FaultConfig::Dag::kDropWait);
+  EXPECT_EQ(FaultConfig::Parse("dag=dup-copy", &error)->dag, FaultConfig::Dag::kDupCopy);
+  // Plants ride along with hardware faults without changing them.
+  auto both = FaultConfig::Parse("uecc=0.5,rmw=stamp", &error);
+  ASSERT_TRUE(both.has_value()) << error;
+  EXPECT_TRUE(both->Enabled());
+  EXPECT_DOUBLE_EQ(both->ecc_uncorrectable_rate, 0.5);
+  EXPECT_FALSE(FaultConfig{}.Planted());
+}
+
+TEST(FaultConfig, RejectsBadPlantsNamingTheKey) {
+  std::string error;
+  EXPECT_FALSE(FaultConfig::Parse("rmw=", &error).has_value());
+  EXPECT_EQ(error, "--faults key 'rmw' needs a buffer name");
+  EXPECT_FALSE(FaultConfig::Parse("short=,seed=1", &error).has_value());
+  EXPECT_EQ(error, "--faults key 'short' needs a buffer name");
+  EXPECT_FALSE(FaultConfig::Parse("dag=swap", &error).has_value());
+  EXPECT_EQ(error, "--faults key 'dag' must be drop-wait, late-record or dup-copy (got 'swap')");
+  EXPECT_FALSE(FaultConfig::Parse("dag=", &error).has_value());
+  EXPECT_NE(error.find("'dag'"), std::string::npos);
+}
+
+// A planted run is a fault-free run: no injector is attached, so every
+// FaultStats field stays zero while the plants themselves fire.
+TEST(FaultConfig, PlantedSessionReportsAllZeroFaultStats) {
+  std::vector<graph::Edge> edges{{0, 2}, {0, 3}, {1, 2}, {1, 3}};
+  graph::BuildOptions build;
+  build.min_vertices = 4;
+  const graph::Csr csr = graph::BuildCsr(edges, build);
+  core::EtaGraphOptions options;
+  std::string error;
+  options.faults = *FaultConfig::Parse("rmw=reach_mask,short=act_set", &error);
+  core::ResidentGraph session(csr, options);
+  const graph::VertexId sources[] = {0, 1};
+  const core::RunReport report =
+      session.RunMultiSource(core::Algo::kBfs, sources, /*attribute_sources=*/true);
+  ASSERT_FALSE(report.oom);
+  const core::FaultStats& f = report.faults;
+  EXPECT_EQ(f.ecc_corrected, 0u);
+  EXPECT_EQ(f.ecc_uncorrectable, 0u);
+  EXPECT_EQ(f.hangs, 0u);
+  EXPECT_EQ(f.launch_failures, 0u);
+  EXPECT_EQ(f.retries, 0u);
+  EXPECT_EQ(f.restaged_buffers, 0u);
+  EXPECT_EQ(f.restaged_bytes, 0u);
+  EXPECT_EQ(f.backoff_ms, 0.0);
+  EXPECT_FALSE(f.device_lost);
+  EXPECT_FALSE(f.exhausted);
+}
+
 // --- Injector determinism -----------------------------------------------------
 
 TEST(FaultInjector, SameSeedSameSchedule) {

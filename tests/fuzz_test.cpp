@@ -164,7 +164,8 @@ TEST(Fuzz, CommandLine) {
 
 TEST(Fuzz, FaultConfig) {
   Fuzz({"seed=7,ecc=0.5,uecc=0.25,hang=0.125,lost=0.0625,alloc=0.03125,watchdog=40,words=8",
-        "uecc_at=3,alloc_at=2,,"},
+        "uecc_at=3,alloc_at=2,,", "rmw=reach_mask,short=act_set,dag=drop-wait",
+        "dag=late-record,seed=3", "dag=dup-copy,rmw=stamp,lost_at=1"},
        4, [](const std::string& text) {
          std::string error;
          const auto config = sim::FaultConfig::Parse(text, &error);
@@ -180,6 +181,15 @@ TEST(Fuzz, FaultConfig) {
          EXPECT_TRUE(std::isfinite(config->watchdog_ms) && config->watchdog_ms > 0);
          EXPECT_GE(config->corrupt_words, 1u);
          EXPECT_LE(config->corrupt_words, 1u << 20);
+         // Plants never arm the injector: clearing them leaves Enabled().
+         sim::FaultConfig bare = *config;
+         bare.rmw_buffer.clear();
+         bare.short_buffer.clear();
+         bare.dag = sim::FaultConfig::Dag::kNone;
+         EXPECT_EQ(bare.Enabled(), config->Enabled());
+         EXPECT_FALSE(bare.Planted());
+         EXPECT_EQ(config->rmw_buffer.find(','), std::string::npos);
+         EXPECT_EQ(config->short_buffer.find(','), std::string::npos);
        });
 }
 

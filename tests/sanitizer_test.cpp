@@ -1,5 +1,5 @@
 // etacheck tests: unit-level plants against a raw device, planted bugs in
-// the real shipping kernels (via EtaGraphOptions::inject), the
+// the real shipping kernels (via the sim::FaultConfig rmw/short plants), the
 // zero-findings gate over every clean algorithm/memory-mode combination,
 // and the zero-overhead guarantee (identical counters and clock with the
 // checker attached).
@@ -419,7 +419,7 @@ TEST(PlantedBugs, DroppedAtomicOrIsARace) {
 
   core::EtaGraphOptions options;
   options.check = RacecheckOnly();
-  options.inject.drop_reach_atomic = true;
+  options.faults.rmw_buffer = "reach_mask";
   core::ResidentGraph session(csr, options);
   const graph::VertexId sources[] = {0, 1};
   core::RunReport report = session.RunMultiSource(core::Algo::kBfs, sources,
@@ -441,7 +441,7 @@ TEST(PlantedBugs, DroppedAtomicOrIsARace) {
 
   // Same run with the atomic in place: silent.
   core::EtaGraphOptions clean = options;
-  clean.inject.drop_reach_atomic = false;
+  clean.faults.rmw_buffer.clear();
   core::ResidentGraph clean_session(csr, clean);
   core::RunReport clean_report =
       clean_session.RunMultiSource(core::Algo::kBfs, sources, true);
@@ -464,7 +464,7 @@ TEST(PlantedBugs, ShrunkFrontierOverflows) {
 
   core::EtaGraphOptions options;
   options.check = MemcheckOnly();
-  options.inject.shrink_frontier = true;
+  options.faults.short_buffer = "act_set";
   core::ResidentGraph session(csr, options);
   const graph::VertexId sources[] = {0, 1};
   core::RunReport report = session.RunMultiSource(core::Algo::kBfs, sources,
@@ -485,7 +485,7 @@ TEST(PlantedBugs, ShrunkFrontierOverflows) {
 
   // The same workload with a full-size frontier is silent.
   core::EtaGraphOptions clean = options;
-  clean.inject.shrink_frontier = false;
+  clean.faults.short_buffer.clear();
   core::ResidentGraph clean_session(csr, clean);
   core::RunReport clean_report =
       clean_session.RunMultiSource(core::Algo::kBfs, sources, true);

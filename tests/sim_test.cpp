@@ -955,5 +955,122 @@ TEST(Counters, DerivedMetrics) {
   EXPECT_EQ(sum.warp_instructions, 560u);
 }
 
+// --- Plants (sim::FaultConfig rmw / short) -------------------------------------
+
+/// Every lane access a device reports, in order.
+class AccessTape : public AccessObserver {
+ public:
+  struct Event {
+    AccessKind kind;
+    uint64_t elem;
+    uint32_t lane;
+    bool operator==(const Event&) const = default;
+  };
+  void OnDeviceAccess(const DeviceAccess& a) override {
+    events.push_back({a.kind, a.elem_index, a.lane});
+  }
+  std::vector<Event> events;
+};
+
+struct ColliderRun {
+  Counters counters;
+  std::vector<AccessTape::Event> events;
+  LaneArray<uint32_t> old{};
+  std::vector<uint32_t> after;
+};
+
+/// One warp whose 32 lanes OR bit (lane % 8) into element lane / 8 of a
+/// 4-element buffer named "masks": eight lanes collide on each element.
+/// `explicit_rmw` writes the read-modify-write out as a Gather plus a
+/// Scatter instead of calling AtomicOr.
+ColliderRun RunColliders(const FaultConfig& plants, bool explicit_rmw) {
+  Device device(TestSpec(), plants);
+  AccessTape tape;
+  device.SetObserver(&tape);
+  auto buf = device.Alloc<uint32_t>(4, MemKind::kDevice, "masks");
+  LaneArray<uint64_t> idx{};
+  LaneArray<uint32_t> val{};
+  for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
+    idx[lane] = lane / 8;
+    val[lane] = 1u << (lane % 8);
+  }
+  ColliderRun run;
+  auto kernel = [&](WarpCtx& w) {
+    const uint32_t mask = w.ActiveMask();
+    if (!explicit_rmw) {
+      w.AtomicOr(buf, idx, val, mask, run.old);
+      return;
+    }
+    w.Gather(buf, idx, mask, run.old);
+    LaneArray<uint32_t> next{};
+    WarpCtx::ForActive(mask, [&](uint32_t lane) { next[lane] = run.old[lane] | val[lane]; });
+    w.Scatter(buf, idx, next, mask);
+  };
+  run.counters = device.Launch("or", {kWarpSize}, kernel).counters;
+  run.events = tape.events;
+  run.after.assign(buf.HostSpan().begin(), buf.HostSpan().end());
+  return run;
+}
+
+void ExpectSameCounters(const Counters& a, const Counters& b) {
+  EXPECT_EQ(a.warp_instructions, b.warp_instructions);
+  EXPECT_EQ(a.l1_accesses, b.l1_accesses);
+  EXPECT_EQ(a.l1_hits, b.l1_hits);
+  EXPECT_EQ(a.l2_accesses, b.l2_accesses);
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.dram_read_transactions, b.dram_read_transactions);
+  EXPECT_EQ(a.dram_write_transactions, b.dram_write_transactions);
+  EXPECT_EQ(a.atomic_operations, b.atomic_operations);
+  EXPECT_EQ(a.mem_latency_cycles, b.mem_latency_cycles);
+  EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
+}
+
+TEST(Plants, RmwBufferAtomicIsAnExplicitGatherPlusScatter) {
+  FaultConfig plants;
+  plants.rmw_buffer = "masks";
+  const ColliderRun planted = RunColliders(plants, /*explicit_rmw=*/false);
+  const ColliderRun written_out = RunColliders(FaultConfig{}, /*explicit_rmw=*/true);
+  ExpectSameCounters(planted.counters, written_out.counters);
+  EXPECT_EQ(planted.counters.atomic_operations, 0u);
+  EXPECT_EQ(planted.events, written_out.events);
+  ASSERT_EQ(planted.events.size(), 2u * kWarpSize);
+  EXPECT_EQ(planted.events.front().kind, AccessKind::kRead);
+  EXPECT_EQ(planted.events.back().kind, AccessKind::kWrite);
+  EXPECT_EQ(planted.old, written_out.old);
+  // The lost update: every lane read 0, so the last lane's store wins.
+  EXPECT_EQ(planted.after, (std::vector<uint32_t>{0x80, 0x80, 0x80, 0x80}));
+  EXPECT_EQ(planted.after, written_out.after);
+}
+
+TEST(Plants, UnnamedBufferKeepsItsAtomic) {
+  FaultConfig plants;
+  plants.rmw_buffer = "reach_mask";  // not this buffer
+  const ColliderRun other = RunColliders(plants, /*explicit_rmw=*/false);
+  const ColliderRun clean = RunColliders(FaultConfig{}, /*explicit_rmw=*/false);
+  ExpectSameCounters(other.counters, clean.counters);
+  EXPECT_GT(clean.counters.atomic_operations, 0u);
+  EXPECT_EQ(other.events, clean.events);
+  for (const AccessTape::Event& e : clean.events) EXPECT_EQ(e.kind, AccessKind::kAtomic);
+  EXPECT_EQ(other.after, (std::vector<uint32_t>{0xff, 0xff, 0xff, 0xff}));
+  EXPECT_EQ(other.after, clean.after);
+}
+
+TEST(Plants, ShortBufferIsOneElementShortAndOnlyIt) {
+  FaultConfig plants;
+  plants.short_buffer = "act_set";
+  Device device(TestSpec(), plants);
+  const auto planted = device.Alloc<uint32_t>(8, MemKind::kDevice, "act_set");
+  const auto other = device.Alloc<uint32_t>(8, MemKind::kDevice, "labels");
+  const auto single = device.Alloc<uint32_t>(1, MemKind::kDevice, "act_set");
+  EXPECT_EQ(planted.count, 7u);
+  EXPECT_EQ(planted.raw.payload_bytes, 7u * sizeof(uint32_t));
+  EXPECT_EQ(other.count, 8u);
+  EXPECT_EQ(single.count, 1u);  // never shrunk to nothing
+  EXPECT_FALSE(planted.raw.unsynced_atomics);
+
+  Device clean(TestSpec());
+  EXPECT_EQ(clean.Alloc<uint32_t>(8, MemKind::kDevice, "act_set").count, 8u);
+}
+
 }  // namespace
 }  // namespace eta::sim

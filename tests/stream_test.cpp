@@ -20,7 +20,10 @@
 namespace eta {
 namespace {
 
+using sim::DagAccess;
+using sim::DagNode;
 using sim::Event;
+using sim::FaultConfig;
 using sim::Stream;
 using sim::StreamOp;
 using sim::StreamOpKind;
@@ -92,6 +95,93 @@ TEST(StreamScheduler, WaitBeforeRecordIsANoOp) {
   sched.LaunchAsync(a, "kernel", [](double) { return Ok(1.0); });
   EXPECT_DOUBLE_EQ(sched.Ops().back().start_ms, 0.0);
   EXPECT_DOUBLE_EQ(sched.StreamEndMs(a), 1.0);
+}
+
+// --- dag plants (sim::FaultConfig::dag) ---------------------------------------
+
+/// One DAG node as "kind stream [event] [bound|unbound] label accesses".
+std::string Describe(const DagNode& node) {
+  std::string text = std::string(sim::StreamOpKindName(node.kind)) + " s" +
+                     std::to_string(node.stream);
+  if (node.event != DagNode::kNoEvent) {
+    text += " e" + std::to_string(node.event);
+    if (node.kind == StreamOpKind::kWait) text += node.bound ? " bound" : " unbound";
+  }
+  text += " " + node.label;
+  for (const DagAccess& a : node.accesses) {
+    text += (a.write ? " w" : " r") + std::to_string(a.alloc);
+  }
+  return text;
+}
+
+/// Copy -> record -> wait -> launch, the shape of a staged dispatch, under
+/// `plant`; returns the DAG log and the scheduler's ops.
+std::vector<std::string> StagedLaunchDag(FaultConfig::Dag plant,
+                                         std::vector<StreamOp>* ops) {
+  FaultConfig faults;
+  faults.dag = plant;
+  StreamScheduler sched({}, faults);
+  sched.EnableDagLog();
+  const uint32_t topo = sched.RegisterAlloc("topo");
+  const uint32_t state = sched.RegisterAlloc("state");
+  Stream copy = sched.CreateStream("copy");
+  Stream compute = sched.CreateStream("compute");
+  Event staged = sched.CreateEvent();
+  sched.CopyAsync(copy, StreamOpKind::kCopyH2D, 2.0, "stage");
+  sched.AnnotateLastOp({{topo, true}, {state, true}});
+  sched.Record(copy, staged);
+  sched.Wait(compute, staged);
+  sched.LaunchAsync(compute, "kernel", [](double) { return Ok(1.0); });
+  sched.AnnotateLastOp({{topo, false}, {state, true}});
+  *ops = sched.Ops();
+  std::vector<std::string> nodes;
+  for (const DagNode& node : sched.DagNodes()) nodes.push_back(Describe(node));
+  if (plant == FaultConfig::Dag::kDupCopy) {
+    EXPECT_EQ(sched.StreamName(Stream{2, true}), "copy-dup");
+  }
+  return nodes;
+}
+
+TEST(StreamPlants, NoPlantKeepsTheStagedLaunch) {
+  std::vector<StreamOp> ops;
+  EXPECT_EQ(StagedLaunchDag(FaultConfig::Dag::kNone, &ops),
+            (std::vector<std::string>{"copy-h2d s0 stage w0 w1", "record s0 e0 record",
+                                      "wait s1 e0 bound wait", "compute s1 kernel r0 w1"}));
+  EXPECT_DOUBLE_EQ(ops.back().start_ms, 2.0);
+}
+
+TEST(StreamPlants, DropWaitDropsEachWait) {
+  std::vector<StreamOp> ops;
+  EXPECT_EQ(StagedLaunchDag(FaultConfig::Dag::kDropWait, &ops),
+            (std::vector<std::string>{"copy-h2d s0 stage w0 w1", "record s0 e0 record",
+                                      "compute s1 kernel r0 w1"}));
+  EXPECT_DOUBLE_EQ(ops.back().start_ms, 0.0);  // the kernel races the copy
+}
+
+TEST(StreamPlants, LateRecordIssuesTheRecordJustAfterTheFirstWait) {
+  std::vector<StreamOp> ops;
+  EXPECT_EQ(StagedLaunchDag(FaultConfig::Dag::kLateRecord, &ops),
+            (std::vector<std::string>{"copy-h2d s0 stage w0 w1", "wait s1 e0 unbound wait",
+                                      "record s0 e0 record", "compute s1 kernel r0 w1"}));
+  // The record still completes with the copy; the wait bound to nothing.
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[1].kind, StreamOpKind::kRecord);
+  EXPECT_DOUBLE_EQ(ops[1].end_ms, 2.0);
+  EXPECT_DOUBLE_EQ(ops.back().start_ms, 0.0);
+}
+
+TEST(StreamPlants, DupCopyDuplicatesTheRecordedCopyOnAnUnorderedStream) {
+  std::vector<StreamOp> ops;
+  EXPECT_EQ(StagedLaunchDag(FaultConfig::Dag::kDupCopy, &ops),
+            (std::vector<std::string>{"copy-h2d s0 stage w0 w1", "record s0 e0 record",
+                                      "copy-h2d s2 stage-dup w0 w1", "wait s1 e0 bound wait",
+                                      "compute s1 kernel r0 w1"}));
+  // Zero duration at the copy engine's tail: no other op moves.
+  ASSERT_EQ(ops.size(), 5u);
+  EXPECT_EQ(ops[2].label, "stage-dup");
+  EXPECT_DOUBLE_EQ(ops[2].start_ms, 2.0);
+  EXPECT_DOUBLE_EQ(ops[2].end_ms, 2.0);
+  EXPECT_DOUBLE_EQ(ops.back().start_ms, 2.0);
 }
 
 TEST(StreamScheduler, CrossStreamEventChainOrdersDependentWork) {
@@ -417,8 +507,8 @@ TEST(StreamServe, AsyncCheckReportMatchesSync) {
   options.shards = 2;
   options.base.queue_capacity = trace.size();
   options.base.graph.check = sanitizer::Config::All();
-  options.base.graph.inject.shrink_frontier = true;    // plant a memcheck hit
-  options.base.graph.inject.drop_reach_atomic = true;  // plant a racecheck hit
+  options.base.graph.faults.short_buffer = "act_set";   // plant a memcheck hit
+  options.base.graph.faults.rmw_buffer = "reach_mask";  // plant a racecheck hit
   serve::ServeReport sync = serve::ShardedEngine(options).Serve(csr, trace);
   options.async_dispatch = true;
   serve::ServeReport async_r = serve::ShardedEngine(options).Serve(csr, trace);

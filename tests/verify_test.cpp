@@ -418,15 +418,14 @@ TEST(EtaVerifyServe, VerificationDoesNotPerturbTheSchedule) {
 // the *dynamic* schedule and answers bit-identical to the healthy async
 // run (the defect is invisible to replay diffs — timing luck); only the
 // static verifier sees it.
-serve::ServeReport RunPlanted(const MultiGraphCase& c,
-                              serve::ShardedOptions::DagPlant plant,
+serve::ServeReport RunPlanted(const MultiGraphCase& c, sim::FaultConfig::Dag plant,
                               const serve::ServeReport* healthy = nullptr) {
   serve::ShardedOptions options;
   options.shards = 1;
   options.base.queue_capacity = c.trace.size();
   options.async_dispatch = true;
   options.base.graph.verify_dag = true;
-  options.plant = plant;
+  options.base.graph.faults.dag = plant;
   serve::ServeReport report = serve::ShardedEngine(options).ServeMany(c.graphs, c.trace);
   if (healthy != nullptr) ExpectSameAnswers(*healthy, report);
   return report;
@@ -435,10 +434,10 @@ serve::ServeReport RunPlanted(const MultiGraphCase& c,
 TEST(EtaVerifyServe, PlantedDroppedReadyWaitIsReported) {
   const MultiGraphCase c = BuildMultiGraphCase();
   const serve::ServeReport healthy =
-      RunPlanted(c, serve::ShardedOptions::DagPlant::kNone);
+      RunPlanted(c, sim::FaultConfig::Dag::kNone);
   ASSERT_TRUE(healthy.verify.Clean()) << healthy.verify.Render(true);
   const serve::ServeReport report =
-      RunPlanted(c, serve::ShardedOptions::DagPlant::kDropReadyWait, &healthy);
+      RunPlanted(c, sim::FaultConfig::Dag::kDropWait, &healthy);
   ASSERT_FALSE(report.verify.Clean());
   // The wave reads topology the pre-stage copy writes, with the ordering
   // edge surgically removed: read/write race on the staged buffers plus a
@@ -454,9 +453,9 @@ TEST(EtaVerifyServe, PlantedDroppedReadyWaitIsReported) {
 TEST(EtaVerifyServe, PlantedSwappedRecordWaitIsReported) {
   const MultiGraphCase c = BuildMultiGraphCase();
   const serve::ServeReport healthy =
-      RunPlanted(c, serve::ShardedOptions::DagPlant::kNone);
+      RunPlanted(c, sim::FaultConfig::Dag::kNone);
   const serve::ServeReport report =
-      RunPlanted(c, serve::ShardedOptions::DagPlant::kSwapRecordWait, &healthy);
+      RunPlanted(c, sim::FaultConfig::Dag::kLateRecord, &healthy);
   ASSERT_FALSE(report.verify.Clean());
   const DagFinding* f = FindKind(report.verify, DagFindingKind::kWaitUnrecorded);
   ASSERT_NE(f, nullptr) << report.verify.Render(true);
@@ -466,9 +465,9 @@ TEST(EtaVerifyServe, PlantedSwappedRecordWaitIsReported) {
 TEST(EtaVerifyServe, PlantedDoublePrestageIsReported) {
   const MultiGraphCase c = BuildMultiGraphCase();
   const serve::ServeReport healthy =
-      RunPlanted(c, serve::ShardedOptions::DagPlant::kNone);
+      RunPlanted(c, sim::FaultConfig::Dag::kNone);
   const serve::ServeReport report =
-      RunPlanted(c, serve::ShardedOptions::DagPlant::kDoublePrestage, &healthy);
+      RunPlanted(c, sim::FaultConfig::Dag::kDupCopy, &healthy);
   ASSERT_FALSE(report.verify.Clean());
   // Two unordered writes of one topology buffer (the duplicate copy races
   // the real pre-stage), attributed to the dup op.

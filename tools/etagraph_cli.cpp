@@ -30,7 +30,13 @@
 //                 key=value pairs, e.g. --faults=seed=7,uecc=0.02,hang=0.01
 //                 keys: seed, ecc, uecc, hang, lost, alloc (rates in [0,1]),
 //                 watchdog (ms, > 0), words (in [1, 1048576]), ecc_at/
-//                 uecc_at/hang_at/lost_at/alloc_at one-shots. etagraph
+//                 uecc_at/hang_at/lost_at/alloc_at one-shots. Test plants
+//                 (DESIGN.md section 12), which inject no hardware fault:
+//                 rmw=<buffer> runs the buffer's atomics as unsynchronized
+//                 read-modify-writes (e.g. rmw=reach_mask), short=<buffer>
+//                 allocates it one element short (e.g. short=act_set),
+//                 dag=drop-wait|late-record|dup-copy plants an ordering bug
+//                 in the --async stream DAG (requires --async). etagraph
 //                 traversals and cc only.
 //                 Exit 1 when the device path fails despite recovery.
 //   --profile     run etaprof (DESIGN.md section 9): record per-launch
@@ -308,6 +314,35 @@ int main(int argc, char** argv) {
   const std::optional<sim::FaultConfig> faults = sim::FaultConfig::Parse(faults_spec, &fault_error);
   if (!faults) return Fail("bad --faults: " + fault_error);
   const sim::FaultConfig& fault_cfg = *faults;
+  const bool faulted = fault_cfg.Enabled() || fault_cfg.Planted();
+
+  // --- Flag combinations, before the (potentially slow) graph load -----------
+  const bool whole_graph = algo_name == "pagerank" || algo_name == "hybrid-bfs";
+  if (!whole_graph && algo_name != "cc" && algo_name != "bfs" && algo_name != "sssp" &&
+      algo_name != "sswp") {
+    return Fail("unknown --algo '" + algo_name + "'");
+  }
+  if (async && (whole_graph || algo_name == "cc")) {
+    return Fail("--async supports etagraph traversals (bfs, sssp, sswp) only");
+  }
+  if (fault_cfg.dag != sim::FaultConfig::Dag::kNone && !async) {
+    return Fail("--faults key 'dag' requires --async");
+  }
+  if (whole_graph) {
+    // PageRank and hybrid BFS run their own devices: no fault injector, no
+    // plant, no profiler and no attempt loop reach them.
+    if (faulted) return Fail("--faults supports etagraph traversals and cc only");
+    if (profile) return Fail("--profile supports etagraph traversals and cc only");
+    if (trace_requests) {
+      return Fail("--trace-requests supports etagraph traversals and cc only");
+    }
+  } else if (algo_name != "cc" && framework != "etagraph") {
+    if (check_cfg.Enabled()) return Fail("--check supports --framework=etagraph only");
+    if (faulted) return Fail("--faults supports --framework=etagraph only");
+    if (profile) return Fail("--profile supports --framework=etagraph only");
+    if (async) return Fail("--async supports --framework=etagraph only");
+    if (trace_requests) return Fail("--trace-requests supports --framework=etagraph only");
+  }
 
   // --- Load the graph -------------------------------------------------------
   graph::Csr csr;
@@ -330,22 +365,8 @@ int main(int argc, char** argv) {
   std::printf("graph: %u vertices, %u edges, topology %s\n", csr.NumVertices(),
               csr.NumEdges(), util::FormatBytes(csr.TopologyBytes()).c_str());
 
-  if (async && (algo_name == "pagerank" || algo_name == "cc" ||
-                algo_name == "hybrid-bfs")) {
-    return Fail("--async supports etagraph traversals (bfs, sssp, sswp) only");
-  }
-
   // --- PageRank path ---------------------------------------------------------
   if (algo_name == "pagerank") {
-    if (fault_cfg.Enabled()) {
-      return Fail("--faults supports etagraph traversals and cc only");
-    }
-    if (profile) {
-      return Fail("--profile supports etagraph traversals and cc only");
-    }
-    if (trace_requests) {
-      return Fail("--trace-requests supports etagraph traversals and cc only");
-    }
     core::PageRankOptions options;
     options.use_smp = smp;
     options.degree_limit = k;
@@ -357,48 +378,8 @@ int main(int argc, char** argv) {
     return check_cfg.Enabled() ? EmitCheck(result.check, check_json) : 0;
   }
 
-  // --- Traversals -------------------------------------------------------------
-  core::Algo algo;
-  if (algo_name == "bfs") {
-    algo = core::Algo::kBfs;
-  } else if (algo_name == "sssp") {
-    algo = core::Algo::kSssp;
-  } else if (algo_name == "sswp") {
-    algo = core::Algo::kSswp;
-  } else if (algo_name == "cc") {
-    core::EtaGraphOptions options;
-    options.check = check_cfg;
-    options.faults = fault_cfg;
-    options.profile = profile;
-    options.trace_requests = trace_requests;
-    auto report = core::EtaGraph(options).RunConnectedComponents(csr);
-    PrintReport(report, timeline);
-    if (profile) {
-      if (int rc = EmitProfile(report, !dataset.empty() ? dataset : graph_path,
-                               trace_json);
-          rc != 0) {
-        return rc;
-      }
-    }
-    if (trace_requests) {
-      if (int rc = EmitRequestTrace(report, trace_request_out, blackbox_out); rc != 0) {
-        return rc;
-      }
-    }
-    if (check_cfg.Enabled()) {
-      if (int rc = EmitCheck(report.check, check_json); rc != 0) return rc;
-    }
-    return report.DeviceFailed() ? 1 : 0;
-  } else if (algo_name == "hybrid-bfs") {
-    if (fault_cfg.Enabled()) {
-      return Fail("--faults supports etagraph traversals and cc only");
-    }
-    if (profile) {
-      return Fail("--profile supports etagraph traversals and cc only");
-    }
-    if (trace_requests) {
-      return Fail("--trace-requests supports etagraph traversals and cc only");
-    }
+  // --- Hybrid BFS path -------------------------------------------------------
+  if (algo_name == "hybrid-bfs") {
     core::HybridBfsOptions options;
     options.use_smp = smp;
     options.degree_limit = k;
@@ -415,29 +396,24 @@ int main(int argc, char** argv) {
       if (!ok) return 1;
     }
     return check_cfg.Enabled() ? EmitCheck(result.check, check_json) : 0;
-  } else {
-    return Fail("unknown --algo '" + algo_name + "'");
   }
 
-  if (check_cfg.Enabled() && framework != "etagraph") {
-    return Fail("--check supports --framework=etagraph only");
-  }
-  if (fault_cfg.Enabled() && framework != "etagraph") {
-    return Fail("--faults supports --framework=etagraph only");
-  }
-  if (profile && framework != "etagraph") {
-    return Fail("--profile supports --framework=etagraph only");
-  }
-  if (async && framework != "etagraph") {
-    return Fail("--async supports --framework=etagraph only");
-  }
-  if (trace_requests && framework != "etagraph") {
-    return Fail("--trace-requests supports --framework=etagraph only");
-  }
-
+  // --- Traversals and CC ------------------------------------------------------
+  const core::Algo algo = algo_name == "bfs"    ? core::Algo::kBfs
+                          : algo_name == "sssp" ? core::Algo::kSssp
+                          : algo_name == "sswp" ? core::Algo::kSswp
+                                                : core::Algo::kCc;
   core::RunReport report;
   bool dag_clean = true;
-  if (framework == "etagraph") {
+  if (algo == core::Algo::kCc) {
+    // CC always runs on EtaGraph, with the default degree limit and mode.
+    core::EtaGraphOptions options;
+    options.check = check_cfg;
+    options.faults = fault_cfg;
+    options.profile = profile;
+    options.trace_requests = trace_requests;
+    report = core::EtaGraph(options).RunConnectedComponents(csr);
+  } else if (framework == "etagraph") {
     core::EtaGraphOptions options;
     options.degree_limit = k;
     options.use_smp = smp;
@@ -465,7 +441,7 @@ int main(int argc, char** argv) {
       // --async pipelines real work across these streams).
       core::ResidentGraph resident(csr, options,
                                    /*stage_weights=*/core::IsWeighted(algo));
-      sim::StreamScheduler streams(options.spec);
+      sim::StreamScheduler streams(options.spec, options.faults);
       if (verify_dag) streams.EnableDagLog();
       const uint32_t topo_alloc = streams.RegisterAlloc("graph/topo");
       const uint32_t state_alloc = streams.RegisterAlloc("graph/state");
@@ -530,7 +506,7 @@ int main(int argc, char** argv) {
       return rc;
     }
   }
-  if (!report.DeviceFailed() && verify) {
+  if (!report.DeviceFailed() && verify && algo != core::Algo::kCc) {
     bool ok = report.labels == core::CpuReference(csr, algo, source);
     std::printf("  verify      %10s vs CPU reference\n", ok ? "OK" : "MISMATCH");
     if (!ok) return 1;

@@ -34,7 +34,16 @@
 //                   keys: seed, ecc, uecc, hang, lost, alloc (rates in [0,1]),
 //                   watchdog (ms, > 0), words (in [1, 1048576]), and scripted
 //                   ecc_at/uecc_at/hang_at/lost_at/alloc_at one-shots (1-based
-//                   decision index); seed and one-shots are uint64
+//                   decision index); seed and one-shots are uint64. Test
+//                   plants (DESIGN.md section 12), which inject no hardware
+//                   fault: rmw=<buffer> runs the buffer's atomics as
+//                   unsynchronized read-modify-writes (rmw=reach_mask: a
+//                   racecheck finding on attributed waves), short=<buffer>
+//                   allocates it one element short (short=act_set: a
+//                   memcheck finding), and dag=drop-wait|late-record|dup-copy
+//                   plants an ordering bug in every shard's stream DAG
+//                   (requires --async; --verify-dag reports it). Answers
+//                   stay bit-identical under a dag plant
 //   --replay-out    write per-request terminal outcomes (id status algo source
 //                   reached batch start finish) to this path — diffable across
 //                   identical replays
@@ -67,10 +76,6 @@
 //                   accesses, use-before-ready consumers, unbound waits,
 //                   wait cycles, and orphan streams. Exit 1 on any finding.
 //   --verify-json   also write the etaverify findings as JSON to this path
-//   --plant         with --verify-dag: surgically plant one ordering bug in
-//                   the async dispatcher (test gate for etaverify): one of
-//                   drop-ready-wait, swap-record-wait, double-prestage.
-//                   Answers stay bit-identical; the DAG carries the bug.
 //   --arrivals      replace the generated trace with a seeded open-loop
 //                   arrival process (DESIGN.md section 13):
 //                   profile:key=value,... with profile one of poisson,
@@ -214,7 +219,6 @@ int main(int argc, char** argv) {
   const auto catalog_n = static_cast<uint32_t>(cl->GetInt("catalog", 1, 1, kMaxCatalog));
   const bool verify_dag = cl->GetBool("verify-dag", false);
   const std::string verify_json = cl->GetString("verify-json", "");
-  const std::string plant_name = cl->GetString("plant", "");
   const std::string arrivals_spec = cl->GetString("arrivals", "");
   const bool slo_shed = cl->GetBool("slo-shed", false);
   const std::string slo_targets = cl->GetString("slo-targets", "");
@@ -245,20 +249,6 @@ int main(int argc, char** argv) {
   if (!verify_json.empty() && !verify_dag) {
     return Fail("--verify-json requires --verify-dag");
   }
-  serve::ShardedOptions::DagPlant plant = serve::ShardedOptions::DagPlant::kNone;
-  if (!plant_name.empty()) {
-    if (!verify_dag) return Fail("--plant requires --verify-dag");
-    if (plant_name == "drop-ready-wait") {
-      plant = serve::ShardedOptions::DagPlant::kDropReadyWait;
-    } else if (plant_name == "swap-record-wait") {
-      plant = serve::ShardedOptions::DagPlant::kSwapRecordWait;
-    } else if (plant_name == "double-prestage") {
-      plant = serve::ShardedOptions::DagPlant::kDoublePrestage;
-    } else {
-      return Fail("unknown --plant '" + plant_name +
-                  "' (drop-ready-wait | swap-record-wait | double-prestage)");
-    }
-  }
   if (bfs_frac + sssp_frac > 1.0 + 1e-9) return Fail("--bfs-frac + --sssp-frac must be <= 1");
   if (catalog_n > 1 && dataset.empty()) {
     return Fail("--catalog requires --dataset (scaled variants of one dataset)");
@@ -283,6 +273,9 @@ int main(int argc, char** argv) {
   const std::optional<sim::FaultConfig> faults = sim::FaultConfig::Parse(faults_spec, &fault_error);
   if (!faults) return Fail("bad --faults: " + fault_error);
   const sim::FaultConfig& fault_cfg = *faults;
+  if (fault_cfg.dag != sim::FaultConfig::Dag::kNone && !async) {
+    return Fail("--faults key 'dag' requires --async");
+  }
 
   // Validate flags before the (potentially slow) graph load.
   serve::ServeOptions options;
@@ -431,7 +424,6 @@ int main(int argc, char** argv) {
   sharded.shards = shards;
   sharded.device_mem_budget_bytes = mem_budget;
   sharded.async_dispatch = async;
-  sharded.plant = plant;
   sharded.autoscale = autoscale;
   const serve::ServeReport report = serve::ShardedEngine(sharded).ServeMany(graphs, trace);
   std::printf("%s\n", report.Render("etagraph serve — trace replay").c_str());
