@@ -23,9 +23,10 @@ int main(int argc, char** argv) {
     core::PageRankOptions pr_opts;
     pr_opts.epsilon = 1e-7;
     pr_opts.max_iterations = 30;
-    auto pr = core::RunPageRank(csr, pr_opts);
-    pr_opts.use_smp = false;
-    auto pr_no_smp = core::RunPageRank(csr, pr_opts);
+    auto pr = core::EtaGraph().RunPageRank(csr, pr_opts);
+    core::EtaGraphOptions no_smp;
+    no_smp.use_smp = false;
+    auto pr_no_smp = core::EtaGraph(no_smp).RunPageRank(csr, pr_opts);
 
     table.AddRow({graph::FindDataset(name)->paper_name, std::to_string(cc.iterations),
                   util::FormatDouble(cc.total_ms, 2), std::to_string(pr.iterations),

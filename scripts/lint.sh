@@ -54,10 +54,10 @@ fi
 
 # Relax gates: a label is relaxed in one place, core::RelaxStep
 # (src/core/relax_step.hpp), under a semiring policy fixed per launch
-# (core/traversal.hpp). A label AtomicMin/AtomicMax anywhere else is a
-# hand-written relax loop again, and a Propagate/Improves call over a
+# (core/traversal.hpp). A label (`labels`, or hybrid BFS's `levels`)
+# AtomicMin/AtomicMax anywhere else is a hand-written relax loop again, and a Propagate/Improves call over a
 # runtime Algo is a per-lane switch again.
-LABEL_ATOMICS=$(grep -rnE 'Atomic(Min|Max)\([^,]*labels\b' src tools bench examples \
+LABEL_ATOMICS=$(grep -rnE 'Atomic(Min|Max)\([^,]*\b(labels|levels)\b' src tools bench examples \
                   --include='*.cpp' --include='*.hpp' |
                 grep -v '^src/core/relax_step\.hpp:' || true)
 if [[ -n "$LABEL_ATOMICS" ]]; then

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/relax_step.hpp"
+#include "core/shadow_edges.hpp"
 #include "core/udc.hpp"
 #include "cpu/reference.hpp"
 #include "sanitizer/sanitizer.hpp"
@@ -138,6 +139,43 @@ void UdcKernel(WarpCtx& w, DeviceState& d, uint32_t k) {
   }
 }
 
+/// One warp's lanes of a virtual active set: each shadow's vertex (as a
+/// gather index), first edge and degree.
+struct ShadowLanes {
+  LaneArray<uint64_t> id_idx{};
+  LaneArray<EdgeId> start{};
+  LaneArray<uint32_t> deg{};
+};
+
+/// Loads the warp's shadow vertices from the full (degree == k) or the
+/// partial virtual active set.
+ShadowLanes LoadShadows(WarpCtx& w, const DeviceState& d, bool full_set, uint32_t k,
+                        uint32_t mask) {
+  const uint64_t base = w.WarpId() * kWarpSize;
+  ShadowLanes s;
+  LaneArray<VertexId> id{};
+  LaneArray<EdgeId> end{};
+  if (full_set) {
+    w.GatherContiguous(d.full_id, base, mask, id);
+    w.GatherContiguous(d.full_start, base, mask, s.start);
+    WarpCtx::ForActive(mask, [&](uint32_t lane) { end[lane] = s.start[lane] + k; });
+    w.ChargeAlu(1, mask);
+  } else {
+    w.GatherContiguous(d.part_id, base, mask, id);
+    w.GatherContiguous(d.part_start, base, mask, s.start);
+    w.GatherContiguous(d.part_end, base, mask, end);
+  }
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    s.id_idx[lane] = id[lane];
+    // Shadow bounds are device-resident, so after an uncorrectable ECC hit
+    // they can be arbitrary — including inverted. Clamp to the build
+    // invariant (end >= start, degree <= k): the shared-memory stand-in has
+    // exactly k slots per lane, and an unclamped degree would index past it.
+    s.deg[lane] = end[lane] > s.start[lane] ? std::min(end[lane] - s.start[lane], k) : 0;
+  });
+  return s;
+}
+
 struct TraverseParams {
   bool use_smp = true;
   bool full_set = true;  // which virtual active set this launch processes
@@ -158,51 +196,11 @@ template <class S>
 void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
   uint32_t mask = w.ActiveMask();
   if (!mask) return;
-  uint64_t base = w.WarpId() * kWarpSize;
-
-  LaneArray<VertexId> id{};
-  LaneArray<EdgeId> start{}, end{};
-  if (p.full_set) {
-    w.GatherContiguous(d.full_id, base, mask, id);
-    w.GatherContiguous(d.full_start, base, mask, start);
-    WarpCtx::ForActive(mask, [&](uint32_t lane) { end[lane] = start[lane] + p.k; });
-    w.ChargeAlu(1, mask);
-  } else {
-    w.GatherContiguous(d.part_id, base, mask, id);
-    w.GatherContiguous(d.part_start, base, mask, start);
-    w.GatherContiguous(d.part_end, base, mask, end);
-  }
-
-  LaneArray<uint64_t> id_idx{};
-  LaneArray<uint32_t> deg{};
-  uint32_t max_deg = 0;
-  WarpCtx::ForActive(mask, [&](uint32_t lane) {
-    id_idx[lane] = id[lane];
-    // Partition bounds are device-resident, so after an uncorrectable ECC
-    // hit they can be arbitrary — including inverted. Clamp to the build
-    // invariant (end >= start, degree <= k): the shared-memory stand-in
-    // below has exactly k slots per lane, and an unclamped degree would
-    // index past it.
-    deg[lane] =
-        end[lane] > start[lane] ? std::min(end[lane] - start[lane], p.k) : 0;
-    max_deg = std::max(max_deg, deg[lane]);
-  });
+  const ShadowLanes s = LoadShadows(w, d, p.full_set, p.k, mask);
   LaneArray<Weight> src_label{};
-  w.Gather(d.labels, id_idx, mask, src_label);
+  w.Gather(d.labels, s.id_idx, mask, src_label);
   LaneArray<uint32_t> src_mask{};
-  if (p.attribute) w.Gather(d.reach_mask, id_idx, mask, src_mask);
-
-  constexpr bool weighted = S::kWeighted;
-  // The shared-memory partition of this warp (functional stand-in; the
-  // traffic is charged through GatherBulk / ChargeShared).
-  uint32_t nbr_buf[kWarpSize * kMaxDegreeLimit];
-  uint32_t wgt_buf[kWarpSize * kMaxDegreeLimit];
-  if (p.use_smp) {
-    LaneArray<uint64_t> start64{};
-    WarpCtx::ForActive(mask, [&](uint32_t lane) { start64[lane] = start[lane]; });
-    w.GatherBulk(d.col, start64, deg, mask, nbr_buf, p.k);
-    if (weighted) w.GatherBulk(d.wts, start64, deg, mask, wgt_buf, p.k);
-  }
+  if (p.attribute) w.Gather(d.reach_mask, s.id_idx, mask, src_mask);
 
   LaneArray<uint32_t> one{};
   one.fill(1);
@@ -210,31 +208,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
   LaneArray<uint32_t> iter_val{};
   iter_val.fill(p.iteration);
 
-  for (uint32_t j = 0; j < max_deg; ++j) {
-    uint32_t jmask = 0;
-    WarpCtx::ForActive(mask, [&](uint32_t lane) {
-      if (j < deg[lane]) jmask |= 1u << lane;
-    });
-    if (!jmask) break;
-
-    // Step arrays are written under jmask (or a subset) before any read
-    // under the same mask, so they skip the zero-fill; `ew` keeps it
-    // because Propagate reads it for unweighted algorithms too.
-    LaneArray<VertexId> u;
-    LaneArray<Weight> ew{};
-    if (p.use_smp) {
-      WarpCtx::ForActive(jmask, [&](uint32_t lane) {
-        u[lane] = nbr_buf[lane * p.k + j];
-        if (weighted) ew[lane] = wgt_buf[lane * p.k + j];
-      });
-      w.ChargeShared(weighted ? 2 : 1, jmask);
-    } else {
-      LaneArray<uint64_t> eidx;
-      WarpCtx::ForActive(jmask, [&](uint32_t lane) { eidx[lane] = start[lane] + j; });
-      w.Gather(d.col, eidx, jmask, u);
-      if (weighted) w.Gather(d.wts, eidx, jmask, ew);
-    }
-
+  auto relax = [&](uint32_t jmask, const LaneArray<VertexId>& u, const LaneArray<Weight>& ew) {
     LaneArray<uint64_t> u_idx;
     LaneArray<Weight> cand;
     WarpCtx::ForActive(jmask, [&](uint32_t lane) {
@@ -266,7 +240,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
 
     const uint32_t cmask = RelaxStep<S>(w, d.labels, u_idx, cand, jmask);
     const uint32_t amask = cmask | gmask;
-    if (!amask) continue;
+    if (!amask) return;
 
     // Append to the next active set, deduplicated per iteration by the
     // stamp array (one entry per vertex per iteration).
@@ -276,14 +250,50 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     WarpCtx::ForActive(amask, [&](uint32_t lane) {
       if (prev_stamp[lane] < p.iteration) nmask |= 1u << lane;
     });
-    if (!nmask) continue;
+    if (!nmask) return;
 
     LaneArray<uint32_t> slot;
     w.AtomicAdd(d.act_count, zero_idx, one, nmask, slot);
     LaneArray<uint64_t> slot_idx;
     WarpCtx::ForActive(nmask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
     w.Scatter(d.act_set, slot_idx, u, nmask);
-  }
+  };
+  ForEachShadowEdge<S::kWeighted>(w, d.col, d.wts, s.start, s.deg, mask, p.k, p.use_smp,
+                                  relax);
+}
+
+/// PageRank's per-query buffers: ResidentGraph::RunPageRank allocates them
+/// before the first attempt and frees them after the last.
+struct PrBuffers {
+  Buffer<float> rank;
+  Buffer<float> next;
+  Buffer<float> inv_deg;  // 1/out_degree, 0 for sinks
+  Buffer<float> delta;    // single-cell max-|next - rank| reduction target
+};
+
+/// PageRank's push over the static virtual active set (the partial-shadow
+/// buffers): each shadow adds damping * rank / out_degree of its vertex to
+/// `next` of each of its neighbours.
+void PrPushKernel(WarpCtx& w, DeviceState& d, PrBuffers& pr, uint32_t k, bool use_smp,
+                  float damping) {
+  uint32_t mask = w.ActiveMask();
+  if (!mask) return;
+  const ShadowLanes s = LoadShadows(w, d, /*full_set=*/false, k, mask);
+  LaneArray<float> rank{}, inv{};
+  w.Gather(pr.rank, s.id_idx, mask, rank);
+  w.Gather(pr.inv_deg, s.id_idx, mask, inv);
+  LaneArray<float> share{};
+  WarpCtx::ForActive(mask,
+                     [&](uint32_t lane) { share[lane] = damping * rank[lane] * inv[lane]; });
+  w.ChargeAlu(2, mask);
+  ForEachShadowEdge<false>(
+      w, d.col, d.wts, s.start, s.deg, mask, k, use_smp,
+      [&](uint32_t jmask, const LaneArray<VertexId>& u, const LaneArray<Weight>&) {
+        LaneArray<uint64_t> u_idx{};
+        WarpCtx::ForActive(jmask, [&](uint32_t lane) { u_idx[lane] = u[lane]; });
+        LaneArray<float> old{};
+        w.AtomicAdd(pr.next, u_idx, share, jmask, old);
+      });
 }
 
 }  // namespace
@@ -305,6 +315,7 @@ struct ResidentGraph::State {
   DeviceState d;
   ChunkStream stream;
   Buffer<uint32_t> stream_window;  // the staging buffer (kDevice)
+  PrBuffers pr;                    // valid only during RunPageRank
 
   State(const sim::DeviceSpec& spec, const sim::FaultConfig& faults)
       : device(spec, faults) {}
@@ -508,19 +519,25 @@ void ResidentGraph::Shutdown() {
 
 double ResidentGraph::NowMs() const { return state_->device.NowMs(); }
 
-double ResidentGraph::PrefetchTopology() {
-  if (shutdown_ || oom_ || device_lost_ || prefetched_) return 0;
-  if (options_.memory_mode != MemoryMode::kUnifiedPrefetch) return 0;
+bool ResidentGraph::PrefetchOnce() {
+  if (prefetched_ || options_.memory_mode != MemoryMode::kUnifiedPrefetch) return false;
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;
-  const double before = device.NowMs();
   device.PrefetchAsync(d.row);
   device.PrefetchAsync(d.col);
   if (weights_staged_) device.PrefetchAsync(d.wts);
+  prefetched_ = true;
+  return true;
+}
+
+double ResidentGraph::PrefetchTopology() {
+  if (shutdown_ || oom_ || device_lost_) return 0;
+  sim::Device& device = state_->device;
+  const double before = device.NowMs();
+  if (!PrefetchOnce()) return 0;
   // The caller charges this op to a copy stream as one block, so the pages
   // must be landed (not merely scheduled) before the clock delta is read.
   device.Synchronize();
-  prefetched_ = true;
   return device.NowMs() - before;
 }
 
@@ -538,7 +555,19 @@ RunReport ResidentGraph::RunMultiSource(Algo algo, std::span<const VertexId> sou
     ETA_CHECK(s < csr_.NumVertices());
     init_labels[s] = InitLabel(algo, true);
   }
-  return Execute(algo, std::move(init_labels), sources, attribute_sources);
+  // The per-vertex reach mask is allocated by the first attributed query
+  // and stays resident.
+  auto alloc_reach_mask = [&] {
+    DeviceState& d = state_->d;
+    if (!attribute_sources || d.reach_mask.Valid()) return;
+    sim::Device& device = state_->device;
+    d.reach_mask = device.Alloc<uint32_t>(csr_.NumVertices(), sim::MemKind::kDevice,
+                                          "reach_mask");
+    device_bytes_peak_ = std::max(device_bytes_peak_, device.Mem().DeviceBytesUsed());
+  };
+  return Execute(algo, alloc_reach_mask, [&](FaultStats* faults, AttemptFailure* failure) {
+    return TraversalAttempt(algo, init_labels, sources, attribute_sources, faults, failure);
+  });
 }
 
 RunReport ResidentGraph::RunConnectedComponents() {
@@ -549,13 +578,47 @@ RunReport ResidentGraph::RunConnectedComponents() {
     init_labels[v] = v;
     sources[v] = v;
   }
-  return Execute(Algo::kCc, std::move(init_labels), std::span<const VertexId>(sources),
-                 /*attribute_sources=*/false);
+  return Execute(Algo::kCc, [] {}, [&](FaultStats* faults, AttemptFailure* failure) {
+    return TraversalAttempt(Algo::kCc, init_labels, sources, /*attribute_sources=*/false,
+                            faults, failure);
+  });
 }
 
-RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
-                                 std::span<const VertexId> initial_active,
-                                 bool attribute_sources) {
+RunReport ResidentGraph::RunPageRank(const PageRankOptions& pr) {
+  ETA_CHECK(options_.memory_mode != MemoryMode::kChunkedStream);
+  ETA_CHECK(csr_.NumVertices() > 0);
+  const VertexId n = csr_.NumVertices();
+  sim::Device& device = state_->device;
+  PrBuffers& b = state_->pr;
+  auto alloc = [&] {
+    b.rank = device.Alloc<float>(n, sim::MemKind::kDevice, "rank");
+    b.next = device.Alloc<float>(n, sim::MemKind::kDevice, "next");
+    b.inv_deg = device.Alloc<float>(n, sim::MemKind::kDevice, "inv_deg");
+    b.delta = device.Alloc<float>(1, sim::MemKind::kDevice, "delta");
+    device_bytes_peak_ = std::max(device_bytes_peak_, device.Mem().DeviceBytesUsed());
+  };
+  RunReport report = Execute(Algo::kPr, alloc, [&](FaultStats* faults, AttemptFailure* failure) {
+    return PageRankAttempt(pr, faults, failure);
+  });
+  device.Free(b.rank);
+  device.Free(b.next);
+  device.Free(b.inv_deg);
+  device.Free(b.delta);
+  return report;
+}
+
+bool ResidentGraph::AttemptFailure::Launched(const sim::LaunchResult& r, uint32_t launch_iter,
+                                             FaultStats* faults) {
+  faults->ecc_corrected += r.ecc_corrected;
+  if (r.Ok()) return true;
+  failed = true;
+  status = r.status;
+  iter = launch_iter;
+  return false;
+}
+
+template <class Alloc, class Attempt>
+RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt) {
   ETA_CHECK(!shutdown_);
   RunReport report;
   report.framework = std::string("EtaGraph[") + ModeNameImpl(options_.memory_mode) +
@@ -571,12 +634,9 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
     return report;
   }
   ETA_CHECK(!IsWeighted(algo) || weights_staged_);
-  ETA_CHECK(!attribute_sources || initial_active.size() <= kMaxAttributedSources);
 
   sim::Device& device = state_->device;
-  DeviceState& d = state_->d;
   ChunkStream& stream = state_->stream;
-  const VertexId n = csr_.NumVertices();
   const bool chunked = options_.memory_mode == MemoryMode::kChunkedStream;
 
   device.StartInterval();
@@ -587,15 +647,12 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
   const size_t profile_start =
       state_->profiler != nullptr ? state_->profiler->Launches().size() : 0;
 
-  if (attribute_sources && !d.reach_mask.Valid()) {
-    try {
-      d.reach_mask = device.Alloc<uint32_t>(n, sim::MemKind::kDevice, "reach_mask");
-    } catch (const sim::OomError& e) {
-      report.oom = true;
-      report.oom_request_bytes = e.requested_bytes;
-      return report;
-    }
-    device_bytes_peak_ = std::max(device_bytes_peak_, device.Mem().DeviceBytesUsed());
+  try {
+    alloc();
+  } catch (const sim::OomError& e) {
+    report.oom = true;
+    report.oom_request_bytes = e.requested_bytes;
+    return report;
   }
 
   // --- Attempt/retry loop (DESIGN.md section 8) ----------------------------
@@ -611,9 +668,7 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
   const uint32_t max_attempts = 1 + options_.recovery.max_retries;
   for (uint32_t attempt = 0;; ++attempt) {
     AttemptFailure failure;
-    RunReport attempt_report =
-        ExecuteAttempt(algo, init_labels, initial_active, attribute_sources, &faults,
-                       &failure);
+    RunReport attempt_report = run_attempt(&faults, &failure);
     if (!failure.failed) {
       if (trace) {
         AttemptRecord rec;
@@ -717,10 +772,10 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
   return report;
 }
 
-RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& init_labels,
-                                        std::span<const VertexId> initial_active,
-                                        bool attribute_sources, FaultStats* faults,
-                                        AttemptFailure* failure) {
+RunReport ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& init_labels,
+                                          std::span<const VertexId> initial_active,
+                                          bool attribute_sources, FaultStats* faults,
+                                          AttemptFailure* failure) {
   RunReport report;
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;
@@ -728,16 +783,6 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
   const VertexId n = csr_.NumVertices();
   const uint32_t k = options_.degree_limit;
   const bool chunked = options_.memory_mode == MemoryMode::kChunkedStream;
-
-  // Folds one launch's fault outcome into the attempt; false = abort.
-  auto launch_ok = [&](const sim::LaunchResult& r, uint32_t iter) {
-    faults->ecc_corrected += r.ecc_corrected;
-    if (r.Ok()) return true;
-    failure->failed = true;
-    failure->status = r.status;
-    failure->iter = iter;
-    return false;
-  };
 
   // --- Init labels and the active set --------------------------------------
   device.CopyToDevice(d.labels, std::span<const Weight>(init_labels));
@@ -763,17 +808,11 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
 
   // Topology prefetch is a load-time cost: only the session's first query
   // pays it; afterwards the managed pages are already resident.
-  if (!prefetched_ && options_.memory_mode == MemoryMode::kUnifiedPrefetch) {
-    device.PrefetchAsync(d.row);
-    device.PrefetchAsync(d.col);
-    if (weights_staged_) device.PrefetchAsync(d.wts);
-    prefetched_ = true;
-  }
+  PrefetchOnce();
 
   // --- Main loop (Procedure 1) ----------------------------------------------
   uint32_t act_count = initial_count;
   uint64_t activated_cum = initial_count;
-  double kernel_ms = 0;
   const uint32_t zeros[2] = {0, 0};
   for (uint32_t iter = 1; act_count > 0 && iter <= options_.max_iterations; ++iter) {
     // One fused reset: the UDC kernel does not read act_count (the host
@@ -784,11 +823,8 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
 
     auto udc = device.Launch("udc", {act_count, options_.block_size},
                              [&](WarpCtx& w) { UdcKernel(w, d, k); });
-    kernel_ms += udc.compute_ms;
-    if (!launch_ok(udc, iter)) {
-      report.kernel_ms = kernel_ms;
-      return report;
-    }
+    report.kernel_ms += udc.compute_ms;
+    if (!failure->Launched(udc, iter, faults)) return report;
 
     uint32_t vc[2] = {0, 0};
     device.CopyToHost(std::span<uint32_t>(vc, 2), d.virt_counts, false);
@@ -852,20 +888,14 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
     if (vc[0] > 0) {
       params.full_set = true;
       auto r = traverse("traverse_full", vc[0]);
-      kernel_ms += r.compute_ms;
-      if (!launch_ok(r, iter)) {
-        report.kernel_ms = kernel_ms;
-        return report;
-      }
+      report.kernel_ms += r.compute_ms;
+      if (!failure->Launched(r, iter, faults)) return report;
     }
     if (vc[1] > 0) {
       params.full_set = false;
       auto r = traverse("traverse_part", vc[1]);
-      kernel_ms += r.compute_ms;
-      if (!launch_ok(r, iter)) {
-        report.kernel_ms = kernel_ms;
-        return report;
-      }
+      report.kernel_ms += r.compute_ms;
+      if (!failure->Launched(r, iter, faults)) return report;
     }
 
     device.CopyToHost(std::span<uint32_t>(&act_count, 1), d.act_count, false);
@@ -897,12 +927,121 @@ RunReport ResidentGraph::ExecuteAttempt(Algo algo, const std::vector<Weight>& in
     }
   }
 
-  report.kernel_ms = kernel_ms;
   report.iterations = static_cast<uint32_t>(report.iteration_stats.size());
   report.activated = cpu::CountReached(report.labels, IsWidest(algo));
   report.activated_fraction = n ? static_cast<double>(report.activated) / n : 0;
 
   stamp_base_ += report.iterations + 1;
+  return report;
+}
+
+RunReport ResidentGraph::PageRankAttempt(const PageRankOptions& pr, FaultStats* faults,
+                                         AttemptFailure* failure) {
+  RunReport report;
+  sim::Device& device = state_->device;
+  DeviceState& d = state_->d;
+  const VertexId n = csr_.NumVertices();
+  const uint32_t k = options_.degree_limit;
+
+  // A local copy of the handles: the per-iteration swap must not leak into
+  // the next attempt, which starts from the same rank/next assignment.
+  PrBuffers b = state_->pr;
+
+  // The static virtual active set: UDC of every vertex, built once on the
+  // host and uploaded as part of the input, like any preprocessed worklist.
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+  const std::vector<ShadowVertex> shadows = TransformActiveSet(csr_, all, k);
+  const uint64_t num_shadows = shadows.size();
+  {
+    std::vector<float> inv(n, 0.f), rank0(n, 1.0f / static_cast<float>(n));
+    for (VertexId v = 0; v < n; ++v) {
+      if (EdgeId deg = csr_.OutDegree(v); deg > 0) inv[v] = 1.0f / static_cast<float>(deg);
+    }
+    device.CopyToDevice(b.inv_deg, std::span<const float>(inv));
+    device.CopyToDevice(b.rank, std::span<const float>(rank0));
+    std::vector<VertexId> ids(num_shadows);
+    std::vector<EdgeId> starts(num_shadows), ends(num_shadows);
+    for (uint64_t i = 0; i < num_shadows; ++i) {
+      ids[i] = shadows[i].id;
+      starts[i] = shadows[i].start;
+      ends[i] = shadows[i].end;
+    }
+    device.CopyToDevice(d.part_id, std::span<const VertexId>(ids));
+    device.CopyToDevice(d.part_start, std::span<const EdgeId>(starts));
+    device.CopyToDevice(d.part_end, std::span<const EdgeId>(ends));
+  }
+  PrefetchOnce();
+  // delta relies on alloc-time zero fill: the first iteration's AtomicMax
+  // reads it before any host write reaches it. Its value is only ever read
+  // back and discarded (convergence uses host_delta), so a retried attempt
+  // needs no reset.
+  device.MarkHostInitialized(b.delta);
+
+  const float base_rank = (1.0f - static_cast<float>(pr.damping)) / static_cast<float>(n);
+  const auto damping = static_cast<float>(pr.damping);
+
+  for (uint32_t iter = 1; iter <= pr.max_iterations; ++iter) {
+    // --- init kernel: next[v] = (1-d)/n -----------------------------------
+    auto init = device.Launch("pr_init", {n, options_.block_size}, [&](WarpCtx& w) {
+      uint32_t mask = w.ActiveMask();
+      if (!mask) return;
+      uint64_t base = w.WarpId() * kWarpSize;
+      LaneArray<uint64_t> slot{};
+      LaneArray<float> val{};
+      WarpCtx::ForActive(mask, [&](uint32_t lane) {
+        slot[lane] = base + lane;
+        val[lane] = base_rank;
+      });
+      w.Scatter(b.next, slot, val, mask);
+    });
+    report.kernel_ms += init.compute_ms;
+    if (!failure->Launched(init, iter, faults)) return report;
+
+    auto push = device.Launch("pr_push", {num_shadows, options_.block_size}, [&](WarpCtx& w) {
+      PrPushKernel(w, d, b, k, options_.use_smp, damping);
+    });
+    report.kernel_ms += push.compute_ms;
+    if (!failure->Launched(push, iter, faults)) return report;
+
+    // --- delta kernel: max |next - rank|, then swap -------------------------
+    float host_delta = 0;
+    auto reduce = device.Launch("pr_delta", {n, options_.block_size}, [&](WarpCtx& w) {
+      uint32_t mask = w.ActiveMask();
+      if (!mask) return;
+      uint64_t base = w.WarpId() * kWarpSize;
+      LaneArray<float> a{}, c{};
+      w.GatherContiguous(b.rank, base, mask, a);
+      w.GatherContiguous(b.next, base, mask, c);
+      w.ChargeAlu(2, mask);
+      float warp_max = 0;
+      WarpCtx::ForActive(mask, [&](uint32_t lane) {
+        warp_max = std::max(warp_max, std::abs(a[lane] - c[lane]));
+      });
+      host_delta = std::max(host_delta, warp_max);
+      LaneArray<uint64_t> zero_idx{};
+      LaneArray<float> val{};
+      val.fill(warp_max);
+      LaneArray<float> old{};
+      w.AtomicMax(b.delta, zero_idx, val, 1u, old);
+    });
+    report.kernel_ms += reduce.compute_ms;
+    if (!failure->Launched(reduce, iter, faults)) return report;
+
+    // Swap rank <-> next (pointer swap on device; free).
+    std::swap(b.rank, b.next);
+
+    float delta_readback = 0;
+    device.CopyToHost(std::span<float>(&delta_readback, 1), b.delta, false);
+    const float zero = 0;
+    device.CopyToDevice(b.delta, std::span<const float>(&zero, 1), false);
+    report.iterations = iter;
+    if (host_delta < pr.epsilon) break;
+  }
+
+  device.Synchronize();
+  report.ranks.resize(n);
+  device.CopyToHost(std::span<float>(report.ranks), b.rank);
   return report;
 }
 
@@ -998,6 +1137,11 @@ RunReport EtaGraph::RunMultiSource(const graph::Csr& csr, Algo algo,
 RunReport EtaGraph::RunConnectedComponents(const graph::Csr& csr) const {
   ResidentGraph session(csr, options_, /*stage_weights=*/false);
   return FinishOneShot(session, session.RunConnectedComponents());
+}
+
+RunReport EtaGraph::RunPageRank(const graph::Csr& csr, const PageRankOptions& pr) const {
+  ResidentGraph session(csr, options_, /*stage_weights=*/false);
+  return FinishOneShot(session, session.RunPageRank(pr));
 }
 
 }  // namespace eta::core

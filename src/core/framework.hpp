@@ -13,9 +13,10 @@
 // session*: the CSR is staged once, then any number of queries execute
 // against it on one continuous simulated clock, each charged only its
 // incremental label-init transfers, kernels, and result readback. EtaGraph's
-// one-shot entry points are now thin wrappers over a single-query session,
-// so their reports are unchanged. The serving layer (src/serve) builds its
-// GraphSession on top of ResidentGraph.
+// one-shot entry points are thin wrappers over a single-query session. The
+// serving layer (src/serve) builds its GraphSession on top of ResidentGraph.
+// Traversals, CC and PageRank all run through the session's one attempt and
+// retry loop, so faults, etacheck and etaprof see every query kind.
 #pragma once
 
 #include <memory>
@@ -23,9 +24,14 @@
 #include <vector>
 
 #include "core/options.hpp"
+#include "core/pagerank.hpp"
 #include "core/run_report.hpp"
 #include "core/traversal.hpp"
 #include "graph/csr.hpp"
+
+namespace eta::sim {
+struct LaunchResult;
+}  // namespace eta::sim
 
 namespace eta::core {
 
@@ -114,6 +120,13 @@ class ResidentGraph {
   /// Min-label propagation (connected components on symmetric graphs).
   RunReport RunConnectedComponents();
 
+  /// Push-style PageRank over the resident topology (see core/pagerank.hpp):
+  /// the static virtual active set (every vertex, cut at K) is uploaded into
+  /// the partial-shadow buffers, and rank/next/inv_deg/delta are allocated
+  /// for this query only. RunReport::ranks holds the result. Not supported
+  /// in kChunkedStream mode.
+  RunReport RunPageRank(const PageRankOptions& pr = {});
+
   /// The async staging path (DESIGN.md section 11): hoists the first-query
   /// topology prefetch out of the query so a stream-scheduling dispatcher
   /// can charge it on a copy stream while another session computes. In
@@ -141,19 +154,36 @@ class ResidentGraph {
     bool failed = false;
     sim::LaunchStatus status = sim::LaunchStatus::kOk;
     uint32_t iter = 0;  // loop iteration the failing launch belonged to
+
+    /// Folds one launch of loop iteration `launch_iter` into the attempt:
+    /// its correctable-ECC count into *faults, and a failure into *this.
+    /// False means the attempt must abort.
+    bool Launched(const sim::LaunchResult& r, uint32_t launch_iter, FaultStats* faults);
   };
 
-  RunReport Execute(Algo algo, std::vector<graph::Weight> init_labels,
-                    std::span<const graph::VertexId> initial_active,
-                    bool attribute_sources);
+  /// The attempt/retry loop every query runs through (DESIGN.md section 8).
+  /// `alloc()` allocates the query's device buffers once, before the first
+  /// attempt; an OomError from it ends the query as oom with nothing
+  /// charged. `run_attempt(FaultStats*, AttemptFailure*)` is one
+  /// start-to-finish execution of the query body: on a failed launch it
+  /// returns early with the failure filled.
+  template <class Alloc, class Attempt>
+  RunReport Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt);
 
-  /// One start-to-finish execution of the query body. On a failed launch it
-  /// returns early with *failure filled; correctable-ECC counts accumulate
-  /// into *faults either way.
-  RunReport ExecuteAttempt(Algo algo, const std::vector<graph::Weight>& init_labels,
-                           std::span<const graph::VertexId> initial_active,
-                           bool attribute_sources, FaultStats* faults,
-                           AttemptFailure* failure);
+  /// One attempt of a label-propagation traversal (Procedure 1).
+  RunReport TraversalAttempt(Algo algo, const std::vector<graph::Weight>& init_labels,
+                             std::span<const graph::VertexId> initial_active,
+                             bool attribute_sources, FaultStats* faults,
+                             AttemptFailure* failure);
+
+  /// One attempt of PageRank over the query's buffers (State::pr): pr_init,
+  /// pr_push and pr_delta per iteration.
+  RunReport PageRankAttempt(const PageRankOptions& pr, FaultStats* faults,
+                            AttemptFailure* failure);
+
+  /// Issues the topology prefetch (kUnifiedPrefetch only) unless an earlier
+  /// query or PrefetchTopology already did; true if it did.
+  bool PrefetchOnce();
 
   /// Post-UECC recovery: verifies the resident topology against the host
   /// CSR and re-stages (charged) whatever diverged; re-zeroes the stamp
@@ -203,6 +233,10 @@ class EtaGraph {
   /// its own ID; labels converge to the smallest ID that can reach each
   /// vertex. On a symmetrized graph this computes connected components.
   RunReport RunConnectedComponents(const graph::Csr& csr) const;
+
+  /// Extension (Section II-C's whole-graph contrast, Section VIII's SMP
+  /// portability claim): PageRank on a single-query session.
+  RunReport RunPageRank(const graph::Csr& csr, const PageRankOptions& pr = {}) const;
 
  private:
   EtaGraphOptions options_;

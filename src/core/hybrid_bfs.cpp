@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/relax_step.hpp"
+#include "core/shadow_edges.hpp"
 #include "core/traversal.hpp"
 #include "sanitizer/sanitizer.hpp"
 #include "sim/device.hpp"
@@ -19,8 +21,6 @@ using sim::kWarpSize;
 using sim::LaneArray;
 using sim::WarpCtx;
 
-constexpr uint32_t kMaxK = 48;
-
 struct BfsState {
   Buffer<EdgeId> row;      // out-edges
   Buffer<VertexId> col;
@@ -33,11 +33,13 @@ struct BfsState {
 };
 
 /// Top-down step: one thread per frontier vertex; push through out-edges.
-void TopDownKernel(WarpCtx& w, BfsState& d, uint32_t frontier_size, uint32_t iter,
-                   bool use_smp, uint32_t k) {
+/// Its degree is not cut at K: SMP stages the first K neighbours and longer
+/// lists fall back to direct loads. The claim is RelaxStep<BfsLevel> with
+/// candidate `iter`: during step `iter` every level is kInf or <= iter, so a
+/// lane improves exactly the unvisited vertices.
+void TopDownKernel(WarpCtx& w, BfsState& d, uint32_t iter, bool use_smp, uint32_t k) {
   uint32_t mask = w.ActiveMask();
   if (!mask) return;
-  (void)frontier_size;
   uint64_t base = w.WarpId() * kWarpSize;
 
   LaneArray<VertexId> v{};
@@ -52,7 +54,6 @@ void TopDownKernel(WarpCtx& w, BfsState& d, uint32_t frontier_size, uint32_t ite
   w.Gather(d.row, vi1, mask, end);
 
   LaneArray<uint32_t> deg{};
-  uint32_t max_deg = 0;
   const uint32_t max_edges =
       static_cast<uint32_t>(std::min<uint64_t>(d.col.count, UINT32_MAX));
   WarpCtx::ForActive(mask, [&](uint32_t lane) {
@@ -61,20 +62,7 @@ void TopDownKernel(WarpCtx& w, BfsState& d, uint32_t frontier_size, uint32_t ite
     // pair must not underflow into a ~2^32-long edge loop.
     deg[lane] =
         end[lane] > start[lane] ? std::min(end[lane] - start[lane], max_edges) : 0;
-    max_deg = std::max(max_deg, deg[lane]);
   });
-
-  uint32_t nbr_buf[kWarpSize * kMaxK];
-  if (use_smp) {
-    // Bulk-fetch up to K neighbors; longer lists fall back to direct loads.
-    LaneArray<uint64_t> s64{};
-    LaneArray<uint32_t> cnt{};
-    WarpCtx::ForActive(mask, [&](uint32_t lane) {
-      s64[lane] = start[lane];
-      cnt[lane] = std::min(deg[lane], k);
-    });
-    w.GatherBulk(d.col, s64, cnt, mask, nbr_buf, k);
-  }
 
   LaneArray<uint32_t> one{};
   one.fill(1);
@@ -82,44 +70,19 @@ void TopDownKernel(WarpCtx& w, BfsState& d, uint32_t frontier_size, uint32_t ite
   LaneArray<Weight> lvl{};
   lvl.fill(iter);
 
-  for (uint32_t j = 0; j < max_deg; ++j) {
-    uint32_t jmask = 0;
-    WarpCtx::ForActive(mask, [&](uint32_t lane) {
-      if (j < deg[lane]) jmask |= 1u << lane;
-    });
-    if (!jmask) break;
-    LaneArray<VertexId> u{};
-    if (use_smp && j < k) {
-      WarpCtx::ForActive(jmask, [&](uint32_t lane) { u[lane] = nbr_buf[lane * k + j]; });
-      w.ChargeShared(1, jmask);
-    } else {
-      LaneArray<uint64_t> eidx{};
-      WarpCtx::ForActive(jmask, [&](uint32_t lane) { eidx[lane] = start[lane] + j; });
-      w.Gather(d.col, eidx, jmask, u);
-    }
-    LaneArray<uint64_t> u_idx{};
-    WarpCtx::ForActive(jmask, [&](uint32_t lane) { u_idx[lane] = u[lane]; });
-    LaneArray<Weight> cur{};
-    w.Gather(d.levels, u_idx, jmask, cur);
-    uint32_t imask = 0;
-    WarpCtx::ForActive(jmask, [&](uint32_t lane) {
-      if (cur[lane] == kInf) imask |= 1u << lane;
-    });
-    w.ChargeAlu(2, jmask);
-    if (!imask) continue;
-    LaneArray<Weight> old{};
-    w.AtomicMin(d.levels, u_idx, lvl, imask, old);
-    uint32_t cmask = 0;
-    WarpCtx::ForActive(imask, [&](uint32_t lane) {
-      if (old[lane] == kInf) cmask |= 1u << lane;  // we claimed it
-    });
-    if (!cmask) continue;
-    LaneArray<uint32_t> slot{};
-    w.AtomicAdd(d.counters, zero_idx, one, cmask, slot);
-    LaneArray<uint64_t> slot_idx{};
-    WarpCtx::ForActive(cmask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
-    w.Scatter(d.frontier_out, slot_idx, u, cmask);
-  }
+  ForEachShadowEdge<false>(
+      w, d.col, Buffer<Weight>{}, start, deg, mask, k, use_smp,
+      [&](uint32_t jmask, const LaneArray<VertexId>& u, const LaneArray<Weight>&) {
+        LaneArray<uint64_t> u_idx{};
+        WarpCtx::ForActive(jmask, [&](uint32_t lane) { u_idx[lane] = u[lane]; });
+        const uint32_t cmask = RelaxStep<BfsLevel>(w, d.levels, u_idx, lvl, jmask);
+        if (!cmask) return;
+        LaneArray<uint32_t> slot{};
+        w.AtomicAdd(d.counters, zero_idx, one, cmask, slot);
+        LaneArray<uint64_t> slot_idx{};
+        WarpCtx::ForActive(cmask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
+        w.Scatter(d.frontier_out, slot_idx, u, cmask);
+      });
 }
 
 /// Bottom-up step: one thread per vertex; unvisited vertices scan their
@@ -225,7 +188,7 @@ void CompactKernel(WarpCtx& w, BfsState& d, uint32_t iter) {
 HybridBfsResult RunHybridBfs(const graph::Csr& csr, VertexId source,
                              const HybridBfsOptions& options) {
   ETA_CHECK(source < csr.NumVertices());
-  ETA_CHECK(options.degree_limit >= 1 && options.degree_limit <= kMaxK);
+  ETA_CHECK(options.degree_limit >= 1 && options.degree_limit <= kMaxDegreeLimit);
 
   HybridBfsResult result;
   const VertexId n = csr.NumVertices();
@@ -309,8 +272,7 @@ HybridBfsResult RunHybridBfs(const graph::Csr& csr, VertexId source,
     } else {
       auto r = device.Launch(
           "bfs_top_down", {frontier_size, options.block_size}, [&](WarpCtx& w) {
-            TopDownKernel(w, d, frontier_size, iter, options.use_smp,
-                          options.degree_limit);
+            TopDownKernel(w, d, iter, options.use_smp, options.degree_limit);
           });
       kernel_ms += r.compute_ms;
     }

@@ -1,6 +1,6 @@
 // core::RelaxStep — the one label relax shared by EtaGraph's TraverseKernel,
-// Gunrock's advance and Tigr's kernel. It is the only place a kernel applies
-// a label atomic (scripts/lint.sh enforces it).
+// hybrid BFS's top-down claim, Gunrock's advance and Tigr's kernel. It is the
+// only place a kernel applies a label atomic (scripts/lint.sh enforces it).
 #pragma once
 
 #include "core/traversal.hpp"

@@ -145,6 +145,8 @@ struct RunReport {
 
   /// Final labels (host copy) for verification against CpuReference.
   std::vector<graph::Weight> labels;
+  /// PageRank's final ranks (host copy; empty for every other algorithm).
+  std::vector<float> ranks;
 };
 
 }  // namespace eta::core

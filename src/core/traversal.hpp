@@ -95,8 +95,8 @@ struct MaxMin {
 };
 
 /// Returns fn(S{}) for the semiring policy S of `algo`: the one runtime
-/// switch over Algo on the traversal path. kPr never runs on a frontier
-/// engine (it lowers to core::RunPageRank).
+/// switch over Algo on the traversal path. kPr has no label semiring: it
+/// runs ResidentGraph::RunPageRank's float push.
 template <class Fn>
 decltype(auto) WithSemiring(Algo algo, Fn&& fn) {
   switch (algo) {

@@ -5,7 +5,9 @@
 // then serves any number of queries, each charged only its incremental
 // transfer and kernel time. Unified-memory residency and cache state stay
 // warm between queries, which is precisely the amortization the serving
-// engine sells over the naive run-per-query path.
+// engine sells over the naive run-per-query path. Every query kind —
+// traversals, CC and PageRank — runs on the resident graph, under the
+// session's faults, checks and profiler.
 #pragma once
 
 #include <span>
@@ -31,7 +33,9 @@ inline uint64_t CountComponents(const std::vector<graph::Weight>& labels) {
 /// The CPU fallback's scalar answer for one request: reached count for the
 /// per-source traversals, component count for CC, above-uniform-rank count
 /// for PageRank. Exact for traversals and CC (same labels the device
-/// converges to); PageRank uses the double-precision host reference.
+/// converges to); PageRank counts the double-precision host reference's
+/// ranks, which core::CountAboveUniform's margin makes agree with the
+/// device's f32 count.
 inline uint64_t CpuAnswer(const graph::Csr& csr, core::Algo algo,
                           graph::VertexId source) {
   if (algo == core::Algo::kCc) {
@@ -39,46 +43,11 @@ inline uint64_t CpuAnswer(const graph::Csr& csr, core::Algo algo,
   }
   if (algo == core::Algo::kPr) {
     const core::PageRankOptions pr;
-    const std::vector<double> ranks =
-        cpu::PageRankReference(csr, pr.damping, pr.epsilon, pr.max_iterations);
-    const double uniform = 1.0 / static_cast<double>(csr.NumVertices());
-    uint64_t above = 0;
-    for (double rank : ranks) {
-      if (rank > uniform) ++above;
-    }
-    return above;
+    return core::CountAboveUniform(
+        cpu::PageRankReference(csr, pr.damping, pr.epsilon, pr.max_iterations));
   }
   return cpu::CountReached(core::CpuReference(csr, algo, source),
                            core::IsWidest(algo));
-}
-
-/// One PageRank query as a RunReport: lowers to the one-shot
-/// core::RunPageRank on a side device. query_ms includes that device's own
-/// staging (the honest naive-PR bill whose amortization lever is the memo
-/// table); the side device has no fault injector, so PR queries never
-/// observe injected faults. The answer — the count of vertices whose rank
-/// exceeds the uniform 1/n — surfaces through report.activated.
-inline core::RunReport RunPageRankAsQuery(const graph::Csr& csr) {
-  const core::PageRankOptions pr;
-  core::PageRankResult r = core::RunPageRank(csr, pr);
-  core::RunReport report;
-  report.algo = core::Algo::kPr;
-  report.oom = r.oom;
-  report.kernel_ms = r.kernel_ms;
-  report.query_ms = r.total_ms;
-  report.total_ms = r.total_ms;
-  report.iterations = r.iterations;
-  report.counters = r.counters;
-  report.query_counters = r.counters;
-  if (!r.oom) {
-    const double uniform = 1.0 / static_cast<double>(csr.NumVertices());
-    uint64_t above = 0;
-    for (float rank : r.ranks) {
-      if (rank > uniform) ++above;
-    }
-    report.activated = above;
-  }
-  return report;
 }
 
 class GraphSession {
@@ -113,19 +82,21 @@ class GraphSession {
 
   /// One query against the resident topology; report.query_ms is its
   /// incremental simulated cost. Whole-graph algorithms ignore `source`:
-  /// CC runs the resident min-label propagation (full fault/retry
-  /// machinery); PageRank lowers to the one-shot core::RunPageRank on a
-  /// side device — its query_ms includes that device's own staging (the
-  /// honest naive-PR cost whose amortization lever is the memo table) and
-  /// it never observes injected faults. Both answers surface through
-  /// report.activated (component count / above-uniform-rank count).
+  /// CC runs the resident min-label propagation and PageRank the resident
+  /// push, both under the full fault/retry machinery. Their answers surface
+  /// through report.activated (component count / above-uniform-rank
+  /// count).
   core::RunReport RunQuery(core::Algo algo, graph::VertexId source) {
     if (algo == core::Algo::kCc) {
       core::RunReport report = resident_.RunConnectedComponents();
       if (!report.DeviceFailed()) report.activated = CountComponents(report.labels);
       return report;
     }
-    if (algo == core::Algo::kPr) return RunPageRankAsQuery(resident_.Graph());
+    if (algo == core::Algo::kPr) {
+      core::RunReport report = resident_.RunPageRank({});
+      if (!report.DeviceFailed()) report.activated = core::CountAboveUniform(report.ranks);
+      return report;
+    }
     return resident_.Run(algo, source);
   }
 

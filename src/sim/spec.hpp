@@ -38,7 +38,10 @@ struct DeviceSpec {
   /// Contention model: resident warps on an SM share the L1, so a single
   /// simulated warp sees capacity / interleave_factor. See DESIGN.md.
   uint32_t l1_interleave_factor = 48;
-  uint64_t l2_bytes = 96 * util::kKiB;  // scaled (see header comment)
+  /// Scaled (see header comment): 256 sets x 8 ways x 32 B sectors. A
+  /// SectorCache rounds its set count down to a power of two, so this is
+  /// exactly the capacity it models.
+  uint64_t l2_bytes = 64 * util::kKiB;
   uint32_t l2_ways = 8;
 
   uint64_t device_memory_bytes = 144 * util::kMiB;  // scaled from 11 GB

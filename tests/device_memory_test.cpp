@@ -241,6 +241,55 @@ TEST(DeviceMemoryTest, MidSessionAllocFailureDegradesOneQueryNotTheSession) {
   EXPECT_EQ(after.labels, core::CpuReference(csr, core::Algo::kSssp, 9));
 }
 
+TEST(DeviceMemoryTest, MidSessionPageRankAllocFailureFreesWhatItGot) {
+  graph::Csr csr = fault_alloc::WeightedGraph();
+  core::EtaGraphOptions options;
+  // PageRank's four per-query buffers are allocation decisions #14-#17:
+  // the last one fails, after three have succeeded.
+  options.faults.alloc_fail_at = fault_alloc::kLoadAllocs + 4;
+  options.check.leakcheck = true;
+  core::ResidentGraph session(csr, options);
+  ASSERT_FALSE(session.Oom());
+
+  auto hit = session.RunPageRank();
+  EXPECT_TRUE(hit.oom);
+  EXPECT_TRUE(hit.ranks.empty());
+
+  // Only that query is lost: the next one allocates its buffers again and
+  // answers in full, and a traversal still sees the resident topology.
+  auto again = session.RunPageRank();
+  ASSERT_FALSE(again.DeviceFailed());
+  EXPECT_EQ(again.ranks, core::EtaGraph().RunPageRank(csr).ranks);
+  auto after = session.Run(core::Algo::kSssp, 9);
+  ASSERT_FALSE(after.oom);
+  EXPECT_EQ(after.labels, core::CpuReference(csr, core::Algo::kSssp, 9));
+
+  // The failed query freed the three buffers it got: the teardown sweep
+  // finds nothing.
+  session.Shutdown();
+  ASSERT_NE(session.CheckReport(), nullptr);
+  EXPECT_TRUE(session.CheckReport()->findings.empty()) << session.CheckReport()->Render(true);
+}
+
+TEST(DeviceMemoryTest, PageRankRetryReusesItsBuffers) {
+  graph::Csr csr = fault_alloc::WeightedGraph();
+  core::EtaGraphOptions options;
+  // The first pr_push fails; the retry must not allocate again, so the
+  // decision after PageRank's four (#18) is never drawn.
+  options.faults.uecc_at = 2;
+  options.faults.alloc_fail_at = fault_alloc::kLoadAllocs + 5;
+  core::ResidentGraph session(csr, options);
+  ASSERT_FALSE(session.Oom());
+
+  const core::RunReport report = session.RunPageRank();
+  ASSERT_FALSE(report.DeviceFailed());
+  EXPECT_EQ(report.faults.ecc_uncorrectable, 1u);
+  EXPECT_EQ(report.faults.retries, 1u);
+  EXPECT_GT(report.faults.backoff_ms, 0.0);
+  EXPECT_GT(report.query_ms, report.faults.backoff_ms);
+  EXPECT_EQ(report.ranks, core::EtaGraph().RunPageRank(csr).ranks);
+}
+
 TEST(DeviceMemoryTest, ServeDegradesWhenEverySessionBuildOoms) {
   graph::Csr csr = fault_alloc::WeightedGraph();
   serve::TraceOptions trace_options;

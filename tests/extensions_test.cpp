@@ -116,7 +116,7 @@ TEST(PageRank, MatchesCpuReference) {
   PageRankOptions options;
   options.max_iterations = 30;
   options.epsilon = 0;  // fixed iteration count for exact comparison
-  auto result = RunPageRank(csr, options);
+  auto result = EtaGraph().RunPageRank(csr, options);
   ASSERT_FALSE(result.oom);
   auto expected = cpu::PageRankReference(csr, options.damping, 0, 30);
   ASSERT_EQ(result.ranks.size(), expected.size());
@@ -127,7 +127,7 @@ TEST(PageRank, MatchesCpuReference) {
 
 TEST(PageRank, RankSumBoundedByOne) {
   graph::Csr csr = RandomGraph(42);
-  auto result = RunPageRank(csr);
+  auto result = EtaGraph().RunPageRank(csr);
   double sum = 0;
   for (float r : result.ranks) {
     EXPECT_GE(r, 0.f);
@@ -142,7 +142,7 @@ TEST(PageRank, HubOutranksLeaf) {
   std::vector<graph::Edge> edges;
   for (graph::VertexId v = 1; v < 100; ++v) edges.push_back({v, 0});
   graph::Csr csr = graph::BuildCsr(std::move(edges));
-  auto result = RunPageRank(csr);
+  auto result = EtaGraph().RunPageRank(csr);
   for (graph::VertexId v = 1; v < 100; ++v) EXPECT_GT(result.ranks[0], result.ranks[v]);
 }
 
@@ -151,19 +151,34 @@ TEST(PageRank, ConvergesBeforeIterationCap) {
   PageRankOptions options;
   options.epsilon = 1e-4;
   options.max_iterations = 100;
-  auto result = RunPageRank(csr, options);
+  auto result = EtaGraph().RunPageRank(csr, options);
   EXPECT_LT(result.iterations, 100u);
   EXPECT_GT(result.iterations, 2u);
 }
 
+TEST(PageRank, ResidentSessionServesItBetweenTraversals) {
+  graph::Csr csr = RandomGraph(45);
+  ResidentGraph session(csr);
+  const RunReport before = session.Run(Algo::kBfs, 0);
+  const RunReport pr = session.RunPageRank();
+  const RunReport after = session.Run(Algo::kBfs, 0);
+  ASSERT_FALSE(pr.DeviceFailed());
+  // The ranks do not depend on what the session ran before, and the
+  // traversal after PageRank sees the same resident topology.
+  EXPECT_EQ(pr.ranks, EtaGraph().RunPageRank(csr).ranks);
+  EXPECT_EQ(after.labels, before.labels);
+  EXPECT_LT(pr.query_ms, pr.total_ms);
+}
+
 TEST(PageRank, SmpReducesLoadTransactions) {
   graph::Csr csr = RandomGraph(44);
-  PageRankOptions with, without;
-  with.max_iterations = without.max_iterations = 5;
-  with.epsilon = without.epsilon = 0;
+  PageRankOptions pr;
+  pr.max_iterations = 5;
+  pr.epsilon = 0;
+  EtaGraphOptions without;
   without.use_smp = false;
-  auto a = RunPageRank(csr, with);
-  auto b = RunPageRank(csr, without);
+  auto a = EtaGraph().RunPageRank(csr, pr);
+  auto b = EtaGraph(without).RunPageRank(csr, pr);
   // Same math...
   for (size_t v = 0; v < a.ranks.size(); ++v) {
     ASSERT_FLOAT_EQ(a.ranks[v], b.ranks[v]);

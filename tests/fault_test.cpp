@@ -10,12 +10,14 @@
 #include <vector>
 
 #include "core/framework.hpp"
+#include "core/pagerank.hpp"
 #include "core/retry_budget.hpp"
 #include "core/traversal.hpp"
 #include "cpu/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "serve/router.hpp"
+#include "serve/session.hpp"
 #include "serve/trace.hpp"
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
@@ -536,6 +538,73 @@ TEST(ServeFaults, DeviceLossTriggersRebuildThenRecovers) {
   EXPECT_TRUE(report.faults.device_lost);
   for (const serve::QueryResult& q : report.results) {
     EXPECT_EQ(q.reached_vertices, CpuReached(csr, q.algo, q.source));
+  }
+}
+
+TEST(ServeFaults, PageRankRequestsRetryOnTheResidentSessionAndStayExact) {
+  graph::Csr csr = SmallSocialGraph();
+  std::vector<serve::Request> trace(3);
+  for (uint64_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = i;
+    trace[i].algo = core::Algo::kPr;
+    trace[i].arrival_ms = 10.0 * static_cast<double>(i);
+  }
+  serve::ServeOptions options;
+  options.graph.faults.uecc_at = 2;  // the first request's first pr_push
+  options.graph.faults.hang_at = 9;
+  options.graph.faults.watchdog_ms = 1.0;
+  auto report = ServeOneShard(options, csr, trace);
+
+  ASSERT_EQ(report.completed, trace.size());
+  EXPECT_EQ(report.faults.ecc_uncorrectable, 1u);
+  EXPECT_EQ(report.faults.hangs, 1u);
+  EXPECT_EQ(report.faults.retries, 2u);
+  EXPECT_GT(report.faults.backoff_ms, 0.0);
+  EXPECT_EQ(report.degraded, 0u);
+  const uint64_t expected = serve::CpuAnswer(csr, core::Algo::kPr, 0);
+  for (const serve::QueryResult& q : report.results) {
+    EXPECT_EQ(q.status, serve::QueryStatus::kOk) << "request " << q.id;
+    EXPECT_EQ(q.reached_vertices, expected) << "request " << q.id;
+  }
+}
+
+TEST(ServeFaults, DegradedPageRankAnswersLikeTheDevice) {
+  // Four isolated 2-cycles rank exactly 1/n. f32 rounding puts them on
+  // either side of 1/n, so at an exact threshold the device counts 132
+  // vertices above uniform and the double CPU fallback 124.
+  graph::RmatParams params;
+  params.scale = 9;
+  params.num_edges = 4000;
+  params.seed = 7;
+  std::vector<graph::Edge> edges = graph::GenerateRmat(params);
+  const graph::VertexId base = 1u << params.scale;
+  for (graph::VertexId c = 0; c < 4; ++c) {
+    edges.push_back({base + 2 * c, base + 2 * c + 1});
+    edges.push_back({base + 2 * c + 1, base + 2 * c});
+  }
+  const graph::Csr csr = graph::BuildCsr(std::move(edges));
+  std::vector<serve::Request> trace(2);
+  for (uint64_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = i;
+    trace[i].algo = core::Algo::kPr;
+    trace[i].arrival_ms = 10.0 * static_cast<double>(i);
+  }
+  const auto served = ServeOneShard({}, csr, trace);
+  serve::ServeOptions lost;
+  lost.graph.faults.device_loss_rate = 1.0;
+  lost.max_session_rebuilds = 0;
+  const auto degraded = ServeOneShard(lost, csr, trace);
+
+  const core::PageRankOptions pr;
+  const uint64_t expected = core::CountAboveUniform(
+      cpu::PageRankReference(csr, pr.damping, pr.epsilon, pr.max_iterations));
+  ASSERT_EQ(served.results.size(), trace.size());
+  ASSERT_EQ(degraded.results.size(), trace.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(served.results[i].status, serve::QueryStatus::kOk) << "request " << i;
+    EXPECT_EQ(degraded.results[i].status, serve::QueryStatus::kDegraded) << "request " << i;
+    EXPECT_EQ(served.results[i].reached_vertices, expected) << "request " << i;
+    EXPECT_EQ(degraded.results[i].reached_vertices, expected) << "request " << i;
   }
 }
 

@@ -70,6 +70,24 @@ TEST(LaunchProfiler, RecordsEveryLaunchAndReconciles) {
   EXPECT_NEAR(kernel_ms, report.kernel_ms, 1e-6);
 }
 
+TEST(LaunchProfiler, PageRankQueryRecordsItsThreeKernels) {
+  graph::Csr csr = RandomGraph(21);
+  core::EtaGraphOptions options;
+  options.profile = true;
+  core::PageRankOptions pr;
+  pr.max_iterations = 4;
+  pr.epsilon = 0;  // run all four iterations
+  auto report = core::EtaGraph(options).RunPageRank(csr, pr);
+  ASSERT_FALSE(report.DeviceFailed());
+  ASSERT_EQ(report.iterations, 4u);
+  ASSERT_EQ(report.kernel_profiles.size(), 12u);
+  EXPECT_EQ(report.kernel_profiles.size(), report.query_counters.launches);
+  const char* const kKernels[] = {"pr_init", "pr_push", "pr_delta"};
+  for (size_t i = 0; i < report.kernel_profiles.size(); ++i) {
+    EXPECT_EQ(report.kernel_profiles[i].name, kKernels[i % 3]) << "launch " << i;
+  }
+}
+
 TEST(LaunchProfiler, OffByDefaultAndBitIdentical) {
   graph::Csr csr = RandomGraph(22);
   auto off = core::EtaGraph().Run(csr, core::Algo::kSssp, 0);

@@ -553,10 +553,11 @@ TEST(CleanGateExtensions, HybridBfsRelaxedStoresAreClean) {
 
 TEST(CleanGateExtensions, PageRankIsClean) {
   graph::Csr csr = SmallSocialGraph();
-  core::PageRankOptions options;
+  core::EtaGraphOptions options;
   options.check = Config::All();
-  options.max_iterations = 10;
-  core::PageRankResult result = core::RunPageRank(csr, options);
+  core::PageRankOptions pr;
+  pr.max_iterations = 10;
+  core::RunReport result = core::EtaGraph(options).RunPageRank(csr, pr);
   ASSERT_FALSE(result.oom);
   EXPECT_TRUE(result.check.findings.empty()) << result.check.Render(true);
 }
@@ -571,6 +572,25 @@ TEST(CleanGateServe, FullTraceReplayIsClean) {
   auto trace = serve::GenerateTrace(csr.NumVertices(), trace_options);
   serve::ServeReport report = serve::ShardedEngine(options).Serve(csr, trace);
   EXPECT_EQ(report.completed, 64u);
+  EXPECT_TRUE(report.check.findings.empty()) << report.check.Render(true);
+  EXPECT_GT(report.check.launches_checked, 0u);
+}
+
+TEST(CleanGateServe, ReplayWithPageRankRequestsIsClean) {
+  graph::Csr csr = SmallSocialGraph();
+  serve::ShardedOptions options;
+  options.shards = 1;
+  options.base.graph.check = Config::All();
+  serve::TraceOptions trace_options;
+  trace_options.num_requests = 32;
+  auto trace = serve::GenerateTrace(csr.NumVertices(), trace_options);
+  // Every fourth request is a PageRank: its per-query buffers come and go
+  // between traversals on the one resident session, whose teardown sweep
+  // (leakcheck) must find none of them.
+  for (size_t i = 0; i < trace.size(); i += 4) trace[i].algo = core::Algo::kPr;
+  serve::ServeReport report = serve::ShardedEngine(options).Serve(csr, trace);
+  EXPECT_EQ(report.completed, trace.size());
+  EXPECT_EQ(report.degraded, 0u);
   EXPECT_TRUE(report.check.findings.empty()) << report.check.Render(true);
   EXPECT_GT(report.check.launches_checked, 0u);
 }

@@ -26,6 +26,18 @@ TEST(SectorCache, MissThenHit) {
   EXPECT_EQ(cache.Hits(), 1u);
 }
 
+TEST(SectorCache, DefaultSpecStatesTheCapacitiesItModels) {
+  // The set count is rounded down to a power of two; the default spec's
+  // sizes must already be exact, or the docs would state the wrong cache.
+  const DeviceSpec spec;
+  const SectorCache l2(spec.l2_bytes, spec.l2_ways, spec.sector_bytes);
+  EXPECT_EQ(uint64_t{l2.NumSets()} * spec.l2_ways * spec.sector_bytes, spec.l2_bytes);
+  // Each warp sees its contention-scaled share of the SM's L1.
+  const uint64_t l1_share = spec.l1_bytes / spec.l1_interleave_factor;
+  const SectorCache l1(l1_share, spec.l1_ways, spec.sector_bytes);
+  EXPECT_EQ(uint64_t{l1.NumSets()} * spec.l1_ways * spec.sector_bytes, l1_share);
+}
+
 TEST(SectorCache, LruEvictionWithinSet) {
   // 4 sets x 2 ways; sectors congruent mod 4 share a set.
   SectorCache cache(8 * 32, 2);

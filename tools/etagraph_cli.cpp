@@ -11,15 +11,19 @@
 // Flags (every number is range-checked; a malformed or out-of-range value
 // exits 2 with "etagraph_cli: --NAME must be ..."):
 //   --framework   etagraph | tigr | gunrock | cusha          (default etagraph)
-//   --algo        bfs | sssp | sswp | cc | pagerank          (default bfs)
+//                 (cc, pagerank and hybrid-bfs run on etagraph only)
+//   --algo        bfs | sssp | sswp | cc | pagerank | hybrid-bfs (default bfs)
 //   --dataset     one of the seven stand-ins  (or use --graph)
 //   --graph       path to a Galois .gr or text edge-list file
 //   --source      source vertex, below the vertex count       (default 0)
 //   --k           EtaGraph degree limit in [1, 48]            (default 16)
 //   --mode        um+prefetch | um | explicit | chunked       (default um+prefetch)
+//                 (pagerank: not chunked; hybrid-bfs ignores it)
 //   --no-smp      disable shared-memory prefetch
 //   --scale       dataset stand-in scale in (0,1]             (default 1)
-//   --verify      check labels against the CPU reference      (default true)
+//   --verify      check labels against the CPU reference      (default true;
+//                 pagerank compares its above-uniform-rank count,
+//                 cc skips)
 //   --timeline    print the transfer/compute strip chart
 //   --check       run etacheck: all, or a comma list of
 //                 memcheck,racecheck,synccheck,leakcheck (etagraph
@@ -37,11 +41,11 @@
 //                 allocates it one element short (e.g. short=act_set),
 //                 dag=drop-wait|late-record|dup-copy plants an ordering bug
 //                 in the --async stream DAG (requires --async). etagraph
-//                 traversals and cc only.
+//                 traversals, cc and pagerank only.
 //                 Exit 1 when the device path fails despite recovery.
 //   --profile     run etaprof (DESIGN.md section 9): record per-launch
 //                 kernel profiles and print the nvprof-style summary table.
-//                 etagraph traversals and cc only.
+//                 etagraph traversals, cc and pagerank only.
 //   --trace-json  with --profile: also write the merged Chrome/Perfetto
 //                 trace-event JSON (open at https://ui.perfetto.dev) to
 //                 this path.
@@ -58,7 +62,7 @@
 //                 streams. Exit 1 on any finding.
 //   --trace-requests  etatrace (DESIGN.md section 14): record the query's
 //                 per-attempt fault/retry/rebuild timeline and print it.
-//                 etagraph framework traversals and cc only. Off by
+//                 etagraph traversals, cc and pagerank only. Off by
 //                 default; with it off the run's output is byte-identical.
 //   --trace-request-out  with --trace-requests: write the attempt timeline
 //                 as JSON to this path (self-validated before writing).
@@ -78,6 +82,7 @@
 #include "core/framework.hpp"
 #include "core/pagerank.hpp"
 #include "core/hybrid_bfs.hpp"
+#include "cpu/reference.hpp"
 #include "graph/datasets.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
@@ -317,26 +322,55 @@ int main(int argc, char** argv) {
   const bool faulted = fault_cfg.Enabled() || fault_cfg.Planted();
 
   // --- Flag combinations, before the (potentially slow) graph load -----------
-  const bool whole_graph = algo_name == "pagerank" || algo_name == "hybrid-bfs";
-  if (!whole_graph && algo_name != "cc" && algo_name != "bfs" && algo_name != "sssp" &&
-      algo_name != "sswp") {
+  const bool traversal = algo_name == "bfs" || algo_name == "sssp" || algo_name == "sswp";
+  if (!traversal && algo_name != "cc" && algo_name != "pagerank" &&
+      algo_name != "hybrid-bfs") {
     return Fail("unknown --algo '" + algo_name + "'");
   }
-  if (async && (whole_graph || algo_name == "cc")) {
+  if (framework != "etagraph" && framework != "tigr" && framework != "gunrock" &&
+      framework != "cusha") {
+    return Fail("unknown --framework '" + framework + "'");
+  }
+  if (!traversal && framework != "etagraph") {
+    return Fail("--algo=" + algo_name + " supports --framework=etagraph only");
+  }
+  // One set of EtaGraph options for traversals, CC and PageRank.
+  core::EtaGraphOptions options;
+  options.degree_limit = k;
+  options.use_smp = smp;
+  options.check = check_cfg;
+  options.faults = fault_cfg;
+  options.profile = profile;
+  options.trace_requests = trace_requests;
+  if (mode_name == "um+prefetch") {
+    options.memory_mode = core::MemoryMode::kUnifiedPrefetch;
+  } else if (mode_name == "um") {
+    options.memory_mode = core::MemoryMode::kUnifiedOnDemand;
+  } else if (mode_name == "explicit") {
+    options.memory_mode = core::MemoryMode::kExplicitCopy;
+  } else if (mode_name == "chunked") {
+    options.memory_mode = core::MemoryMode::kChunkedStream;
+  } else {
+    return Fail("unknown --mode '" + mode_name + "'");
+  }
+  if (algo_name == "pagerank" && options.memory_mode == core::MemoryMode::kChunkedStream) {
+    return Fail("--mode=chunked does not support pagerank");
+  }
+  if (async && !traversal) {
     return Fail("--async supports etagraph traversals (bfs, sssp, sswp) only");
   }
   if (fault_cfg.dag != sim::FaultConfig::Dag::kNone && !async) {
     return Fail("--faults key 'dag' requires --async");
   }
-  if (whole_graph) {
-    // PageRank and hybrid BFS run their own devices: no fault injector, no
-    // plant, no profiler and no attempt loop reach them.
-    if (faulted) return Fail("--faults supports etagraph traversals and cc only");
-    if (profile) return Fail("--profile supports etagraph traversals and cc only");
+  if (algo_name == "hybrid-bfs") {
+    // Hybrid BFS runs its own device (it needs the transpose): no fault
+    // injector, no plant, no profiler and no attempt loop reach it.
+    if (faulted) return Fail("--faults supports etagraph traversals, cc and pagerank only");
+    if (profile) return Fail("--profile supports etagraph traversals, cc and pagerank only");
     if (trace_requests) {
-      return Fail("--trace-requests supports etagraph traversals and cc only");
+      return Fail("--trace-requests supports etagraph traversals, cc and pagerank only");
     }
-  } else if (algo_name != "cc" && framework != "etagraph") {
+  } else if (framework != "etagraph") {
     if (check_cfg.Enabled()) return Fail("--check supports --framework=etagraph only");
     if (faulted) return Fail("--faults supports --framework=etagraph only");
     if (profile) return Fail("--profile supports --framework=etagraph only");
@@ -365,26 +399,13 @@ int main(int argc, char** argv) {
   std::printf("graph: %u vertices, %u edges, topology %s\n", csr.NumVertices(),
               csr.NumEdges(), util::FormatBytes(csr.TopologyBytes()).c_str());
 
-  // --- PageRank path ---------------------------------------------------------
-  if (algo_name == "pagerank") {
-    core::PageRankOptions options;
-    options.use_smp = smp;
-    options.degree_limit = k;
-    options.check = check_cfg;
-    auto result = core::RunPageRank(csr, options);
-    if (result.oom) return Fail("device out of memory");
-    std::printf("PageRank: %u iterations, kernel %.3f ms, total %.3f ms\n",
-                result.iterations, result.kernel_ms, result.total_ms);
-    return check_cfg.Enabled() ? EmitCheck(result.check, check_json) : 0;
-  }
-
   // --- Hybrid BFS path -------------------------------------------------------
   if (algo_name == "hybrid-bfs") {
-    core::HybridBfsOptions options;
-    options.use_smp = smp;
-    options.degree_limit = k;
-    options.check = check_cfg;
-    auto result = core::RunHybridBfs(csr, source, options);
+    core::HybridBfsOptions hybrid;
+    hybrid.use_smp = smp;
+    hybrid.degree_limit = k;
+    hybrid.check = check_cfg;
+    auto result = core::RunHybridBfs(csr, source, hybrid);
     if (result.oom) return Fail("device out of memory");
     std::printf("Hybrid BFS: %u iterations (%u bottom-up), kernel %.3f ms, "
                 "total %.3f ms\n",
@@ -398,40 +419,24 @@ int main(int argc, char** argv) {
     return check_cfg.Enabled() ? EmitCheck(result.check, check_json) : 0;
   }
 
-  // --- Traversals and CC ------------------------------------------------------
+  // --- Traversals, CC and PageRank ---------------------------------------------
   const core::Algo algo = algo_name == "bfs"    ? core::Algo::kBfs
                           : algo_name == "sssp" ? core::Algo::kSssp
                           : algo_name == "sswp" ? core::Algo::kSswp
-                                                : core::Algo::kCc;
+                          : algo_name == "cc"   ? core::Algo::kCc
+                                                : core::Algo::kPr;
+  const core::PageRankOptions pr;
   core::RunReport report;
   bool dag_clean = true;
   if (algo == core::Algo::kCc) {
-    // CC always runs on EtaGraph, with the default degree limit and mode.
-    core::EtaGraphOptions options;
-    options.check = check_cfg;
-    options.faults = fault_cfg;
-    options.profile = profile;
-    options.trace_requests = trace_requests;
     report = core::EtaGraph(options).RunConnectedComponents(csr);
-  } else if (framework == "etagraph") {
-    core::EtaGraphOptions options;
-    options.degree_limit = k;
-    options.use_smp = smp;
-    options.check = check_cfg;
-    options.faults = fault_cfg;
-    options.profile = profile;
-    options.trace_requests = trace_requests;
-    if (mode_name == "um+prefetch") {
-      options.memory_mode = core::MemoryMode::kUnifiedPrefetch;
-    } else if (mode_name == "um") {
-      options.memory_mode = core::MemoryMode::kUnifiedOnDemand;
-    } else if (mode_name == "explicit") {
-      options.memory_mode = core::MemoryMode::kExplicitCopy;
-    } else if (mode_name == "chunked") {
-      options.memory_mode = core::MemoryMode::kChunkedStream;
-    } else {
-      return Fail("unknown --mode '" + mode_name + "'");
+  } else if (algo == core::Algo::kPr) {
+    report = core::EtaGraph(options).RunPageRank(csr, pr);
+    if (!report.DeviceFailed()) {
+      report.activated = core::CountAboveUniform(report.ranks);
+      report.activated_fraction = static_cast<double>(report.activated) / csr.NumVertices();
     }
+  } else if (framework == "etagraph") {
     if (async) {
       // Stream-scheduled one-shot (DESIGN.md section 11): staging plus the
       // hoisted topology prefetch run as one copy-stream op, the traversal
@@ -487,10 +492,8 @@ int main(int argc, char** argv) {
     report = baselines::Tigr().Run(csr, algo, source);
   } else if (framework == "gunrock") {
     report = baselines::Gunrock().Run(csr, algo, source);
-  } else if (framework == "cusha") {
-    report = baselines::Cusha().Run(csr, algo, source);
   } else {
-    return Fail("unknown --framework '" + framework + "'");
+    report = baselines::Cusha().Run(csr, algo, source);
   }
 
   PrintReport(report, timeline);
@@ -507,7 +510,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!report.DeviceFailed() && verify && algo != core::Algo::kCc) {
-    bool ok = report.labels == core::CpuReference(csr, algo, source);
+    const bool ok = algo == core::Algo::kPr
+                        ? report.activated ==
+                              core::CountAboveUniform(cpu::PageRankReference(
+                                  csr, pr.damping, pr.epsilon, pr.max_iterations))
+                        : report.labels == core::CpuReference(csr, algo, source);
     std::printf("  verify      %10s vs CPU reference\n", ok ? "OK" : "MISMATCH");
     if (!ok) return 1;
   }
