@@ -33,10 +33,11 @@
 # --faults builds normally and then exercises the fault model end to end
 # (DESIGN.md section 8): the fault/recovery test binaries, a CLI fault
 # matrix (every fault class through etagraph and etagraph_serve, with a
-# replay-determinism diff), the two etacheck plants through etagraph_serve
-# (rmw=reach_mask under racecheck, short=act_set under memcheck: each must
-# fail naming its buffer, and pass without the key), and the
-# bench_fault_overhead zero-cost contract.
+# replay-determinism diff), one hang_at= row per etagraph algorithm whose
+# answer must equal the fault-free run's, the two etacheck plants through
+# etagraph_serve (rmw=reach_mask under racecheck, short=act_set under
+# memcheck: each must fail naming its buffer, and pass without the key),
+# and the bench_fault_overhead zero-cost contract.
 #
 # --shard builds normally and then exercises the sharded serving fleet
 # (DESIGN.md section 10): the scheduler/router test binaries, the
@@ -190,6 +191,30 @@ if [[ "$FAULTS" == "1" ]]; then
         exit 1
       fi
     done
+  done
+  # A hung launch resumes in place, so a hang must cost time and nothing
+  # else: apart from the kernel/total times and the fault/recovery lines,
+  # the run prints what the fault-free run prints — iterations, the reached
+  # (pagerank: above-uniform) count, migrations, device counters and the
+  # CPU verification. A query restarted from scratch fails this on its
+  # counters.
+  HANG_OUT="$(mktemp)"
+  trap 'rm -f "$LOG" "$CLI_OUT" "$HANG_OUT"' EXIT
+  for algo in bfs sssp sswp cc pagerank; do
+    echo "-- etagraph --algo=$algo --faults=hang_at=5 answers like the fault-free run"
+    "$BUILD_DIR/src/etagraph_cli" --dataset=rmat --scale=0.1 --algo="$algo" \
+      --framework=etagraph --verify > "$CLI_OUT"
+    rc=0
+    "$BUILD_DIR/src/etagraph_cli" --dataset=rmat --scale=0.1 --algo="$algo" \
+      --framework=etagraph --faults=hang_at=5 --verify > "$HANG_OUT" || rc=$?
+    if [[ "$rc" != 0 ]] || ! grep -q "(0 uecc, 1 hang)" "$HANG_OUT" ||
+       ! diff <(grep -vE "^  (kernel|total|faults|recovery) " "$CLI_OUT") \
+              <(grep -vE "^  (kernel|total|faults|recovery) " "$HANG_OUT"); then
+      echo "check.sh: etagraph --algo=$algo --faults=hang_at=5 (exit $rc) did not" \
+           "resume to the fault-free answer:" >&2
+      cat "$HANG_OUT" >&2
+      exit 1
+    fi
   done
   # Device loss at query 2 of a one-shot run is unrecoverable in-session:
   # the CLI must fail loudly (exit 1), not pretend it has an answer.

@@ -56,7 +56,10 @@ struct DeviceState {
   Buffer<Weight> labels;
   Buffer<uint32_t> stamp;      // last iteration each vertex was appended
   Buffer<VertexId> act_set;
-  Buffer<uint32_t> act_count;  // single counter
+  /// The three append cursors of one iteration, reset together by one H2D:
+  /// [kFullCursor] and [kPartCursor] count the full and partial shadows the
+  /// UDC kernel emits, [kActCursor] the next active set's vertices.
+  Buffer<uint32_t> cursors;
   // Dual virtual active sets (Section V-B): shadows with degree == K and
   // shadows with degree < K, so the K-degree kernel can unroll exactly K.
   Buffer<VertexId> full_id;
@@ -64,11 +67,15 @@ struct DeviceState {
   Buffer<VertexId> part_id;
   Buffer<EdgeId> part_start;
   Buffer<EdgeId> part_end;
-  Buffer<uint32_t> virt_counts;  // [0]=full, [1]=partial
   /// Per-vertex source bitmask for attributed multi-source runs; allocated
   /// lazily on the first attributed query and resident thereafter.
   Buffer<uint32_t> reach_mask;
 };
+
+constexpr uint64_t kFullCursor = 0;
+constexpr uint64_t kPartCursor = 1;
+constexpr uint64_t kActCursor = 2;
+constexpr uint32_t kNumCursors = 3;
 
 /// actSet2virtActSet — the on-device Unified Degree Cut of Procedure 1.
 /// One thread per active vertex; each emits ceil(deg/K) shadow tuples into
@@ -117,14 +124,14 @@ void UdcKernel(WarpCtx& w, DeviceState& d, uint32_t k) {
       send[lane] = std::min<EdgeId>(sstart[lane] + k, end[lane]);
       bool is_full = send[lane] - sstart[lane] == k;
       if (is_full) fullmask |= 1u << lane;
-      counter_idx[lane] = is_full ? 0 : 1;
+      counter_idx[lane] = is_full ? kFullCursor : kPartCursor;
     });
     if (!submask) break;
     uint32_t partmask = submask & ~fullmask;
     w.ChargeAlu(4, submask);
 
     LaneArray<uint32_t> slot{};
-    w.AtomicAdd(d.virt_counts, counter_idx, one, submask, slot);
+    w.AtomicAdd(d.cursors, counter_idx, one, submask, slot);
     LaneArray<uint64_t> slot_idx{};
     WarpCtx::ForActive(submask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
     if (fullmask) {
@@ -204,7 +211,8 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
 
   LaneArray<uint32_t> one{};
   one.fill(1);
-  LaneArray<uint64_t> zero_idx{};
+  LaneArray<uint64_t> act_cursor{};
+  act_cursor.fill(kActCursor);
   LaneArray<uint32_t> iter_val{};
   iter_val.fill(p.iteration);
 
@@ -253,7 +261,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     if (!nmask) return;
 
     LaneArray<uint32_t> slot;
-    w.AtomicAdd(d.act_count, zero_idx, one, nmask, slot);
+    w.AtomicAdd(d.cursors, act_cursor, one, nmask, slot);
     LaneArray<uint64_t> slot_idx;
     WarpCtx::ForActive(nmask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
     w.Scatter(d.act_set, slot_idx, u, nmask);
@@ -362,14 +370,13 @@ uint64_t ResidentGraph::EstimateDeviceBytes(const graph::Csr& csr,
   total += paged(n, sizeof(Weight));    // labels
   total += paged(n, sizeof(uint32_t));  // stamp
   total += paged(n, sizeof(VertexId));  // act_set
-  total += paged(1, sizeof(uint32_t));  // act_count
+  total += paged(kNumCursors, sizeof(uint32_t));  // cursors
   const uint64_t shadow_cap = ShadowCapacity(csr, options.degree_limit) + 1;
   total += paged(shadow_cap, sizeof(VertexId));  // full_id
   total += paged(shadow_cap, sizeof(EdgeId));    // full_start
   total += paged(shadow_cap, sizeof(VertexId));  // part_id
   total += paged(shadow_cap, sizeof(EdgeId));    // part_start
   total += paged(shadow_cap, sizeof(EdgeId));    // part_end
-  total += paged(2, sizeof(uint32_t));           // virt_counts
   total += paged(n, sizeof(uint32_t));           // reach_mask (lazy)
   return total;
 }
@@ -443,14 +450,13 @@ ResidentGraph::ResidentGraph(const graph::Csr& csr, EtaGraphOptions options,
     d.labels = device.Alloc<Weight>(n, sim::MemKind::kDevice, "labels");
     d.stamp = device.Alloc<uint32_t>(n, sim::MemKind::kDevice, "stamp");
     d.act_set = device.Alloc<VertexId>(n, sim::MemKind::kDevice, "act_set");
-    d.act_count = device.Alloc<uint32_t>(1, sim::MemKind::kDevice, "act_count");
+    d.cursors = device.Alloc<uint32_t>(kNumCursors, sim::MemKind::kDevice, "cursors");
     uint64_t shadow_cap = ShadowCapacity(csr, k) + 1;
     d.full_id = device.Alloc<VertexId>(shadow_cap, sim::MemKind::kDevice, "full_id");
     d.full_start = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "full_start");
     d.part_id = device.Alloc<VertexId>(shadow_cap, sim::MemKind::kDevice, "part_id");
     d.part_start = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "part_start");
     d.part_end = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "part_end");
-    d.virt_counts = device.Alloc<uint32_t>(2, sim::MemKind::kDevice, "virt_counts");
   } catch (const sim::OomError& e) {
     oom_ = true;
     oom_request_bytes_ = e.requested_bytes;
@@ -503,13 +509,12 @@ void ResidentGraph::Shutdown() {
   device.Free(d.labels);
   device.Free(d.stamp);
   device.Free(d.act_set);
-  device.Free(d.act_count);
+  device.Free(d.cursors);
   device.Free(d.full_id);
   device.Free(d.full_start);
   device.Free(d.part_id);
   device.Free(d.part_start);
   device.Free(d.part_end);
-  device.Free(d.virt_counts);
   device.Free(d.reach_mask);
   device.Free(state_->stream_window);
   // Everything the session owns is gone; anything still live is a leak the
@@ -565,9 +570,11 @@ RunReport ResidentGraph::RunMultiSource(Algo algo, std::span<const VertexId> sou
                                           "reach_mask");
     device_bytes_peak_ = std::max(device_bytes_peak_, device.Mem().DeviceBytesUsed());
   };
-  return Execute(algo, alloc_reach_mask, [&](FaultStats* faults, AttemptFailure* failure) {
-    return TraversalAttempt(algo, init_labels, sources, attribute_sources, faults, failure);
-  });
+  return Execute(algo, alloc_reach_mask,
+                 [&](QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure) {
+                   TraversalAttempt(algo, init_labels, sources, attribute_sources, cursor,
+                                    faults, failure);
+                 });
 }
 
 RunReport ResidentGraph::RunConnectedComponents() {
@@ -578,10 +585,11 @@ RunReport ResidentGraph::RunConnectedComponents() {
     init_labels[v] = v;
     sources[v] = v;
   }
-  return Execute(Algo::kCc, [] {}, [&](FaultStats* faults, AttemptFailure* failure) {
-    return TraversalAttempt(Algo::kCc, init_labels, sources, /*attribute_sources=*/false,
-                            faults, failure);
-  });
+  return Execute(Algo::kCc, [] {},
+                 [&](QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure) {
+                   TraversalAttempt(Algo::kCc, init_labels, sources,
+                                    /*attribute_sources=*/false, cursor, faults, failure);
+                 });
 }
 
 RunReport ResidentGraph::RunPageRank(const PageRankOptions& pr) {
@@ -597,9 +605,15 @@ RunReport ResidentGraph::RunPageRank(const PageRankOptions& pr) {
     b.delta = device.Alloc<float>(1, sim::MemKind::kDevice, "delta");
     device_bytes_peak_ = std::max(device_bytes_peak_, device.Mem().DeviceBytesUsed());
   };
-  RunReport report = Execute(Algo::kPr, alloc, [&](FaultStats* faults, AttemptFailure* failure) {
-    return PageRankAttempt(pr, faults, failure);
-  });
+  // The static virtual active set: UDC of every vertex, built once on the
+  // host and uploaded as part of the input, like any preprocessed worklist.
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+  const std::vector<ShadowVertex> shadows = TransformActiveSet(csr_, all, options_.degree_limit);
+  RunReport report = Execute(
+      Algo::kPr, alloc, [&](QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure) {
+        PageRankAttempt(pr, shadows, cursor, faults, failure);
+      });
   device.Free(b.rank);
   device.Free(b.next);
   device.Free(b.inv_deg);
@@ -607,13 +621,15 @@ RunReport ResidentGraph::RunPageRank(const PageRankOptions& pr) {
   return report;
 }
 
-bool ResidentGraph::AttemptFailure::Launched(const sim::LaunchResult& r, uint32_t launch_iter,
+bool ResidentGraph::AttemptFailure::Launched(const sim::LaunchResult& r, QueryCursor* cursor,
                                              FaultStats* faults) {
   faults->ecc_corrected += r.ecc_corrected;
+  // A hung launch holds the device for its whole watchdog window.
+  cursor->report.kernel_ms +=
+      r.status == sim::LaunchStatus::kKernelTimeout ? r.wall_ms : r.compute_ms;
   if (r.Ok()) return true;
   failed = true;
   status = r.status;
-  iter = launch_iter;
   return false;
 }
 
@@ -656,11 +672,14 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
   }
 
   // --- Attempt/retry loop (DESIGN.md section 8) ----------------------------
-  // A failed launch executes no warps, so recovery restarts the whole query:
-  // after a UECC, verify/re-stage the resident topology from its host
-  // shadows; charge exponential backoff to the simulated clock; run again.
-  // Device loss is terminal for the session.
+  // A failed launch executes no warps. After a hang nothing on the device
+  // changed, so the next attempt resumes at the cursor and relaunches the
+  // killed kernel. After a UECC, verify/re-stage the resident topology from
+  // its host shadows and restart the query from scratch. Either way, charge
+  // exponential backoff to the simulated clock first. Device loss is
+  // terminal for the session.
   FaultStats faults;
+  QueryCursor cursor;
   // etatrace: per-attempt records, filled only under trace_requests (the
   // vector stays empty and untouched otherwise — zero-cost contract).
   std::vector<AttemptRecord> attempt_log;
@@ -668,7 +687,7 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
   const uint32_t max_attempts = 1 + options_.recovery.max_retries;
   for (uint32_t attempt = 0;; ++attempt) {
     AttemptFailure failure;
-    RunReport attempt_report = run_attempt(&faults, &failure);
+    run_attempt(&cursor, &faults, &failure);
     if (!failure.failed) {
       if (trace) {
         AttemptRecord rec;
@@ -676,15 +695,10 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
         rec.succeeded = true;
         attempt_log.push_back(rec);
       }
-      report = std::move(attempt_report);
       break;
     }
     AttemptRecord rec;  // written only when trace is on
     rec.attempt = attempt;
-    // The aborted attempt may have stamped vertices up to its failing
-    // iteration; start the next epoch above them so stale stamps never
-    // suppress appends.
-    stamp_base_ += failure.iter + 2;
     ++faults.launch_failures;
     switch (failure.status) {
       case sim::LaunchStatus::kEccUncorrectable:
@@ -704,7 +718,6 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
     if (failure.status == sim::LaunchStatus::kDeviceLost) {
       device_lost_ = true;
       if (trace) attempt_log.push_back(rec);
-      report = std::move(attempt_report);
       break;
     }
     // Repair a UECC before deciding whether to retry: the corruption is in
@@ -715,23 +728,22 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
       RestageCorrupted(&faults);
       rec.restaged = faults.restaged_buffers > restaged_before;
     }
-    if (attempt + 1 >= max_attempts) {
+    // Give up when the attempts are spent or the fleet-wide retry budget
+    // (one token per retry) is dry. A dry bucket ends recovery exactly like
+    // exhausting max_retries — the caller's degraded path takes over — so a
+    // sticky-fault storm cannot multiply offered load.
+    const bool attempts_left = attempt + 1 < max_attempts;
+    if (!attempts_left ||
+        (options_.recovery.budget != nullptr && !options_.recovery.budget->TryAcquireRetry())) {
       faults.exhausted = true;
-      if (trace) attempt_log.push_back(rec);
-      report = std::move(attempt_report);
-      break;
-    }
-    // Fleet-wide retry budget: one token per retry. A dry bucket ends
-    // recovery exactly like exhausting max_retries — the caller's degraded
-    // path takes over — so a sticky-fault storm cannot multiply offered
-    // load.
-    if (options_.recovery.budget != nullptr && !options_.recovery.budget->TryAcquireRetry()) {
-      faults.exhausted = true;
+      // The abandoned body may have stamped vertices up to its failing
+      // iteration; start the next query's epoch above them so stale stamps
+      // never suppress appends.
+      stamp_base_ += cursor.iter + 2;
       if (trace) {
-        rec.budget_denied = true;
+        rec.budget_denied = attempts_left;
         attempt_log.push_back(rec);
       }
-      report = std::move(attempt_report);
       break;
     }
     const double delay = options_.recovery.backoff_base_ms *
@@ -743,8 +755,16 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
       rec.backoff_ms = delay;
       attempt_log.push_back(rec);
     }
+    if (failure.status == sim::LaunchStatus::kEccUncorrectable) {
+      // Start over on the re-staged buffers; the kernel time the aborted
+      // attempt ran stays charged to the query.
+      const double kernel_ms = cursor.report.kernel_ms;
+      cursor = QueryCursor{};
+      cursor.report.kernel_ms = kernel_ms;
+    }
   }
 
+  report = std::move(cursor.report);
   report.framework = std::string("EtaGraph[") + ModeNameImpl(options_.memory_mode) +
                      (options_.use_smp ? "" : ",no-smp") + "]";
   report.algo = algo;
@@ -772,11 +792,12 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
   return report;
 }
 
-RunReport ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& init_labels,
-                                          std::span<const VertexId> initial_active,
-                                          bool attribute_sources, FaultStats* faults,
-                                          AttemptFailure* failure) {
-  RunReport report;
+void ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& init_labels,
+                                     std::span<const VertexId> initial_active,
+                                     bool attribute_sources, QueryCursor* cursor,
+                                     FaultStats* faults, AttemptFailure* failure) {
+  QueryCursor& c = *cursor;
+  RunReport& report = c.report;
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;
   ChunkStream& stream = state_->stream;
@@ -784,100 +805,105 @@ RunReport ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& 
   const uint32_t k = options_.degree_limit;
   const bool chunked = options_.memory_mode == MemoryMode::kChunkedStream;
 
-  // --- Init labels and the active set --------------------------------------
-  device.CopyToDevice(d.labels, std::span<const Weight>(init_labels));
+  if (c.iter == 0) {
+    // --- Init labels and the active set ------------------------------------
+    // The active count stays on the host, where it bounds the UDC launch;
+    // the device's count is a cursor, zeroed by every iteration's reset.
+    device.CopyToDevice(d.labels, std::span<const Weight>(init_labels));
+    device.CopyToDeviceRange(d.act_set, 0, initial_active, /*pageable=*/false);
+    // Seed stamps for the initial set: functionally scattered writes, charged
+    // as one |sources|-sized upload (a real implementation memsets or ships a
+    // prepared stamp array). Stamps are offset by stamp_base_ so stale values
+    // from earlier session queries never suppress appends.
+    std::vector<uint32_t> stamp_upload(initial_active.size(), stamp_base_ + 1);
+    device.CopyToDeviceRange(d.stamp, 0, std::span<const uint32_t>(stamp_upload), false);
+    for (VertexId s : initial_active) d.stamp.HostSpan()[s] = stamp_base_ + 1;
 
-  device.CopyToDeviceRange(d.act_set, 0, initial_active, /*pageable=*/false);
-  const auto initial_count = static_cast<uint32_t>(initial_active.size());
-  device.CopyToDevice(d.act_count, std::span<const uint32_t>(&initial_count, 1), false);
-  // Seed stamps for the initial set: functionally scattered writes, charged
-  // as one |sources|-sized upload (a real implementation memsets or ships a
-  // prepared stamp array). Stamps are offset by stamp_base_ so stale values
-  // from earlier session queries never suppress appends.
-  std::vector<uint32_t> stamp_upload(initial_active.size(), stamp_base_ + 1);
-  device.CopyToDeviceRange(d.stamp, 0, std::span<const uint32_t>(stamp_upload), false);
-  for (VertexId s : initial_active) d.stamp.HostSpan()[s] = stamp_base_ + 1;
-
-  if (attribute_sources) {
-    std::vector<uint32_t> init_masks(n, 0);
-    for (size_t i = 0; i < initial_active.size(); ++i) {
-      init_masks[initial_active[i]] |= 1u << i;
+    if (attribute_sources) {
+      std::vector<uint32_t> init_masks(n, 0);
+      for (size_t i = 0; i < initial_active.size(); ++i) {
+        init_masks[initial_active[i]] |= 1u << i;
+      }
+      device.CopyToDevice(d.reach_mask, std::span<const uint32_t>(init_masks));
     }
-    device.CopyToDevice(d.reach_mask, std::span<const uint32_t>(init_masks));
+
+    // Topology prefetch is a load-time cost: only the session's first query
+    // pays it; afterwards the managed pages are already resident.
+    PrefetchOnce();
+    c.iter = 1;
+    c.act_count = static_cast<uint32_t>(initial_active.size());
+    c.activated_cum = c.act_count;
   }
 
-  // Topology prefetch is a load-time cost: only the session's first query
-  // pays it; afterwards the managed pages are already resident.
-  PrefetchOnce();
-
   // --- Main loop (Procedure 1) ----------------------------------------------
-  uint32_t act_count = initial_count;
-  uint64_t activated_cum = initial_count;
-  const uint32_t zeros[2] = {0, 0};
-  for (uint32_t iter = 1; act_count > 0 && iter <= options_.max_iterations; ++iter) {
-    // One fused reset: the UDC kernel does not read act_count (the host
-    // already holds it as the launch bound), so all three cursors reset in
-    // a single small H2D before the transform.
-    device.CopyToDevice(d.virt_counts, std::span<const uint32_t>(zeros, 2), false);
-    device.CopyToDevice(d.act_count, std::span<const uint32_t>(zeros, 1), false);
-
-    auto udc = device.Launch("udc", {act_count, options_.block_size},
-                             [&](WarpCtx& w) { UdcKernel(w, d, k); });
-    report.kernel_ms += udc.compute_ms;
-    if (!failure->Launched(udc, iter, faults)) return report;
-
-    uint32_t vc[2] = {0, 0};
-    device.CopyToHost(std::span<uint32_t>(vc, 2), d.virt_counts, false);
-    // Shadow counts come back from device memory; a fault-corrupted count
-    // must never launch a grid bigger than the staging arrays it indexes.
-    // Only hardware faults can corrupt them, so the clamp is keyed on
-    // faults.Enabled(): a fault-free run (plants included) launches the
-    // exact counts, and etacheck observes any raw overflow.
-    if (options_.faults.Enabled()) {
-      vc[0] = static_cast<uint32_t>(std::min<uint64_t>(vc[0], d.full_id.count));
-      vc[1] = static_cast<uint32_t>(std::min<uint64_t>(vc[1], d.part_id.count));
+  // Each iteration pays one H2D and two D2H: a single reset of all three
+  // cursors (the UDC kernel does not read the active cursor, since the host
+  // holds the count as its launch bound), then the shadow counts after the
+  // UDC launch and the next active count after the traversal launches.
+  const uint32_t zeros[kNumCursors] = {0, 0, 0};
+  for (; c.act_count > 0 && c.iter <= options_.max_iterations; ++c.iter, c.step = 0) {
+    const uint64_t prev_active = c.act_count;
+    if (c.step == 0) {
+      device.CopyToDevice(d.cursors, std::span<const uint32_t>(zeros), false);
+      c.step = 1;
     }
-    uint64_t prev_active = act_count;
+    if (c.step == 1) {
+      auto udc = device.Launch("udc", {c.act_count, options_.block_size},
+                               [&](WarpCtx& w) { UdcKernel(w, d, k); });
+      if (!failure->Launched(udc, cursor, faults)) return;
+      c.step = 2;
 
-    if (chunked && prev_active > 0) {
-      // GTS-style staging: ship every fixed-size chunk that any active
-      // vertex's adjacency touches, wholly, before the traversal kernels.
-      // Multi-stream pipelining hides part of the copy (overlap below),
-      // but a mostly-idle chunk still costs its full bytes — the waste the
-      // paper's introduction calls out. The resident-chunk window persists
-      // across session queries (a warm window, like UM residency).
-      auto act_host = d.act_set.HostSpan();
-      uint64_t new_bytes = 0;
-      for (uint64_t i = 0; i < prev_active; ++i) {
-        VertexId v = act_host[i];
-        // Active-set entries are device data: skip ids a fault pushed out
-        // of range instead of indexing the host CSR with them.
-        if (v >= csr_.NumVertices() || csr_.OutDegree(v) == 0) continue;
-        uint64_t first =
-            uint64_t{csr_.RowStart(v)} * sizeof(VertexId) / stream.chunk_bytes;
-        uint64_t last =
-            (uint64_t{csr_.RowEnd(v)} * sizeof(VertexId) - 1) / stream.chunk_bytes;
-        for (uint64_t c = first; c <= last; ++c) {
-          if (stream.resident[c]) continue;
-          while (stream.ResidentCount() >= stream.window_chunks) {
-            stream.resident[stream.fifo[stream.fifo_head++]] = 0;
-          }
-          stream.resident[c] = 1;
-          stream.fifo.push_back(static_cast<uint32_t>(c));
-          new_bytes += stream.chunk_bytes * (weights_staged_ ? 2 : 1);
-        }
+      device.CopyToHost(std::span<uint32_t>(c.shadows), d.cursors, false);
+      // Shadow counts come back from device memory; a fault-corrupted count
+      // must never launch a grid bigger than the staging arrays it indexes.
+      // Only hardware faults can corrupt them, so the clamp is keyed on
+      // faults.Enabled(): a fault-free run (plants included) launches the
+      // exact counts, and etacheck observes any raw overflow.
+      if (options_.faults.Enabled()) {
+        c.shadows[0] = static_cast<uint32_t>(std::min<uint64_t>(c.shadows[0], d.full_id.count));
+        c.shadows[1] = static_cast<uint32_t>(std::min<uint64_t>(c.shadows[1], d.part_id.count));
       }
-      if (new_bytes > 0) {
-        device.ChargeHostToDevice(new_bytes, /*pageable=*/false, "chunk-stream",
-                                  /*overlap=*/0.6);
-        stream.transferred_bytes += new_bytes;
+
+      if (chunked) {
+        // GTS-style staging: ship every fixed-size chunk that any active
+        // vertex's adjacency touches, wholly, before the traversal kernels.
+        // Multi-stream pipelining hides part of the copy (overlap below),
+        // but a mostly-idle chunk still costs its full bytes — the waste the
+        // paper's introduction calls out. The resident-chunk window persists
+        // across session queries (a warm window, like UM residency).
+        auto act_host = d.act_set.HostSpan();
+        uint64_t new_bytes = 0;
+        for (uint64_t i = 0; i < prev_active; ++i) {
+          VertexId v = act_host[i];
+          // Active-set entries are device data: skip ids a fault pushed out
+          // of range instead of indexing the host CSR with them.
+          if (v >= csr_.NumVertices() || csr_.OutDegree(v) == 0) continue;
+          uint64_t first =
+              uint64_t{csr_.RowStart(v)} * sizeof(VertexId) / stream.chunk_bytes;
+          uint64_t last =
+              (uint64_t{csr_.RowEnd(v)} * sizeof(VertexId) - 1) / stream.chunk_bytes;
+          for (uint64_t ch = first; ch <= last; ++ch) {
+            if (stream.resident[ch]) continue;
+            while (stream.ResidentCount() >= stream.window_chunks) {
+              stream.resident[stream.fifo[stream.fifo_head++]] = 0;
+            }
+            stream.resident[ch] = 1;
+            stream.fifo.push_back(static_cast<uint32_t>(ch));
+            new_bytes += stream.chunk_bytes * (weights_staged_ ? 2 : 1);
+          }
+        }
+        if (new_bytes > 0) {
+          device.ChargeHostToDevice(new_bytes, /*pageable=*/false, "chunk-stream",
+                                    /*overlap=*/0.6);
+          stream.transferred_bytes += new_bytes;
+        }
       }
     }
 
     TraverseParams params;
     params.use_smp = options_.use_smp;
     params.k = k;
-    params.iteration = stamp_base_ + iter + 1;  // stamps compare against the *next* set
+    params.iteration = stamp_base_ + c.iter + 1;  // stamps compare against the *next* set
     params.attribute = attribute_sources;
     auto traverse = [&](const char* label, uint32_t shadows) {
       return WithSemiring(algo, [&]<class S>(S) {
@@ -885,29 +911,30 @@ RunReport ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& 
                              [&](WarpCtx& w) { TraverseKernel<S>(w, d, params); });
       });
     };
-    if (vc[0] > 0) {
-      params.full_set = true;
-      auto r = traverse("traverse_full", vc[0]);
-      report.kernel_ms += r.compute_ms;
-      if (!failure->Launched(r, iter, faults)) return report;
+    if (c.step == 2) {
+      if (c.shadows[0] > 0) {
+        params.full_set = true;
+        if (!failure->Launched(traverse("traverse_full", c.shadows[0]), cursor, faults)) return;
+      }
+      c.step = 3;
     }
-    if (vc[1] > 0) {
+    if (c.shadows[1] > 0) {
       params.full_set = false;
-      auto r = traverse("traverse_part", vc[1]);
-      report.kernel_ms += r.compute_ms;
-      if (!failure->Launched(r, iter, faults)) return report;
+      if (!failure->Launched(traverse("traverse_part", c.shadows[1]), cursor, faults)) return;
     }
 
-    device.CopyToHost(std::span<uint32_t>(&act_count, 1), d.act_count, false);
-    // Same contract as vc above: the next launch bound and the host-side
-    // chunk walk must stay inside the active-set allocation.
+    uint32_t counts[kNumCursors] = {0, 0, 0};
+    device.CopyToHost(std::span<uint32_t>(counts), d.cursors, false);
+    c.act_count = counts[kActCursor];
+    // Same contract as the shadow counts above: the next launch bound and
+    // the host-side chunk walk must stay inside the active-set allocation.
     if (options_.faults.Enabled()) {
-      act_count =
-          static_cast<uint32_t>(std::min<uint64_t>(act_count, d.act_set.count));
+      c.act_count = static_cast<uint32_t>(std::min<uint64_t>(c.act_count, d.act_set.count));
     }
-    activated_cum += act_count;
-    report.iteration_stats.push_back({iter, prev_active, uint64_t{vc[0]} + vc[1],
-                                      device.NowMs(), activated_cum});
+    c.activated_cum += c.act_count;
+    report.iteration_stats.push_back({c.iter, prev_active,
+                                      uint64_t{c.shadows[0]} + c.shadows[1], device.NowMs(),
+                                      c.activated_cum});
   }
 
   // --- Results back ----------------------------------------------------------
@@ -932,28 +959,21 @@ RunReport ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& 
   report.activated_fraction = n ? static_cast<double>(report.activated) / n : 0;
 
   stamp_base_ += report.iterations + 1;
-  return report;
 }
 
-RunReport ResidentGraph::PageRankAttempt(const PageRankOptions& pr, FaultStats* faults,
-                                         AttemptFailure* failure) {
-  RunReport report;
+void ResidentGraph::PageRankAttempt(const PageRankOptions& pr,
+                                    std::span<const ShadowVertex> shadows, QueryCursor* cursor,
+                                    FaultStats* faults, AttemptFailure* failure) {
+  QueryCursor& c = *cursor;
+  RunReport& report = c.report;
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;
   const VertexId n = csr_.NumVertices();
   const uint32_t k = options_.degree_limit;
-
-  // A local copy of the handles: the per-iteration swap must not leak into
-  // the next attempt, which starts from the same rank/next assignment.
-  PrBuffers b = state_->pr;
-
-  // The static virtual active set: UDC of every vertex, built once on the
-  // host and uploaded as part of the input, like any preprocessed worklist.
-  std::vector<VertexId> all(n);
-  for (VertexId v = 0; v < n; ++v) all[v] = v;
-  const std::vector<ShadowVertex> shadows = TransformActiveSet(csr_, all, k);
   const uint64_t num_shadows = shadows.size();
-  {
+
+  PrBuffers b = state_->pr;
+  if (c.iter == 0) {
     std::vector<float> inv(n, 0.f), rank0(n, 1.0f / static_cast<float>(n));
     for (VertexId v = 0; v < n; ++v) {
       if (EdgeId deg = csr_.OutDegree(v); deg > 0) inv[v] = 1.0f / static_cast<float>(deg);
@@ -970,39 +990,48 @@ RunReport ResidentGraph::PageRankAttempt(const PageRankOptions& pr, FaultStats* 
     device.CopyToDevice(d.part_id, std::span<const VertexId>(ids));
     device.CopyToDevice(d.part_start, std::span<const EdgeId>(starts));
     device.CopyToDevice(d.part_end, std::span<const EdgeId>(ends));
+    PrefetchOnce();
+    // delta relies on alloc-time zero fill: the first iteration's AtomicMax
+    // reads it before any host write reaches it. Its value is only ever read
+    // back and discarded (convergence uses host_delta), so a restarted query
+    // needs no reset.
+    device.MarkHostInitialized(b.delta);
+    c.iter = 1;
   }
-  PrefetchOnce();
-  // delta relies on alloc-time zero fill: the first iteration's AtomicMax
-  // reads it before any host write reaches it. Its value is only ever read
-  // back and discarded (convergence uses host_delta), so a retried attempt
-  // needs no reset.
-  device.MarkHostInitialized(b.delta);
+  // Every completed iteration swapped rank and next (a pointer swap on the
+  // device), so iteration `iter` finds them swapped iter - 1 times.
+  if (c.iter % 2 == 0) std::swap(b.rank, b.next);
 
   const float base_rank = (1.0f - static_cast<float>(pr.damping)) / static_cast<float>(n);
   const auto damping = static_cast<float>(pr.damping);
 
-  for (uint32_t iter = 1; iter <= pr.max_iterations; ++iter) {
-    // --- init kernel: next[v] = (1-d)/n -----------------------------------
-    auto init = device.Launch("pr_init", {n, options_.block_size}, [&](WarpCtx& w) {
-      uint32_t mask = w.ActiveMask();
-      if (!mask) return;
-      uint64_t base = w.WarpId() * kWarpSize;
-      LaneArray<uint64_t> slot{};
-      LaneArray<float> val{};
-      WarpCtx::ForActive(mask, [&](uint32_t lane) {
-        slot[lane] = base + lane;
-        val[lane] = base_rank;
+  for (; c.iter <= pr.max_iterations; ++c.iter, c.step = 0) {
+    if (c.step == 0) {
+      // --- init kernel: next[v] = (1-d)/n ---------------------------------
+      auto init = device.Launch("pr_init", {n, options_.block_size}, [&](WarpCtx& w) {
+        uint32_t mask = w.ActiveMask();
+        if (!mask) return;
+        uint64_t base = w.WarpId() * kWarpSize;
+        LaneArray<uint64_t> slot{};
+        LaneArray<float> val{};
+        WarpCtx::ForActive(mask, [&](uint32_t lane) {
+          slot[lane] = base + lane;
+          val[lane] = base_rank;
+        });
+        w.Scatter(b.next, slot, val, mask);
       });
-      w.Scatter(b.next, slot, val, mask);
-    });
-    report.kernel_ms += init.compute_ms;
-    if (!failure->Launched(init, iter, faults)) return report;
+      if (!failure->Launched(init, cursor, faults)) return;
+      c.step = 1;
+    }
 
-    auto push = device.Launch("pr_push", {num_shadows, options_.block_size}, [&](WarpCtx& w) {
-      PrPushKernel(w, d, b, k, options_.use_smp, damping);
-    });
-    report.kernel_ms += push.compute_ms;
-    if (!failure->Launched(push, iter, faults)) return report;
+    if (c.step == 1) {
+      auto push =
+          device.Launch("pr_push", {num_shadows, options_.block_size}, [&](WarpCtx& w) {
+            PrPushKernel(w, d, b, k, options_.use_smp, damping);
+          });
+      if (!failure->Launched(push, cursor, faults)) return;
+      c.step = 2;
+    }
 
     // --- delta kernel: max |next - rank|, then swap -------------------------
     float host_delta = 0;
@@ -1010,13 +1039,13 @@ RunReport ResidentGraph::PageRankAttempt(const PageRankOptions& pr, FaultStats* 
       uint32_t mask = w.ActiveMask();
       if (!mask) return;
       uint64_t base = w.WarpId() * kWarpSize;
-      LaneArray<float> a{}, c{};
+      LaneArray<float> a{}, cv{};
       w.GatherContiguous(b.rank, base, mask, a);
-      w.GatherContiguous(b.next, base, mask, c);
+      w.GatherContiguous(b.next, base, mask, cv);
       w.ChargeAlu(2, mask);
       float warp_max = 0;
       WarpCtx::ForActive(mask, [&](uint32_t lane) {
-        warp_max = std::max(warp_max, std::abs(a[lane] - c[lane]));
+        warp_max = std::max(warp_max, std::abs(a[lane] - cv[lane]));
       });
       host_delta = std::max(host_delta, warp_max);
       LaneArray<uint64_t> zero_idx{};
@@ -1025,24 +1054,21 @@ RunReport ResidentGraph::PageRankAttempt(const PageRankOptions& pr, FaultStats* 
       LaneArray<float> old{};
       w.AtomicMax(b.delta, zero_idx, val, 1u, old);
     });
-    report.kernel_ms += reduce.compute_ms;
-    if (!failure->Launched(reduce, iter, faults)) return report;
+    if (!failure->Launched(reduce, cursor, faults)) return;
 
-    // Swap rank <-> next (pointer swap on device; free).
     std::swap(b.rank, b.next);
 
     float delta_readback = 0;
     device.CopyToHost(std::span<float>(&delta_readback, 1), b.delta, false);
     const float zero = 0;
     device.CopyToDevice(b.delta, std::span<const float>(&zero, 1), false);
-    report.iterations = iter;
+    report.iterations = c.iter;
     if (host_delta < pr.epsilon) break;
   }
 
   device.Synchronize();
   report.ranks.resize(n);
   device.CopyToHost(std::span<float>(report.ranks), b.rank);
-  return report;
 }
 
 void ResidentGraph::RestageCorrupted(FaultStats* faults) {

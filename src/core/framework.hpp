@@ -27,6 +27,7 @@
 #include "core/pagerank.hpp"
 #include "core/run_report.hpp"
 #include "core/traversal.hpp"
+#include "core/udc.hpp"
 #include "graph/csr.hpp"
 
 namespace eta::sim {
@@ -149,37 +150,54 @@ class ResidentGraph {
 
   struct State;  // device + resident buffers; defined in framework.cpp
 
+  /// Where a query's body stands, kept across its attempts by Execute
+  /// (DESIGN.md section 8). A hang leaves it at the killed launch, so the
+  /// next attempt relaunches that kernel and goes on; a UECC resets it, so
+  /// the next attempt starts over on re-staged buffers.
+  struct QueryCursor {
+    uint32_t iter = 0;  // loop iteration; 0 = inputs not staged yet
+    /// Steps of `iter` already done, numbered by each body. Every launch is
+    /// a step of its own, so the next attempt issues the hung one first.
+    uint32_t step = 0;
+    /// Host-held counts of `iter`: its active vertices, then its full and
+    /// partial shadows (read back after the UDC launch).
+    uint32_t act_count = 0;
+    uint32_t shadows[2] = {0, 0};
+    uint64_t activated_cum = 0;
+    RunReport report;  // what the query's completed launches produced
+  };
+
   /// How one execution attempt of a query failed (empty = it succeeded).
   struct AttemptFailure {
     bool failed = false;
     sim::LaunchStatus status = sim::LaunchStatus::kOk;
-    uint32_t iter = 0;  // loop iteration the failing launch belonged to
 
-    /// Folds one launch of loop iteration `launch_iter` into the attempt:
-    /// its correctable-ECC count into *faults, and a failure into *this.
-    /// False means the attempt must abort.
-    bool Launched(const sim::LaunchResult& r, uint32_t launch_iter, FaultStats* faults);
+    /// Folds one launch into the attempt: its device time into the
+    /// cursor's kernel_ms (a hang's watchdog window included), its
+    /// correctable-ECC count into *faults, and a failure into *this. False
+    /// means the attempt must stop.
+    bool Launched(const sim::LaunchResult& r, QueryCursor* cursor, FaultStats* faults);
   };
 
   /// The attempt/retry loop every query runs through (DESIGN.md section 8).
   /// `alloc()` allocates the query's device buffers once, before the first
   /// attempt; an OomError from it ends the query as oom with nothing
-  /// charged. `run_attempt(FaultStats*, AttemptFailure*)` is one
-  /// start-to-finish execution of the query body: on a failed launch it
-  /// returns early with the failure filled.
+  /// charged. `run_attempt(QueryCursor*, FaultStats*, AttemptFailure*)`
+  /// runs the query body from the cursor to the end: on a failed launch it
+  /// returns with the failure filled and the cursor at that launch.
   template <class Alloc, class Attempt>
   RunReport Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt);
 
-  /// One attempt of a label-propagation traversal (Procedure 1).
-  RunReport TraversalAttempt(Algo algo, const std::vector<graph::Weight>& init_labels,
-                             std::span<const graph::VertexId> initial_active,
-                             bool attribute_sources, FaultStats* faults,
-                             AttemptFailure* failure);
+  /// A label-propagation traversal (Procedure 1) from the cursor onwards.
+  void TraversalAttempt(Algo algo, const std::vector<graph::Weight>& init_labels,
+                        std::span<const graph::VertexId> initial_active, bool attribute_sources,
+                        QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure);
 
-  /// One attempt of PageRank over the query's buffers (State::pr): pr_init,
-  /// pr_push and pr_delta per iteration.
-  RunReport PageRankAttempt(const PageRankOptions& pr, FaultStats* faults,
-                            AttemptFailure* failure);
+  /// PageRank over the query's buffers (State::pr) from the cursor onwards:
+  /// pr_init, pr_push and pr_delta per iteration over the static virtual
+  /// active set `shadows` (every vertex, cut at K).
+  void PageRankAttempt(const PageRankOptions& pr, std::span<const ShadowVertex> shadows,
+                       QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure);
 
   /// Issues the topology prefetch (kUnifiedPrefetch only) unless an earlier
   /// query or PrefetchTopology already did; true if it did.

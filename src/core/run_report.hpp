@@ -36,7 +36,9 @@ struct FaultStats {
   uint64_t ecc_uncorrectable = 0;  // launches aborted by a UECC
   uint64_t hangs = 0;              // launches killed by the watchdog
   uint64_t launch_failures = 0;    // total failed launches (all classes)
-  uint64_t retries = 0;            // attempts restarted after a failure
+  /// Failed launches retried: a hang resumes the query at the killed
+  /// launch, a UECC restarts it on re-staged buffers.
+  uint64_t retries = 0;
   uint64_t restaged_buffers = 0;   // buffers re-shipped from host shadows
   uint64_t restaged_bytes = 0;
   double backoff_ms = 0;           // simulated time burned backing off
@@ -93,7 +95,10 @@ struct RunReport {
   /// The run produced no usable labels over the device path.
   bool DeviceFailed() const { return oom || faults.Failed(); }
 
-  double kernel_ms = 0;  // sum of kernel roofline times
+  /// Sum of kernel roofline times over every launch the run paid for: a
+  /// retried query's aborted launches included, a hung one at its whole
+  /// watchdog window.
+  double kernel_ms = 0;
   double total_ms = 0;   // simulated end-to-end: transfers + kernels + stalls
   /// Incremental simulated cost of this query alone. Equal to total_ms for
   /// a one-shot run; for a query served by a persistent ResidentGraph it

@@ -194,11 +194,11 @@ graph::Csr WeightedGraph() {
   return csr;
 }
 
-// Resident staging on a weighted graph performs exactly 13 device
-// allocations (row, col, wts, labels, stamp, act_set, act_count, 5 shadow
-// arrays, virt_counts); the per-vertex reach mask is allocated lazily by the
-// first attributed multi-source query, i.e. allocation decision #14.
-constexpr uint64_t kLoadAllocs = 13;
+// Resident staging on a weighted graph performs exactly 12 device
+// allocations (row, col, wts, labels, stamp, act_set, cursors, 5 shadow
+// arrays); the per-vertex reach mask is allocated lazily by the first
+// attributed multi-source query, i.e. allocation decision #13.
+constexpr uint64_t kLoadAllocs = 12;
 
 }  // namespace fault_alloc
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -455,6 +456,240 @@ TEST(FaultRecovery, SessionSurvivesFaultAndServesLaterQueries) {
   EXPECT_EQ(q1.labels, core::CpuReference(csr, core::Algo::kBfs, 3));
   EXPECT_EQ(q2.labels, core::CpuReference(csr, core::Algo::kSssp, 9));
   EXPECT_EQ(q3.labels, core::CpuReference(csr, core::Algo::kBfs, 21));
+}
+
+// --- Resuming a hung launch ---------------------------------------------------
+
+/// One profiled query of `algo` (from vertex 3 for the per-source
+/// traversals) on a fresh session of `csr`.
+core::RunReport RunQuery(const graph::Csr& csr, core::Algo algo,
+                         core::EtaGraphOptions options) {
+  options.profile = true;
+  core::ResidentGraph session(csr, options);
+  switch (algo) {
+    case core::Algo::kCc: return session.RunConnectedComponents();
+    case core::Algo::kPr: return session.RunPageRank();
+    default: return session.Run(algo, 3);
+  }
+}
+
+/// Device time the query paid for, launch by launch: a hung launch holds
+/// the device for its whole watchdog window, any other one for its compute.
+double PaidKernelMs(const core::RunReport& r) {
+  double ms = 0;
+  for (const sim::KernelProfile& p : r.kernel_profiles) {
+    ms += p.status == LaunchStatus::kKernelTimeout ? p.DurationMs() : p.compute_ms;
+  }
+  return ms;
+}
+
+/// A seed whose 10% hang rate hangs exactly two launches of the SSSP
+/// query in TwoHangsInOneQueryChargeTwoBackoffs.
+constexpr uint64_t kTwoHangSeed = 5;
+
+class HangResumeTest : public ::testing::TestWithParam<core::Algo> {};
+
+// A hang kills one launch before any warp runs, so the retry relaunches
+// that kernel with the same grid and the query goes on. Wherever the hang
+// lands, the query answers like its fault-free twin, with one launch more
+// and exactly one watchdog window plus one backoff more on its clock.
+TEST_P(HangResumeTest, EveryHungLaunchResumesToTheTwinsAnswer) {
+  const core::Algo algo = GetParam();
+  const graph::Csr csr = SmallSocialGraph();
+  const core::RunReport twin = RunQuery(csr, algo, {});
+  ASSERT_FALSE(twin.DeviceFailed());
+  const uint64_t launches = twin.kernel_profiles.size();
+  std::set<std::string> hung_kernels;
+  for (uint64_t k = 1; k <= launches; ++k) {
+    SCOPED_TRACE("hang_at=" + std::to_string(k));
+    core::EtaGraphOptions options;
+    options.faults.hang_at = k;
+    options.faults.watchdog_ms = 2.0;
+    const core::RunReport r = RunQuery(csr, algo, options);
+    ASSERT_FALSE(r.DeviceFailed());
+    EXPECT_EQ(r.labels, twin.labels);
+    EXPECT_EQ(r.ranks, twin.ranks);
+    EXPECT_EQ(r.iterations, twin.iterations);
+    EXPECT_EQ(r.faults.hangs, 1u);
+    EXPECT_EQ(r.faults.retries, 1u);
+    ASSERT_EQ(r.kernel_profiles.size(), launches + 1);
+    const sim::KernelProfile& hung = r.kernel_profiles[k - 1];
+    ASSERT_EQ(hung.status, LaunchStatus::kKernelTimeout);
+    hung_kernels.insert(hung.name);
+    // Without the killed launch, the query ran the twin's launches: same
+    // kernels, same grids, same device time.
+    for (uint64_t i = 0, j = 0; i < r.kernel_profiles.size(); ++i) {
+      if (i == k - 1) continue;
+      EXPECT_EQ(r.kernel_profiles[i].name, twin.kernel_profiles[j].name) << "launch " << i;
+      EXPECT_EQ(r.kernel_profiles[i].grid_threads, twin.kernel_profiles[j].grid_threads)
+          << "launch " << i;
+      EXPECT_EQ(r.kernel_profiles[i].compute_ms, twin.kernel_profiles[j].compute_ms)
+          << "launch " << i;
+      ++j;
+    }
+    EXPECT_NEAR(r.query_ms - twin.query_ms,
+                options.faults.watchdog_ms + options.recovery.backoff_base_ms, 1e-9);
+    EXPECT_NEAR(r.kernel_ms - twin.kernel_ms, options.faults.watchdog_ms, 1e-9);
+    EXPECT_NEAR(r.kernel_ms, PaidKernelMs(r), 1e-9);
+  }
+  // The sweep hung every kernel of the query's loop.
+  const std::set<std::string> loop_kernels =
+      algo == core::Algo::kPr ? std::set<std::string>{"pr_init", "pr_push", "pr_delta"}
+                              : std::set<std::string>{"udc", "traverse_full", "traverse_part"};
+  EXPECT_EQ(hung_kernels, loop_kernels);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algos, HangResumeTest,
+                         ::testing::Values(core::Algo::kBfs, core::Algo::kSssp,
+                                           core::Algo::kSswp, core::Algo::kCc,
+                                           core::Algo::kPr),
+                         [](const ::testing::TestParamInfo<core::Algo>& param_info) {
+                           return std::string(core::AlgoName(param_info.param));
+                         });
+
+TEST(HangResume, TwoHangsInOneQueryChargeTwoBackoffs) {
+  const graph::Csr csr = SmallSocialGraph();
+  const core::RunReport twin = RunQuery(csr, core::Algo::kSssp, {});
+  core::EtaGraphOptions options;
+  options.faults.seed = kTwoHangSeed;
+  options.faults.hang_rate = 0.1;
+  options.faults.watchdog_ms = 2.0;
+  const core::RunReport r = RunQuery(csr, core::Algo::kSssp, options);
+  ASSERT_FALSE(r.DeviceFailed());
+  ASSERT_EQ(r.faults.hangs, 2u);
+  EXPECT_EQ(r.faults.retries, 2u);
+  EXPECT_DOUBLE_EQ(r.faults.backoff_ms, 0.5 + 1.0);
+  EXPECT_EQ(r.labels, twin.labels);
+  EXPECT_EQ(r.kernel_profiles.size(), twin.kernel_profiles.size() + 2);
+  EXPECT_NEAR(r.query_ms - twin.query_ms, 2 * 2.0 + 0.5 + 1.0, 1e-9);
+  EXPECT_NEAR(r.kernel_ms - twin.kernel_ms, 2 * 2.0, 1e-9);
+}
+
+/// A hang on a query's last allowed attempt, retries exhausted or the retry
+/// budget denying one more, still ends the query as exhausted. The stamps
+/// its abandoned iterations wrote must not suppress a later query's
+/// appends.
+class HangOnLastAttemptTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HangOnLastAttemptTest, EndsExhaustedAndLaterQueriesStayExact) {
+  const bool budget_denies = GetParam();
+  const graph::Csr csr = SmallSocialGraph();
+  for (uint64_t hang_at : {1u, 4u, 7u}) {
+    SCOPED_TRACE("hang_at=" + std::to_string(hang_at));
+    core::EtaGraphOptions options;
+    options.faults.hang_at = hang_at;
+    if (budget_denies) {
+      options.recovery.budget =
+          std::make_shared<core::RetryBudget>(core::RetryBudget::Config{1.0, 0.0});
+    } else {
+      options.recovery.max_retries = 0;
+    }
+    core::ResidentGraph session(csr, options);
+    const core::RunReport failed = session.Run(core::Algo::kBfs, 3);
+    ASSERT_TRUE(failed.DeviceFailed());
+    EXPECT_TRUE(failed.faults.exhausted);
+    EXPECT_EQ(failed.faults.hangs, 1u);
+    EXPECT_EQ(failed.faults.retries, 0u);
+    EXPECT_EQ(failed.faults.backoff_ms, 0.0);
+    for (core::Algo algo : {core::Algo::kBfs, core::Algo::kSssp, core::Algo::kSswp}) {
+      for (graph::VertexId source : {3u, 9u, 21u}) {
+        const core::RunReport r = session.Run(algo, source);
+        ASSERT_FALSE(r.DeviceFailed());
+        EXPECT_EQ(r.labels, core::CpuReference(csr, algo, source))
+            << core::AlgoName(algo) << " from " << source;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ExitPaths, HangOnLastAttemptTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return std::string(param_info.param ? "BudgetDenied"
+                                                               : "RetriesExhausted");
+                         });
+
+// A UECC may have corrupted anything the query staged, so its retry starts
+// the query over; the kernels the aborted attempt ran stay in kernel_ms.
+TEST(HangResume, UeccStillRestartsTheQuery) {
+  const graph::Csr csr = SmallSocialGraph();
+  for (core::Algo algo : {core::Algo::kBfs, core::Algo::kPr}) {
+    SCOPED_TRACE(core::AlgoName(algo));
+    const core::RunReport twin = RunQuery(csr, algo, {});
+    core::EtaGraphOptions options;
+    options.faults.seed = 11;
+    options.faults.uecc_at = 4;
+    const core::RunReport r = RunQuery(csr, algo, options);
+    ASSERT_FALSE(r.DeviceFailed());
+    EXPECT_EQ(r.faults.ecc_uncorrectable, 1u);
+    EXPECT_EQ(r.faults.retries, 1u);
+    EXPECT_EQ(r.labels, twin.labels);
+    EXPECT_EQ(r.ranks, twin.ranks);
+    ASSERT_GT(r.kernel_profiles.size(), 4u);
+    EXPECT_EQ(r.kernel_profiles[3].status, LaunchStatus::kEccUncorrectable);
+    // The retry's first launch is the query's first launch again.
+    EXPECT_EQ(r.kernel_profiles[4].name, twin.kernel_profiles[0].name);
+    EXPECT_EQ(r.kernel_profiles[4].grid_threads, twin.kernel_profiles[0].grid_threads);
+    EXPECT_EQ(r.kernel_profiles.size(), twin.kernel_profiles.size() + 4);
+    EXPECT_NEAR(r.kernel_ms, PaidKernelMs(r), 1e-9);
+    EXPECT_GT(r.kernel_ms, twin.kernel_ms);
+  }
+}
+
+// The watchdog window of a hung launch is device time the query paid for.
+// On a 5-vertex star, PageRank's kernels take well under a millisecond, so
+// a 1 ms window must show in kernel_ms.
+TEST(HangResume, HungPageRankLaunchCountsItsWatchdogWindow) {
+  std::vector<graph::Edge> edges;
+  for (graph::VertexId leaf = 1; leaf < 5; ++leaf) {
+    edges.push_back({0, leaf});
+    edges.push_back({leaf, 0});
+  }
+  const graph::Csr star = graph::BuildCsr(edges);
+  const core::RunReport twin = core::EtaGraph().RunPageRank(star);
+  core::EtaGraphOptions options;
+  options.faults.hang_at = 2;
+  options.faults.watchdog_ms = 1.0;
+  const core::RunReport r = core::EtaGraph(options).RunPageRank(star);
+  ASSERT_FALSE(r.DeviceFailed());
+  EXPECT_EQ(r.faults.hangs, 1u);
+  EXPECT_GE(r.kernel_ms, 1.0);
+  EXPECT_NEAR(r.kernel_ms - twin.kernel_ms, 1.0, 1e-9);
+  EXPECT_EQ(r.ranks, twin.ranks);
+}
+
+// Per iteration, one H2D resets the three cursors and two D2H read back the
+// shadow counts and the next active count; the query's staging uploads the
+// labels, the active set and its stamps, and no active count.
+TEST(CursorRoundTrip, OneResetAndTwoReadbacksPerIteration) {
+  const graph::Csr csr = SmallSocialGraph();
+  core::EtaGraphOptions options;
+  options.memory_mode = core::MemoryMode::kExplicitCopy;
+  core::ResidentGraph session(csr, options);
+  const size_t staged = session.SessionTimeline().Spans().size();
+  const core::RunReport r = session.Run(core::Algo::kBfs, 3);
+  ASSERT_GT(r.iterations, 2u);
+  const auto& spans = session.SessionTimeline().Spans();
+  uint64_t h2d = 0, d2h = 0, since_udc = 0;
+  std::vector<uint64_t> transfers_per_iteration;
+  for (size_t i = staged; i < spans.size(); ++i) {
+    const sim::Span& s = spans[i];
+    if (s.kind == sim::SpanKind::kCompute && s.label == "udc") {
+      transfers_per_iteration.push_back(since_udc);
+      since_udc = 0;
+    }
+    if (s.kind == sim::SpanKind::kTransferH2D) ++h2d, ++since_udc;
+    if (s.kind == sim::SpanKind::kTransferD2H) ++d2h, ++since_udc;
+  }
+  EXPECT_EQ(h2d, 3 + uint64_t{r.iterations});
+  EXPECT_EQ(d2h, 2 * uint64_t{r.iterations} + 1);
+  // Between two UDC launches: the previous iteration's two readbacks and
+  // this iteration's reset (the first UDC follows the three staging
+  // uploads and the first reset).
+  ASSERT_EQ(transfers_per_iteration.size(), r.iterations);
+  EXPECT_EQ(transfers_per_iteration.front(), 4u);
+  for (size_t i = 1; i < transfers_per_iteration.size(); ++i) {
+    EXPECT_EQ(transfers_per_iteration[i], 3u) << "iteration " << i + 1;
+  }
 }
 
 // --- Serving under faults -----------------------------------------------------
