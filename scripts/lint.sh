@@ -65,6 +65,19 @@ if [[ -n "$LABEL_ATOMICS" ]]; then
   echo "$LABEL_ATOMICS" >&2
   exit 1
 fi
+# Append gate: an EtaGraph kernel reserves cursor slots in one place,
+# core::WarpAppend (src/core/warp_append.hpp), with one atomic per warp. An
+# AtomicAdd into `cursors` or `counters` anywhere else in src/core is a
+# per-lane append again. The baselines keep their per-lane appends as
+# modelled (DESIGN.md §16).
+CURSOR_ATOMICS=$(grep -rnE 'AtomicAdd\([^,]*\b(cursors|counters)\b' src/core \
+                   --include='*.cpp' --include='*.hpp' |
+                 grep -v '^src/core/warp_append\.hpp:' || true)
+if [[ -n "$CURSOR_ATOMICS" ]]; then
+  echo "lint.sh: cursor atomic outside core::WarpAppend (core/warp_append.hpp):" >&2
+  echo "$CURSOR_ATOMICS" >&2
+  exit 1
+fi
 RUNTIME_SEMIRING=$(grep -rnE '\b(Propagate|Improves)\((core::)?(Algo\b|[A-Za-z_.>-]*algo\b)' \
                      src tools bench examples tests --include='*.cpp' --include='*.hpp' || true)
 if [[ -n "$RUNTIME_SEMIRING" ]]; then

@@ -7,6 +7,7 @@
 #include "core/relax_step.hpp"
 #include "core/shadow_edges.hpp"
 #include "core/udc.hpp"
+#include "core/warp_append.hpp"
 #include "cpu/reference.hpp"
 #include "sanitizer/sanitizer.hpp"
 #include "sim/device.hpp"
@@ -60,91 +61,16 @@ struct DeviceState {
   /// [kFullCursor] and [kPartCursor] count the full and partial shadows the
   /// UDC kernel emits, [kActCursor] the next active set's vertices.
   Buffer<uint32_t> cursors;
-  // Dual virtual active sets (Section V-B): shadows with degree == K and
-  // shadows with degree < K, so the K-degree kernel can unroll exactly K.
-  Buffer<VertexId> full_id;
-  Buffer<EdgeId> full_start;
-  Buffer<VertexId> part_id;
-  Buffer<EdgeId> part_start;
-  Buffer<EdgeId> part_end;
+  /// The dual virtual active set the UDC kernel fills (core/udc.hpp).
+  VirtualActiveSet vas;
   /// Per-vertex source bitmask for attributed multi-source runs; allocated
   /// lazily on the first attributed query and resident thereafter.
   Buffer<uint32_t> reach_mask;
 };
 
-constexpr uint64_t kFullCursor = 0;
-constexpr uint64_t kPartCursor = 1;
+/// The next active set's append cursor, after UDC's two (core/udc.hpp).
 constexpr uint64_t kActCursor = 2;
 constexpr uint32_t kNumCursors = 3;
-
-/// actSet2virtActSet — the on-device Unified Degree Cut of Procedure 1.
-/// One thread per active vertex; each emits ceil(deg/K) shadow tuples into
-/// the matching virtual active set via atomic cursors.
-void UdcKernel(WarpCtx& w, DeviceState& d, uint32_t k) {
-  uint32_t mask = w.ActiveMask();
-  if (!mask) return;
-  uint64_t base = w.WarpId() * kWarpSize;
-
-  LaneArray<VertexId> v{};
-  w.GatherContiguous(d.act_set, base, mask, v);
-
-  LaneArray<uint64_t> vidx{}, vidx1{};
-  WarpCtx::ForActive(mask, [&](uint32_t lane) {
-    vidx[lane] = v[lane];
-    vidx1[lane] = v[lane] + 1;
-  });
-  LaneArray<EdgeId> start{}, end{};
-  w.Gather(d.row, vidx, mask, start);
-  w.Gather(d.row, vidx1, mask, end);
-  w.ChargeAlu(4, mask);
-
-  uint32_t max_shadows = 0;
-  LaneArray<uint32_t> nshadow{};
-  const uint32_t max_edges =
-      static_cast<uint32_t>(std::min<uint64_t>(d.col.count, UINT32_MAX));
-  WarpCtx::ForActive(mask, [&](uint32_t lane) {
-    // Row offsets can be corrupt after an ECC fault; an inverted or
-    // oversized pair must not inflate the shadow loop past the graph.
-    uint32_t degree =
-        end[lane] > start[lane] ? std::min(end[lane] - start[lane], max_edges) : 0;
-    nshadow[lane] = (degree + k - 1) / k;
-    max_shadows = std::max(max_shadows, nshadow[lane]);
-  });
-
-  LaneArray<uint32_t> one{};
-  one.fill(1);
-  LaneArray<uint64_t> counter_idx{};
-  for (uint32_t s = 0; s < max_shadows; ++s) {
-    uint32_t submask = 0, fullmask = 0;
-    LaneArray<EdgeId> sstart{}, send{};
-    WarpCtx::ForActive(mask, [&](uint32_t lane) {
-      if (s >= nshadow[lane]) return;
-      submask |= 1u << lane;
-      sstart[lane] = start[lane] + s * k;
-      send[lane] = std::min<EdgeId>(sstart[lane] + k, end[lane]);
-      bool is_full = send[lane] - sstart[lane] == k;
-      if (is_full) fullmask |= 1u << lane;
-      counter_idx[lane] = is_full ? kFullCursor : kPartCursor;
-    });
-    if (!submask) break;
-    uint32_t partmask = submask & ~fullmask;
-    w.ChargeAlu(4, submask);
-
-    LaneArray<uint32_t> slot{};
-    w.AtomicAdd(d.cursors, counter_idx, one, submask, slot);
-    LaneArray<uint64_t> slot_idx{};
-    WarpCtx::ForActive(submask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
-    if (fullmask) {
-      w.Scatter(d.full_id, slot_idx, v, fullmask);
-      w.Scatter(d.full_start, slot_idx, sstart, fullmask);
-    }
-    if (partmask) {
-      w.Scatter(d.part_id, slot_idx, v, partmask);
-      w.Scatter(d.part_start, slot_idx, sstart, partmask);
-      w.Scatter(d.part_end, slot_idx, send, partmask);
-    }
-  }
-}
 
 /// One warp's lanes of a virtual active set: each shadow's vertex (as a
 /// gather index), first edge and degree.
@@ -163,14 +89,14 @@ ShadowLanes LoadShadows(WarpCtx& w, const DeviceState& d, bool full_set, uint32_
   LaneArray<VertexId> id{};
   LaneArray<EdgeId> end{};
   if (full_set) {
-    w.GatherContiguous(d.full_id, base, mask, id);
-    w.GatherContiguous(d.full_start, base, mask, s.start);
+    w.GatherContiguous(d.vas.full_id, base, mask, id);
+    w.GatherContiguous(d.vas.full_start, base, mask, s.start);
     WarpCtx::ForActive(mask, [&](uint32_t lane) { end[lane] = s.start[lane] + k; });
     w.ChargeAlu(1, mask);
   } else {
-    w.GatherContiguous(d.part_id, base, mask, id);
-    w.GatherContiguous(d.part_start, base, mask, s.start);
-    w.GatherContiguous(d.part_end, base, mask, end);
+    w.GatherContiguous(d.vas.part_id, base, mask, id);
+    w.GatherContiguous(d.vas.part_start, base, mask, s.start);
+    w.GatherContiguous(d.vas.part_end, base, mask, end);
   }
   WarpCtx::ForActive(mask, [&](uint32_t lane) {
     s.id_idx[lane] = id[lane];
@@ -209,10 +135,6 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
   LaneArray<uint32_t> src_mask{};
   if (p.attribute) w.Gather(d.reach_mask, s.id_idx, mask, src_mask);
 
-  LaneArray<uint32_t> one{};
-  one.fill(1);
-  LaneArray<uint64_t> act_cursor{};
-  act_cursor.fill(kActCursor);
   LaneArray<uint32_t> iter_val{};
   iter_val.fill(p.iteration);
 
@@ -261,7 +183,7 @@ void TraverseKernel(WarpCtx& w, DeviceState& d, const TraverseParams& p) {
     if (!nmask) return;
 
     LaneArray<uint32_t> slot;
-    w.AtomicAdd(d.cursors, act_cursor, one, nmask, slot);
+    WarpAppend(w, d.cursors, kActCursor, nmask, slot);
     LaneArray<uint64_t> slot_idx;
     WarpCtx::ForActive(nmask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
     w.Scatter(d.act_set, slot_idx, u, nmask);
@@ -452,11 +374,11 @@ ResidentGraph::ResidentGraph(const graph::Csr& csr, EtaGraphOptions options,
     d.act_set = device.Alloc<VertexId>(n, sim::MemKind::kDevice, "act_set");
     d.cursors = device.Alloc<uint32_t>(kNumCursors, sim::MemKind::kDevice, "cursors");
     uint64_t shadow_cap = ShadowCapacity(csr, k) + 1;
-    d.full_id = device.Alloc<VertexId>(shadow_cap, sim::MemKind::kDevice, "full_id");
-    d.full_start = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "full_start");
-    d.part_id = device.Alloc<VertexId>(shadow_cap, sim::MemKind::kDevice, "part_id");
-    d.part_start = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "part_start");
-    d.part_end = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "part_end");
+    d.vas.full_id = device.Alloc<VertexId>(shadow_cap, sim::MemKind::kDevice, "full_id");
+    d.vas.full_start = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "full_start");
+    d.vas.part_id = device.Alloc<VertexId>(shadow_cap, sim::MemKind::kDevice, "part_id");
+    d.vas.part_start = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "part_start");
+    d.vas.part_end = device.Alloc<EdgeId>(shadow_cap, sim::MemKind::kDevice, "part_end");
   } catch (const sim::OomError& e) {
     oom_ = true;
     oom_request_bytes_ = e.requested_bytes;
@@ -510,11 +432,11 @@ void ResidentGraph::Shutdown() {
   device.Free(d.stamp);
   device.Free(d.act_set);
   device.Free(d.cursors);
-  device.Free(d.full_id);
-  device.Free(d.full_start);
-  device.Free(d.part_id);
-  device.Free(d.part_start);
-  device.Free(d.part_end);
+  device.Free(d.vas.full_id);
+  device.Free(d.vas.full_start);
+  device.Free(d.vas.part_id);
+  device.Free(d.vas.part_start);
+  device.Free(d.vas.part_end);
   device.Free(d.reach_mask);
   device.Free(state_->stream_window);
   // Everything the session owns is gone; anything still live is a leak the
@@ -849,7 +771,9 @@ void ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& init_
     }
     if (c.step == 1) {
       auto udc = device.Launch("udc", {c.act_count, options_.block_size},
-                               [&](WarpCtx& w) { UdcKernel(w, d, k); });
+                               [&](WarpCtx& w) {
+                                 UdcKernel(w, d.row, d.col.count, d.act_set, d.cursors, d.vas, k);
+                               });
       if (!failure->Launched(udc, cursor, faults)) return;
       c.step = 2;
 
@@ -860,8 +784,8 @@ void ResidentGraph::TraversalAttempt(Algo algo, const std::vector<Weight>& init_
       // faults.Enabled(): a fault-free run (plants included) launches the
       // exact counts, and etacheck observes any raw overflow.
       if (options_.faults.Enabled()) {
-        c.shadows[0] = static_cast<uint32_t>(std::min<uint64_t>(c.shadows[0], d.full_id.count));
-        c.shadows[1] = static_cast<uint32_t>(std::min<uint64_t>(c.shadows[1], d.part_id.count));
+        c.shadows[0] = static_cast<uint32_t>(std::min<uint64_t>(c.shadows[0], d.vas.full_id.count));
+        c.shadows[1] = static_cast<uint32_t>(std::min<uint64_t>(c.shadows[1], d.vas.part_id.count));
       }
 
       if (chunked) {
@@ -987,9 +911,9 @@ void ResidentGraph::PageRankAttempt(const PageRankOptions& pr,
       starts[i] = shadows[i].start;
       ends[i] = shadows[i].end;
     }
-    device.CopyToDevice(d.part_id, std::span<const VertexId>(ids));
-    device.CopyToDevice(d.part_start, std::span<const EdgeId>(starts));
-    device.CopyToDevice(d.part_end, std::span<const EdgeId>(ends));
+    device.CopyToDevice(d.vas.part_id, std::span<const VertexId>(ids));
+    device.CopyToDevice(d.vas.part_start, std::span<const EdgeId>(starts));
+    device.CopyToDevice(d.vas.part_end, std::span<const EdgeId>(ends));
     PrefetchOnce();
     // delta relies on alloc-time zero fill: the first iteration's AtomicMax
     // reads it before any host write reaches it. Its value is only ever read

@@ -5,6 +5,7 @@
 #include "core/relax_step.hpp"
 #include "core/shadow_edges.hpp"
 #include "core/traversal.hpp"
+#include "core/warp_append.hpp"
 #include "sanitizer/sanitizer.hpp"
 #include "sim/device.hpp"
 #include "util/check.hpp"
@@ -64,9 +65,6 @@ void TopDownKernel(WarpCtx& w, BfsState& d, uint32_t iter, bool use_smp, uint32_
         end[lane] > start[lane] ? std::min(end[lane] - start[lane], max_edges) : 0;
   });
 
-  LaneArray<uint32_t> one{};
-  one.fill(1);
-  LaneArray<uint64_t> zero_idx{};
   LaneArray<Weight> lvl{};
   lvl.fill(iter);
 
@@ -78,7 +76,7 @@ void TopDownKernel(WarpCtx& w, BfsState& d, uint32_t iter, bool use_smp, uint32_
         const uint32_t cmask = RelaxStep<BfsLevel>(w, d.levels, u_idx, lvl, jmask);
         if (!cmask) return;
         LaneArray<uint32_t> slot{};
-        w.AtomicAdd(d.counters, zero_idx, one, cmask, slot);
+        WarpAppend(w, d.counters, 0, cmask, slot);
         LaneArray<uint64_t> slot_idx{};
         WarpCtx::ForActive(cmask, [&](uint32_t lane) { slot_idx[lane] = slot[lane]; });
         w.Scatter(d.frontier_out, slot_idx, u, cmask);
@@ -112,9 +110,6 @@ void BottomUpKernel(WarpCtx& w, BfsState& d, uint32_t iter) {
     max_deg = std::max(max_deg, deg[lane]);
   });
 
-  LaneArray<uint32_t> one{};
-  one.fill(1);
-  LaneArray<uint64_t> zero_idx{};
   uint32_t active = umask;
   for (uint32_t j = 0; j < max_deg && active; ++j) {
     uint32_t jmask = 0;
@@ -150,7 +145,7 @@ void BottomUpKernel(WarpCtx& w, BfsState& d, uint32_t iter) {
     });
     w.ScatterRelaxed(d.levels, self, lvl, claim);
     LaneArray<uint32_t> dummy{};
-    w.AtomicAdd(d.counters, zero_idx, one, claim, dummy);
+    WarpAppend(w, d.counters, 0, claim, dummy);
     active &= ~claim;  // early exit for claimed lanes
   }
 }
@@ -169,11 +164,8 @@ void CompactKernel(WarpCtx& w, BfsState& d, uint32_t iter) {
   });
   w.ChargeAlu(1, mask);
   if (!fmask) return;
-  LaneArray<uint32_t> one{};
-  one.fill(1);
-  LaneArray<uint64_t> zero_idx{};
   LaneArray<uint32_t> slot{};
-  w.AtomicAdd(d.counters, zero_idx, one, fmask, slot);
+  WarpAppend(w, d.counters, 0, fmask, slot);
   LaneArray<uint64_t> slot_idx{};
   LaneArray<VertexId> self{};
   WarpCtx::ForActive(fmask, [&](uint32_t lane) {

@@ -7,9 +7,9 @@
 // 3-tuples directly from the unmodified CSR, with no preprocessing pass and
 // no second copy of the raw data.
 //
-// The device-side transform lives in framework.cpp (the actSet2virtActSet
-// kernel); this header provides the host-side reference used by tests and
-// capacity sizing.
+// UdcKernel is the device-side transform (the actSet2virtActSet kernel of
+// Procedure 1); TransformActiveSet is its host-side reference, used by tests
+// and capacity sizing.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "sim/device.hpp"
 
 namespace eta::core {
 
@@ -47,5 +48,32 @@ std::vector<ShadowVertex> TransformActiveSet(const graph::Csr& csr,
 bool ValidateShadows(const graph::Csr& csr,
                      std::span<const graph::VertexId> active_set,
                      std::span<const ShadowVertex> shadows, uint32_t degree_limit);
+
+/// The dual virtual active set of Section V-B: shadows with degree == K
+/// (the end is start + K) and shadows with degree < K, so the K-degree
+/// traversal kernel can unroll exactly K.
+struct VirtualActiveSet {
+  sim::Buffer<graph::VertexId> full_id;
+  sim::Buffer<graph::EdgeId> full_start;
+  sim::Buffer<graph::VertexId> part_id;
+  sim::Buffer<graph::EdgeId> part_start;
+  sim::Buffer<graph::EdgeId> part_end;
+};
+
+/// The append cursors UdcKernel advances: the full and the partial set's
+/// shadow counts.
+inline constexpr uint64_t kFullCursor = 0;
+inline constexpr uint64_t kPartCursor = 1;
+
+/// actSet2virtActSet: one thread per vertex of `act_set`. Each lane cuts its
+/// vertex's row of `row` into deg / K full shadows and, when K does not
+/// divide deg, one partial shadow; the warp reserves each set's slots with
+/// at most one WarpAppend per cursor and every lane writes its shadows into
+/// its own contiguous slots. Warps run in order, so both sets come out as
+/// TransformActiveSet's shadows split by degree == K, in order.
+/// `num_edges` bounds a row whose offsets a fault corrupted.
+void UdcKernel(sim::WarpCtx& w, const sim::Buffer<graph::EdgeId>& row, uint64_t num_edges,
+               const sim::Buffer<graph::VertexId>& act_set, sim::Buffer<uint32_t>& cursors,
+               VirtualActiveSet& out, uint32_t k);
 
 }  // namespace eta::core

@@ -22,8 +22,8 @@
 //   --no-smp      disable shared-memory prefetch
 //   --scale       dataset stand-in scale in (0,1]             (default 1)
 //   --verify      check labels against the CPU reference      (default true;
-//                 pagerank compares its above-uniform-rank count,
-//                 cc skips)
+//                 cc against the min-label fixpoint, pagerank
+//                 compares its above-uniform-rank count)
 //   --timeline    print the transfer/compute strip chart
 //   --check       run etacheck: all, or a comma list of
 //                 memcheck,racecheck,synccheck,leakcheck (etagraph
@@ -509,7 +509,7 @@ int main(int argc, char** argv) {
       return rc;
     }
   }
-  if (!report.DeviceFailed() && verify && algo != core::Algo::kCc) {
+  if (!report.DeviceFailed() && verify) {
     const bool ok = algo == core::Algo::kPr
                         ? report.activated ==
                               core::CountAboveUniform(cpu::PageRankReference(
