@@ -11,6 +11,19 @@
 
 namespace eta::core {
 
+/// The one atomic of a warp-aggregated append: the lowest lane of `mask`
+/// adds `total` to `cursors[cursor]`; returns the value it saw.
+inline uint32_t LeaderAdd(sim::WarpCtx& w, sim::Buffer<uint32_t>& cursors, uint64_t cursor,
+                          uint32_t total, uint32_t mask) {
+  const uint32_t leader = static_cast<uint32_t>(std::countr_zero(mask));
+  sim::LaneArray<uint64_t> idx;
+  sim::LaneArray<uint32_t> val, old;
+  idx[leader] = cursor;
+  val[leader] = total;
+  w.AtomicAdd(cursors, idx, val, 1u << leader, old);
+  return old[leader];
+}
+
 /// Warp-aggregated append of one unit per lane of `mask` to the cursor
 /// `cursors[cursor]`: the lowest lane of `mask` adds the warp's lane count
 /// with one atomic, and lane i gets base + (number of lanes of `mask` below
@@ -21,14 +34,9 @@ inline void WarpAppend(sim::WarpCtx& w, sim::Buffer<uint32_t>& cursors, uint64_t
                        uint32_t mask, sim::LaneArray<uint32_t>& slot) {
   if (!mask) return;
   w.ChargeAlu(3, mask);
-  const uint32_t leader = static_cast<uint32_t>(std::countr_zero(mask));
-  sim::LaneArray<uint64_t> idx;
-  sim::LaneArray<uint32_t> total, base;
-  idx[leader] = cursor;
-  total[leader] = static_cast<uint32_t>(std::popcount(mask));
-  w.AtomicAdd(cursors, idx, total, 1u << leader, base);
-  uint32_t rank = 0;
-  sim::WarpCtx::ForActive(mask, [&](uint32_t lane) { slot[lane] = base[leader] + rank++; });
+  uint32_t next =
+      LeaderAdd(w, cursors, cursor, static_cast<uint32_t>(std::popcount(mask)), mask);
+  sim::WarpCtx::ForActive(mask, [&](uint32_t lane) { slot[lane] = next++; });
 }
 
 /// Warp-aggregated append of `count[i]` consecutive slots per lane i of
@@ -48,13 +56,8 @@ inline void WarpAppend(sim::WarpCtx& w, sim::Buffer<uint32_t>& cursors, uint64_t
     slot[lane] = prefix;
     prefix += count[lane];
   });
-  const uint32_t leader = static_cast<uint32_t>(std::countr_zero(mask));
-  sim::LaneArray<uint64_t> idx;
-  sim::LaneArray<uint32_t> total, base;
-  idx[leader] = cursor;
-  total[leader] = prefix;
-  w.AtomicAdd(cursors, idx, total, 1u << leader, base);
-  sim::WarpCtx::ForActive(mask, [&](uint32_t lane) { slot[lane] += base[leader]; });
+  const uint32_t base = LeaderAdd(w, cursors, cursor, prefix, mask);
+  sim::WarpCtx::ForActive(mask, [&](uint32_t lane) { slot[lane] += base; });
 }
 
 }  // namespace eta::core
