@@ -321,6 +321,13 @@ uint64_t ExtensionScenario(const std::string& what, const std::string& dataset) 
     d.F(r.total_ms);
     Fold(d, r.counters);
     for (graph::Weight w : r.levels) d.U(w);
+  } else if (what == "hybrid-bfs-levels") {
+    // The answer alone, like pagerank-ranks: a change to how hybrid BFS is
+    // staged or scheduled proves it left the levels bit-identical.
+    const core::HybridBfsResult r = core::RunHybridBfs(csr, graph::kQuerySource);
+    d.U(r.iterations);
+    d.U(r.bottom_up_iterations);
+    for (graph::Weight w : r.levels) d.U(w);
   } else if (what == "multisource") {
     std::vector<graph::VertexId> sources;
     for (graph::VertexId v = 0; v < 24; ++v) sources.push_back(v * 7 % csr.NumVertices());
@@ -512,8 +519,8 @@ std::vector<std::pair<std::string, std::function<uint64_t()>>> Scenarios() {
         return FrameworkScenario(fw, dataset, sim::DeviceSpec{}.device_memory_bytes);
       });
     }
-    for (const char* what : {"cc", "pagerank", "pagerank-ranks", "hybrid-bfs", "multisource",
-                             "faults", "check"}) {
+    for (const char* what : {"cc", "pagerank", "pagerank-ranks", "hybrid-bfs",
+                             "hybrid-bfs-levels", "multisource", "faults", "check"}) {
       out.emplace_back(std::string("ext/") + dataset + "/" + what,
                        [=] { return ExtensionScenario(what, dataset); });
     }
