@@ -3,7 +3,6 @@
 // as related work [34], implemented on the same simulated substrate.
 #include "bench_common.hpp"
 #include "core/framework.hpp"
-#include "core/hybrid_bfs.hpp"
 
 using namespace eta;
 
@@ -15,12 +14,13 @@ int main(int argc, char** argv) {
                      "Speedup", "Pull iterations"});
   for (const std::string& name : env.datasets) {
     graph::Csr csr = bench::Load(env, name);
+    const core::EtaGraph eta;
 
     core::HybridBfsOptions push_only;
     push_only.alpha = 0.5;  // never switch
-    auto push = core::RunHybridBfs(csr, graph::kQuerySource, push_only);
+    const core::RunReport push = eta.RunHybridBfs(csr, graph::kQuerySource, push_only);
 
-    auto hybrid = core::RunHybridBfs(csr, graph::kQuerySource);
+    const core::RunReport hybrid = eta.RunHybridBfs(csr, graph::kQuerySource);
 
     table.AddRow({graph::FindDataset(name)->paper_name,
                   util::FormatDouble(push.kernel_ms, 3),

@@ -175,16 +175,16 @@ if [[ "$FAULTS" == "1" ]]; then
   CLI_OUT="$(mktemp)"
   trap 'rm -f "$LOG" "$CLI_OUT"' EXIT
   for spec in "ecc=0.3" "uecc=0.05" "hang=0.05,watchdog=5" "alloc=0.1"; do
-    for algo in bfs sssp sswp cc pagerank; do
+    for algo in bfs sssp sswp cc pagerank hybrid-bfs; do
       echo "-- etagraph --algo=$algo --faults=seed=3,$spec"
       rc=0
       "$BUILD_DIR/src/etagraph_cli" --dataset=rmat --scale=0.1 --algo="$algo" \
         --framework=etagraph --faults="seed=3,$spec" --verify > "$CLI_OUT" || rc=$?
-      # Every row must exit 0 but one: PageRank allocates per-query buffers,
-      # and an injected failure there has no in-query recovery (the query
-      # reports O.O.M and the one-shot run exits 1), so on the alloc row
-      # PageRank may also end in exactly that clean report.
-      if [[ "$rc" != 0 ]] && ! { [[ "$algo" == pagerank && "$spec" == alloc=* &&
+      # Every row must exit 0 but one: PageRank and hybrid BFS allocate
+      # per-query buffers, and an injected failure there has no in-query
+      # recovery (the query reports O.O.M and the one-shot run exits 1), so
+      # on the alloc row they may also end in exactly that clean report.
+      if [[ "$rc" != 0 ]] && ! { [[ "$algo" =~ ^(pagerank|hybrid-bfs)$ && "$spec" == alloc=* &&
                                     "$rc" == 1 ]] && grep -q "O\.O\.M" "$CLI_OUT"; }; then
         echo "check.sh: etagraph --algo=$algo --faults=seed=3,$spec exited $rc:" >&2
         cat "$CLI_OUT" >&2
@@ -200,7 +200,7 @@ if [[ "$FAULTS" == "1" ]]; then
   # counters.
   HANG_OUT="$(mktemp)"
   trap 'rm -f "$LOG" "$CLI_OUT" "$HANG_OUT"' EXIT
-  for algo in bfs sssp sswp cc pagerank; do
+  for algo in bfs sssp sswp cc pagerank hybrid-bfs; do
     echo "-- etagraph --algo=$algo --faults=hang_at=5 answers like the fault-free run"
     "$BUILD_DIR/src/etagraph_cli" --dataset=rmat --scale=0.1 --algo="$algo" \
       --framework=etagraph --verify > "$CLI_OUT"

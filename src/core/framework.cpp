@@ -49,6 +49,39 @@ struct ChunkStream {
   uint64_t ResidentCount() const { return fifo.size() - fifo_head; }
 };
 
+/// kChunkedStream's staging window: half of whatever device memory remains
+/// after the resident structures (estimated; GTS dedicates a fixed staging
+/// area), at least two chunks of col[] (and of wts[] alongside).
+struct ChunkWindow {
+  uint64_t chunks, words;  // words: the window buffer's uint32 count
+};
+
+ChunkWindow SizeChunkWindow(const EtaGraphOptions& options, VertexId n, bool stage_weights) {
+  const uint64_t chunk_bytes = options.stream_chunk_bytes;
+  const uint64_t arrays = stage_weights ? 2 : 1;
+  const uint64_t reserve = uint64_t{n} * 40 + (1 << 20);
+  const uint64_t avail = options.spec.device_memory_bytes > reserve
+                             ? options.spec.device_memory_bytes - reserve
+                             : chunk_bytes;
+  const uint64_t chunks = std::max<uint64_t>(2, avail / 2 / (arrays * chunk_bytes));
+  return {chunks, chunks * arrays * chunk_bytes / sizeof(uint32_t)};
+}
+
+/// Stages a topology array from its host copy: in place through HostSpan
+/// (managed or host-staged memory: pages migrate on demand, chunks stream
+/// per iteration), or by cudaMemcpy into device memory.
+template <class T>
+void StageArray(sim::Device& device, Buffer<T>& buf, std::span<const T> host, bool in_place) {
+  if (!in_place) {
+    device.CopyToDevice(buf, host);
+    return;
+  }
+  std::copy(host.begin(), host.end(), buf.HostSpan().begin());
+  // The device cannot see a HostSpan write; tell an attached checker the
+  // bytes are defined.
+  device.MarkHostInitialized(buf);
+}
+
 /// All device-side state of one resident graph.
 struct DeviceState {
   Buffer<EdgeId> row;
@@ -226,6 +259,17 @@ void PrPushKernel(WarpCtx& w, DeviceState& d, PrBuffers& pr, uint32_t k, bool us
       });
 }
 
+/// Hybrid BFS's per-query buffers: ResidentGraph::RunHybridBfs allocates
+/// them before the first attempt and frees them after the last.
+struct HybridBuffers {
+  /// The host transpose trow/tcol were staged from; RestageCorrupted checks
+  /// them against it.
+  const graph::Csr* transpose = nullptr;
+  Buffer<EdgeId> trow;  // in-edges, in the memory kind of row/col
+  Buffer<VertexId> tcol;
+  Buffer<VertexId> frontier_out;  // top-down append side; act_set is the other
+};
+
 }  // namespace
 
 const char* MemoryModeName(MemoryMode mode) { return ModeNameImpl(mode); }
@@ -246,6 +290,7 @@ struct ResidentGraph::State {
   ChunkStream stream;
   Buffer<uint32_t> stream_window;  // the staging buffer (kDevice)
   PrBuffers pr;                    // valid only during RunPageRank
+  HybridBuffers hybrid;            // valid only during RunHybridBfs
 
   State(const sim::DeviceSpec& spec, const sim::FaultConfig& faults)
       : device(spec, faults) {}
@@ -276,19 +321,7 @@ uint64_t ResidentGraph::EstimateDeviceBytes(const graph::Csr& csr,
     total += paged(m, sizeof(VertexId));  // col_indices
     if (stage_weights) total += paged(m, sizeof(Weight));
   }
-  if (chunked) {
-    // The bounded staging window, sized exactly as the constructor does.
-    const uint64_t chunk_bytes = options.stream_chunk_bytes;
-    const uint64_t reserve = uint64_t{n} * 40 + (1 << 20);
-    const uint64_t avail = options.spec.device_memory_bytes > reserve
-                               ? options.spec.device_memory_bytes - reserve
-                               : chunk_bytes;
-    const uint64_t window_chunks = std::max<uint64_t>(
-        2, avail / 2 / ((stage_weights ? 2 : 1) * chunk_bytes));
-    const uint64_t window_words =
-        window_chunks * (stage_weights ? 2 : 1) * chunk_bytes / sizeof(uint32_t);
-    total += paged(window_words, sizeof(uint32_t));
-  }
+  if (chunked) total += paged(SizeChunkWindow(options, n, stage_weights).words, sizeof(uint32_t));
   total += paged(n, sizeof(Weight));    // labels
   total += paged(n, sizeof(uint32_t));  // stamp
   total += paged(n, sizeof(VertexId));  // act_set
@@ -355,18 +388,9 @@ ResidentGraph::ResidentGraph(const graph::Csr& csr, EtaGraphOptions options,
       uint64_t num_chunks =
           (uint64_t{m} * sizeof(VertexId) + stream.chunk_bytes - 1) / stream.chunk_bytes;
       stream.resident.assign(num_chunks, 0);
-      // Window: half of whatever device memory remains after the resident
-      // structures below are sized (estimated here; GTS dedicates a fixed
-      // staging area).
-      uint64_t reserve = uint64_t{n} * 40 + (1 << 20);
-      uint64_t avail = options_.spec.device_memory_bytes > reserve
-                           ? options_.spec.device_memory_bytes - reserve
-                           : stream.chunk_bytes;
-      stream.window_chunks = std::max<uint64_t>(
-          2, avail / 2 / ((weights_staged_ ? 2 : 1) * stream.chunk_bytes));
-      uint64_t window_words = stream.window_chunks * (weights_staged_ ? 2 : 1) *
-                              stream.chunk_bytes / sizeof(uint32_t);
-      state_->stream_window = device.Alloc<uint32_t>(window_words, sim::MemKind::kDevice,
+      const ChunkWindow window = SizeChunkWindow(options_, n, weights_staged_);
+      stream.window_chunks = window.chunks;
+      state_->stream_window = device.Alloc<uint32_t>(window.words, sim::MemKind::kDevice,
                                                      "stream_window");
     }
     d.labels = device.Alloc<Weight>(n, sim::MemKind::kDevice, "labels");
@@ -387,30 +411,14 @@ ResidentGraph::ResidentGraph(const graph::Csr& csr, EtaGraphOptions options,
   device_bytes_peak_ = device.Mem().DeviceBytesUsed();
 
   // --- Stage topology ------------------------------------------------------
-  if (unified || chunked) {
-    // Managed/host-staged memory: the host writes in place; pages migrate
-    // on demand (UM) or chunks stream per iteration (GTS mode).
-    std::copy(csr.RowOffsets().begin(), csr.RowOffsets().end(), d.row.HostSpan().begin());
-    std::copy(csr.ColIndices().begin(), csr.ColIndices().end(), d.col.HostSpan().begin());
-    if (weights_staged_) {
-      std::copy(csr.Weights().begin(), csr.Weights().end(), d.wts.HostSpan().begin());
-    }
-    if (chunked) {
-      // Row offsets are resident device data in GTS mode: explicit upload.
-      device.ChargeHostToDevice((uint64_t{n} + 1) * sizeof(EdgeId), /*pageable=*/false,
-                                "row-upload");
-    }
-  } else {
-    device.CopyToDevice(d.row, csr.RowOffsets());
-    device.CopyToDevice(d.col, csr.ColIndices());
-    if (weights_staged_) device.CopyToDevice(d.wts, csr.Weights());
-  }
-  if (unified || chunked) {
-    // The std::copy staging above wrote through HostSpan, which the device
-    // cannot see; tell an attached checker those bytes are defined.
-    device.MarkHostInitialized(d.row);
-    device.MarkHostInitialized(d.col);
-    if (weights_staged_) device.MarkHostInitialized(d.wts);
+  const bool in_place = unified || chunked;
+  StageArray(device, d.row, csr.RowOffsets(), in_place);
+  StageArray(device, d.col, csr.ColIndices(), in_place);
+  if (weights_staged_) StageArray(device, d.wts, csr.Weights(), in_place);
+  if (chunked) {
+    // Row offsets are resident device data in GTS mode: explicit upload.
+    device.ChargeHostToDevice((uint64_t{n} + 1) * sizeof(EdgeId), /*pageable=*/false,
+                              "row-upload");
   }
   // The stamp array relies on the allocator's zero-fill (stamp 0 = "never
   // appended") plus host-side scattered seeding in Execute.
@@ -540,6 +548,36 @@ RunReport ResidentGraph::RunPageRank(const PageRankOptions& pr) {
   device.Free(b.next);
   device.Free(b.inv_deg);
   device.Free(b.delta);
+  return report;
+}
+
+RunReport ResidentGraph::RunHybridBfs(VertexId source, const HybridBfsOptions& hybrid) {
+  ETA_CHECK(options_.memory_mode != MemoryMode::kChunkedStream);
+  ETA_CHECK(source < csr_.NumVertices());
+  // Preprocessing (untimed, like every framework's format conversion).
+  const graph::Csr transpose = csr_.Transpose();
+  sim::Device& device = state_->device;
+  HybridBuffers& b = state_->hybrid;
+  b.transpose = &transpose;
+  auto alloc = [&] {
+    const sim::MemKind topology_kind = state_->d.row.raw.kind;
+    b.trow = device.Alloc<EdgeId>(transpose.NumVertices() + 1, topology_kind, "trow");
+    b.tcol = device.Alloc<VertexId>(transpose.NumEdges(), topology_kind, "tcol");
+    b.frontier_out =
+        device.Alloc<VertexId>(csr_.NumVertices(), sim::MemKind::kDevice, "frontier_out");
+    device_bytes_peak_ = std::max(device_bytes_peak_, device.Mem().DeviceBytesUsed());
+    const bool in_place = topology_kind != sim::MemKind::kDevice;
+    StageArray(device, b.trow, transpose.RowOffsets(), in_place);
+    StageArray(device, b.tcol, transpose.ColIndices(), in_place);
+  };
+  RunReport report = Execute(
+      Algo::kBfs, alloc, [&](QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure) {
+        HybridBfsAttempt(source, hybrid, cursor, faults, failure);
+      });
+  device.Free(b.trow);
+  device.Free(b.tcol);
+  device.Free(b.frontier_out);
+  b = HybridBuffers{};
   return report;
 }
 
@@ -686,10 +724,9 @@ RunReport ResidentGraph::Execute(Algo algo, Alloc&& alloc, Attempt&& run_attempt
     }
   }
 
+  cursor.report.framework = std::move(report.framework);
+  cursor.report.algo = algo;
   report = std::move(cursor.report);
-  report.framework = std::string("EtaGraph[") + ModeNameImpl(options_.memory_mode) +
-                     (options_.use_smp ? "" : ",no-smp") + "]";
-  report.algo = algo;
   report.faults = faults;
   if (trace) report.attempts = std::move(attempt_log);
   report.device_bytes_peak = device_bytes_peak_;
@@ -995,6 +1032,96 @@ void ResidentGraph::PageRankAttempt(const PageRankOptions& pr,
   device.CopyToHost(std::span<float>(report.ranks), b.rank);
 }
 
+void ResidentGraph::HybridBfsAttempt(VertexId source, const HybridBfsOptions& hybrid,
+                                     QueryCursor* cursor, FaultStats* faults,
+                                     AttemptFailure* failure) {
+  QueryCursor& c = *cursor;
+  RunReport& report = c.report;
+  sim::Device& device = state_->device;
+  DeviceState& d = state_->d;
+  const HybridBuffers& b = state_->hybrid;
+  const VertexId n = csr_.NumVertices();
+
+  if (c.iter == 0) {
+    std::vector<Weight> init(n, kInf);
+    init[source] = 0;
+    device.CopyToDevice(d.labels, std::span<const Weight>(init));
+    const VertexId src_val[1] = {source};
+    device.CopyToDeviceRange(d.act_set, 0, std::span<const VertexId>(src_val), false);
+    PrefetchOnce();
+    c.iter = 1;
+    c.act_count = 1;
+  }
+  // Every completed top-down iteration swapped the two frontiers (a pointer
+  // swap on the device), so iteration `iter` finds them swapped once per
+  // top-down iteration before it.
+  Buffer<VertexId> frontier_in = d.act_set;
+  Buffer<VertexId> frontier_out = b.frontier_out;
+  if ((c.iter - 1 - report.bottom_up_iterations) % 2 == 1) std::swap(frontier_in, frontier_out);
+
+  const uint32_t zero[1] = {0};
+  for (; c.act_count > 0 && c.iter <= options_.max_iterations; ++c.iter, c.step = 0) {
+    const uint32_t frontier = c.act_count;
+    if (c.step == 0) {
+      // Beamer's direction heuristic on frontier size.
+      c.step = 2;
+      if (!c.bottom_up && frontier > n / hybrid.alpha) {
+        c.bottom_up = true;
+        // The first pull phase prefetches the transpose, under PrefetchOnce's
+        // mode rule.
+        if (report.bottom_up_iterations == 0 &&
+            options_.memory_mode == MemoryMode::kUnifiedPrefetch) {
+          device.PrefetchAsync(b.trow);
+          device.PrefetchAsync(b.tcol);
+        }
+      } else if (c.bottom_up && frontier < n / hybrid.beta) {
+        c.bottom_up = false;
+        device.CopyToDevice(d.cursors, std::span<const uint32_t>(zero), false);
+        c.step = 1;
+      }
+    }
+    if (c.step == 1) {
+      // Rebuild the worklist from the levels.
+      auto compact = device.Launch("bfs_compact", {n, options_.block_size}, [&](WarpCtx& w) {
+        CompactKernel(w, d.labels, frontier_in, d.cursors, c.iter - 1);
+      });
+      if (!failure->Launched(compact, cursor, faults)) return;
+      uint32_t rebuilt = 0;
+      device.CopyToHost(std::span<uint32_t>(&rebuilt, 1), d.cursors, false);
+      ETA_CHECK(rebuilt == frontier);
+      c.step = 2;
+    }
+    if (c.step == 2) {
+      device.CopyToDevice(d.cursors, std::span<const uint32_t>(zero), false);
+      c.step = 3;
+    }
+    const sim::LaunchResult step =
+        c.bottom_up
+            ? device.Launch("bfs_bottom_up", {n, options_.block_size},
+                            [&](WarpCtx& w) {
+                              BottomUpKernel(w, b.trow, b.tcol, d.labels, d.cursors, c.iter);
+                            })
+            : device.Launch("bfs_top_down", {frontier, options_.block_size}, [&](WarpCtx& w) {
+                TopDownKernel(w, d.row, d.col, d.labels, frontier_in, frontier_out, d.cursors,
+                              c.iter, options_.use_smp, options_.degree_limit);
+              });
+    if (!failure->Launched(step, cursor, faults)) return;
+    if (c.bottom_up) ++report.bottom_up_iterations;
+    device.CopyToHost(std::span<uint32_t>(&c.act_count, 1), d.cursors, false);
+    // The frontier size comes back from device memory: under hardware faults
+    // keep the next launch bound inside the frontier allocations.
+    if (options_.faults.Enabled()) c.act_count = std::min(c.act_count, n);
+    if (!c.bottom_up) std::swap(frontier_in, frontier_out);
+    report.iterations = c.iter;
+  }
+
+  device.Synchronize();
+  report.labels.resize(n);
+  device.CopyToHost(std::span<Weight>(report.labels), d.labels);
+  report.activated = cpu::CountReached(report.labels, /*widest_path=*/false);
+  report.activated_fraction = n ? static_cast<double>(report.activated) / n : 0;
+}
+
 void ResidentGraph::RestageCorrupted(FaultStats* faults) {
   sim::Device& device = state_->device;
   DeviceState& d = state_->d;
@@ -1023,15 +1150,20 @@ void ResidentGraph::RestageCorrupted(FaultStats* faults) {
     faults->restaged_bytes += host.size_bytes();
   };
 
-  restage(d.row, std::span<const EdgeId>(csr_.RowOffsets()), "row");
+  restage(d.row, csr_.RowOffsets(), "row");
   const uint64_t before_adj = faults->restaged_buffers;
-  restage(d.col, std::span<const VertexId>(csr_.ColIndices()), "col");
-  if (weights_staged_) restage(d.wts, std::span<const Weight>(csr_.Weights()), "wts");
+  restage(d.col, csr_.ColIndices(), "col");
+  if (weights_staged_) restage(d.wts, csr_.Weights(), "wts");
   if (options_.memory_mode == MemoryMode::kChunkedStream &&
       faults->restaged_buffers != before_adj) {
     std::fill(stream.resident.begin(), stream.resident.end(), 0);
     stream.fifo.clear();
     stream.fifo_head = 0;
+  }
+  HybridBuffers& hybrid = state_->hybrid;
+  if (hybrid.transpose != nullptr) {
+    restage(hybrid.trow, hybrid.transpose->RowOffsets(), "trow");
+    restage(hybrid.tcol, hybrid.transpose->ColIndices(), "tcol");
   }
 
   // The stamp array is the one piece of dynamic state a retry does not fully
@@ -1092,6 +1224,12 @@ RunReport EtaGraph::RunConnectedComponents(const graph::Csr& csr) const {
 RunReport EtaGraph::RunPageRank(const graph::Csr& csr, const PageRankOptions& pr) const {
   ResidentGraph session(csr, options_, /*stage_weights=*/false);
   return FinishOneShot(session, session.RunPageRank(pr));
+}
+
+RunReport EtaGraph::RunHybridBfs(const graph::Csr& csr, VertexId source,
+                                 const HybridBfsOptions& hybrid) const {
+  ResidentGraph session(csr, options_, /*stage_weights=*/false);
+  return FinishOneShot(session, session.RunHybridBfs(source, hybrid));
 }
 
 }  // namespace eta::core

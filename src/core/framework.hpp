@@ -15,14 +15,16 @@
 // incremental label-init transfers, kernels, and result readback. EtaGraph's
 // one-shot entry points are thin wrappers over a single-query session. The
 // serving layer (src/serve) builds its GraphSession on top of ResidentGraph.
-// Traversals, CC and PageRank all run through the session's one attempt and
-// retry loop, so faults, etacheck and etaprof see every query kind.
+// Traversals, CC, PageRank and hybrid BFS all run through the session's one
+// attempt and retry loop, so faults, etacheck and etaprof see every query
+// kind.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "core/hybrid_bfs.hpp"
 #include "core/options.hpp"
 #include "core/pagerank.hpp"
 #include "core/run_report.hpp"
@@ -128,6 +130,14 @@ class ResidentGraph {
   /// in kChunkedStream mode.
   RunReport RunPageRank(const PageRankOptions& pr = {});
 
+  /// Direction-optimizing BFS from `source` (see core/hybrid_bfs.hpp). The
+  /// levels are the session's labels and the top-down input frontier its
+  /// active set; the transpose (built on the host, untimed, and staged in the
+  /// topology's memory kind) and the top-down output frontier are allocated
+  /// for this query only. RunReport::labels holds the levels. Not supported
+  /// in kChunkedStream mode.
+  RunReport RunHybridBfs(graph::VertexId source, const HybridBfsOptions& hybrid = {});
+
   /// The async staging path (DESIGN.md section 11): hoists the first-query
   /// topology prefetch out of the query so a stream-scheduling dispatcher
   /// can charge it on a copy stream while another session computes. In
@@ -164,6 +174,7 @@ class ResidentGraph {
     uint32_t act_count = 0;
     uint32_t shadows[2] = {0, 0};
     uint64_t activated_cum = 0;
+    bool bottom_up = false;  // hybrid BFS: `iter` runs in pull mode
     RunReport report;  // what the query's completed launches produced
   };
 
@@ -199,13 +210,22 @@ class ResidentGraph {
   void PageRankAttempt(const PageRankOptions& pr, std::span<const ShadowVertex> shadows,
                        QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure);
 
+  /// Hybrid BFS over the session's labels, active set and cursors plus the
+  /// query's buffers (State::hybrid) from the cursor onwards: per iteration
+  /// the direction choice (with bfs_compact on a switch back to push), then
+  /// bfs_top_down or bfs_bottom_up. The frontier size is the cursor's
+  /// act_count and its slot cursors[0].
+  void HybridBfsAttempt(graph::VertexId source, const HybridBfsOptions& hybrid,
+                        QueryCursor* cursor, FaultStats* faults, AttemptFailure* failure);
+
   /// Issues the topology prefetch (kUnifiedPrefetch only) unless an earlier
   /// query or PrefetchTopology already did; true if it did.
   bool PrefetchOnce();
 
-  /// Post-UECC recovery: verifies the resident topology against the host
-  /// CSR and re-stages (charged) whatever diverged; re-zeroes the stamp
-  /// array, whose expected contents have no host shadow.
+  /// Post-UECC recovery: verifies the resident topology (and a running
+  /// hybrid BFS query's transpose) against the host CSR and re-stages
+  /// (charged) whatever diverged; re-zeroes the stamp array, whose expected
+  /// contents have no host shadow.
   void RestageCorrupted(FaultStats* faults);
 
   const graph::Csr& csr_;
@@ -255,6 +275,11 @@ class EtaGraph {
   /// Extension (Section II-C's whole-graph contrast, Section VIII's SMP
   /// portability claim): PageRank on a single-query session.
   RunReport RunPageRank(const graph::Csr& csr, const PageRankOptions& pr = {}) const;
+
+  /// Extension (the paper's reference [34]): direction-optimizing BFS on a
+  /// single-query session.
+  RunReport RunHybridBfs(const graph::Csr& csr, graph::VertexId source,
+                         const HybridBfsOptions& hybrid = {}) const;
 
  private:
   EtaGraphOptions options_;

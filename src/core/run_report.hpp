@@ -109,6 +109,9 @@ struct RunReport {
   double query_ms = 0;
 
   uint32_t iterations = 0;
+  /// Hybrid BFS: how many of `iterations` ran bottom-up (pull mode); 0 for
+  /// every other algorithm.
+  uint32_t bottom_up_iterations = 0;
   uint64_t activated = 0;          // distinct vertices ever activated
   double activated_fraction = 0;   // Table IV "Act. %" (as a fraction)
 

@@ -460,12 +460,18 @@ TEST(FaultRecovery, SessionSurvivesFaultAndServesLaterQueries) {
 
 // --- Resuming a hung launch ---------------------------------------------------
 
+/// Hybrid BFS with an alpha high enough to force a pull phase on
+/// SmallSocialGraph, and with it a compaction back to push.
+constexpr core::HybridBfsOptions kPullingHybrid{.alpha = 32.0};
+
 /// One profiled query of `algo` (from vertex 3 for the per-source
-/// traversals) on a fresh session of `csr`.
+/// traversals) on a fresh session of `csr`; with `hybrid`, a kPullingHybrid
+/// hybrid BFS from vertex 3 instead.
 core::RunReport RunQuery(const graph::Csr& csr, core::Algo algo,
-                         core::EtaGraphOptions options) {
+                         core::EtaGraphOptions options, bool hybrid = false) {
   options.profile = true;
   core::ResidentGraph session(csr, options);
+  if (hybrid) return session.RunHybridBfs(3, kPullingHybrid);
   switch (algo) {
     case core::Algo::kCc: return session.RunConnectedComponents();
     case core::Algo::kPr: return session.RunPageRank();
@@ -487,16 +493,22 @@ double PaidKernelMs(const core::RunReport& r) {
 /// query in TwoHangsInOneQueryChargeTwoBackoffs.
 constexpr uint64_t kTwoHangSeed = 5;
 
-class HangResumeTest : public ::testing::TestWithParam<core::Algo> {};
+/// A query the hang sweep runs: RunQuery's `algo` and `hybrid`.
+struct SweepQuery {
+  core::Algo algo = core::Algo::kBfs;
+  bool hybrid = false;
+};
+
+class HangResumeTest : public ::testing::TestWithParam<SweepQuery> {};
 
 // A hang kills one launch before any warp runs, so the retry relaunches
 // that kernel with the same grid and the query goes on. Wherever the hang
 // lands, the query answers like its fault-free twin, with one launch more
 // and exactly one watchdog window plus one backoff more on its clock.
 TEST_P(HangResumeTest, EveryHungLaunchResumesToTheTwinsAnswer) {
-  const core::Algo algo = GetParam();
+  const auto [algo, hybrid] = GetParam();
   const graph::Csr csr = SmallSocialGraph();
-  const core::RunReport twin = RunQuery(csr, algo, {});
+  const core::RunReport twin = RunQuery(csr, algo, {}, hybrid);
   ASSERT_FALSE(twin.DeviceFailed());
   const uint64_t launches = twin.kernel_profiles.size();
   std::set<std::string> hung_kernels;
@@ -505,11 +517,12 @@ TEST_P(HangResumeTest, EveryHungLaunchResumesToTheTwinsAnswer) {
     core::EtaGraphOptions options;
     options.faults.hang_at = k;
     options.faults.watchdog_ms = 2.0;
-    const core::RunReport r = RunQuery(csr, algo, options);
+    const core::RunReport r = RunQuery(csr, algo, options, hybrid);
     ASSERT_FALSE(r.DeviceFailed());
     EXPECT_EQ(r.labels, twin.labels);
     EXPECT_EQ(r.ranks, twin.ranks);
     EXPECT_EQ(r.iterations, twin.iterations);
+    EXPECT_EQ(r.bottom_up_iterations, twin.bottom_up_iterations);
     EXPECT_EQ(r.faults.hangs, 1u);
     EXPECT_EQ(r.faults.retries, 1u);
     ASSERT_EQ(r.kernel_profiles.size(), launches + 1);
@@ -534,17 +547,24 @@ TEST_P(HangResumeTest, EveryHungLaunchResumesToTheTwinsAnswer) {
   }
   // The sweep hung every kernel of the query's loop.
   const std::set<std::string> loop_kernels =
-      algo == core::Algo::kPr ? std::set<std::string>{"pr_init", "pr_push", "pr_delta"}
-                              : std::set<std::string>{"udc", "traverse_full", "traverse_part"};
+      hybrid                  ? std::set<std::string>{"bfs_top_down", "bfs_bottom_up",
+                                                      "bfs_compact"}
+      : algo == core::Algo::kPr ? std::set<std::string>{"pr_init", "pr_push", "pr_delta"}
+                                : std::set<std::string>{"udc", "traverse_full", "traverse_part"};
   EXPECT_EQ(hung_kernels, loop_kernels);
 }
 
 INSTANTIATE_TEST_SUITE_P(Algos, HangResumeTest,
-                         ::testing::Values(core::Algo::kBfs, core::Algo::kSssp,
-                                           core::Algo::kSswp, core::Algo::kCc,
-                                           core::Algo::kPr),
-                         [](const ::testing::TestParamInfo<core::Algo>& param_info) {
-                           return std::string(core::AlgoName(param_info.param));
+                         ::testing::Values(SweepQuery{core::Algo::kBfs},
+                                           SweepQuery{core::Algo::kSssp},
+                                           SweepQuery{core::Algo::kSswp},
+                                           SweepQuery{core::Algo::kCc},
+                                           SweepQuery{core::Algo::kPr},
+                                           SweepQuery{core::Algo::kBfs, true}),
+                         [](const ::testing::TestParamInfo<SweepQuery>& param_info) {
+                           return param_info.param.hybrid
+                                      ? std::string("HybridBFS")
+                                      : std::string(core::AlgoName(param_info.param.algo));
                          });
 
 TEST(HangResume, TwoHangsInOneQueryChargeTwoBackoffs) {
@@ -633,6 +653,38 @@ TEST(HangResume, UeccStillRestartsTheQuery) {
     EXPECT_NEAR(r.kernel_ms, PaidKernelMs(r), 1e-9);
     EXPECT_GT(r.kernel_ms, twin.kernel_ms);
   }
+}
+
+// A UECC during hybrid BFS may corrupt the query's transpose: the retry must
+// run on trow/tcol equal to the host transpose again, and the session must
+// answer exactly afterwards. Over these seeds the victim is the transpose at
+// least once.
+TEST(HangResume, HybridBfsUeccRestagesTheTransposeAndAnswersExactly) {
+  const graph::Csr csr = SmallSocialGraph();
+  bool hit_transpose = false;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    core::EtaGraphOptions options;
+    options.faults.seed = seed;
+    options.faults.uecc_at = 3;
+    options.profile = true;
+    core::ResidentGraph session(csr, options);
+    const core::RunReport r = session.RunHybridBfs(3, kPullingHybrid);
+    ASSERT_FALSE(r.DeviceFailed());
+    EXPECT_EQ(r.faults.ecc_uncorrectable, 1u);
+    EXPECT_EQ(r.labels, cpu::BfsLevels(csr, 3));
+    ASSERT_GT(r.kernel_profiles.size(), 2u);
+    const std::string& victim = r.kernel_profiles[2].fault_buffer;
+    if (victim == "trow" || victim == "tcol") {
+      hit_transpose = true;
+      EXPECT_EQ(r.faults.restaged_buffers, 2u);  // the transpose array and the stamps
+    }
+    // Nothing corrupted stays behind: later queries of both kinds are exact.
+    EXPECT_EQ(session.RunHybridBfs(21, kPullingHybrid).labels, cpu::BfsLevels(csr, 21));
+    EXPECT_EQ(session.Run(core::Algo::kSssp, 9).labels,
+              core::CpuReference(csr, core::Algo::kSssp, 9));
+  }
+  EXPECT_TRUE(hit_transpose);
 }
 
 // The watchdog window of a hung launch is device time the query paid for.

@@ -88,6 +88,32 @@ TEST(LaunchProfiler, PageRankQueryRecordsItsThreeKernels) {
   }
 }
 
+TEST(LaunchProfiler, HybridBfsRecordsItsKernels) {
+  graph::Csr csr = RandomGraph(21);
+  core::EtaGraphOptions options;
+  options.profile = true;
+  core::HybridBfsOptions hybrid;
+  hybrid.alpha = 32.0;  // force a pull phase, and a compaction back to push
+  auto report = core::EtaGraph(options).RunHybridBfs(csr, 0, hybrid);
+  ASSERT_FALSE(report.DeviceFailed());
+  EXPECT_EQ(report.kernel_profiles.size(), report.query_counters.launches);
+  uint32_t top_down = 0, bottom_up = 0, compact = 0;
+  double kernel_ms = 0;
+  for (const sim::KernelProfile& p : report.kernel_profiles) {
+    top_down += p.name == "bfs_top_down";
+    bottom_up += p.name == "bfs_bottom_up";
+    compact += p.name == "bfs_compact";
+    kernel_ms += p.compute_ms;
+  }
+  // One step launch per iteration, plus one compaction per switch back.
+  EXPECT_EQ(top_down + bottom_up, report.iterations);
+  EXPECT_EQ(bottom_up, report.bottom_up_iterations);
+  EXPECT_GT(bottom_up, 0u);
+  EXPECT_GT(compact, 0u);
+  EXPECT_EQ(top_down + bottom_up + compact, report.kernel_profiles.size());
+  EXPECT_NEAR(kernel_ms, report.kernel_ms, 1e-9);
+}
+
 TEST(LaunchProfiler, OffByDefaultAndBitIdentical) {
   graph::Csr csr = RandomGraph(22);
   auto off = core::EtaGraph().Run(csr, core::Algo::kSssp, 0);

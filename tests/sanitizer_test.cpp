@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/framework.hpp"
-#include "core/hybrid_bfs.hpp"
 #include "core/pagerank.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -541,14 +540,15 @@ TEST(CleanGateExtensions, ConnectedComponentsAndMultiSource) {
 
 TEST(CleanGateExtensions, HybridBfsRelaxedStoresAreClean) {
   graph::Csr csr = SmallSocialGraph();
-  core::HybridBfsOptions options;
+  core::EtaGraphOptions options;
   options.check = Config::All();
-  options.alpha = 2.0;  // force the traversal through the bottom-up phase
-  core::HybridBfsResult result = core::RunHybridBfs(csr, 0, options);
+  core::HybridBfsOptions hybrid;
+  hybrid.alpha = 2.0;  // pull mode once the frontier exceeds |V| / 2
+  core::RunReport result = core::EtaGraph(options).RunHybridBfs(csr, 0, hybrid);
   ASSERT_FALSE(result.oom);
   EXPECT_GT(result.bottom_up_iterations, 0u);
   EXPECT_TRUE(result.check.findings.empty()) << result.check.Render(true);
-  EXPECT_EQ(result.levels, core::CpuReference(csr, core::Algo::kBfs, 0));
+  EXPECT_EQ(result.labels, core::CpuReference(csr, core::Algo::kBfs, 0));
 }
 
 TEST(CleanGateExtensions, PageRankIsClean) {

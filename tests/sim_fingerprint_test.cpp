@@ -27,7 +27,6 @@
 #include "baselines/gunrock.hpp"
 #include "baselines/tigr.hpp"
 #include "core/framework.hpp"
-#include "core/hybrid_bfs.hpp"
 #include "core/pagerank.hpp"
 #include "graph/datasets.hpp"
 #include "prof/trace_export.hpp"
@@ -314,20 +313,16 @@ uint64_t ExtensionScenario(const std::string& what, const std::string& dataset) 
     d.U(r.iterations);
     for (float rank : r.ranks) d.F(rank);
   } else if (what == "hybrid-bfs") {
-    const core::HybridBfsResult r = core::RunHybridBfs(csr, graph::kQuerySource);
-    d.U(r.iterations);
+    const RunReport r = core::EtaGraph().RunHybridBfs(csr, graph::kQuerySource);
+    Fold(d, r);
     d.U(r.bottom_up_iterations);
-    d.F(r.kernel_ms);
-    d.F(r.total_ms);
-    Fold(d, r.counters);
-    for (graph::Weight w : r.levels) d.U(w);
   } else if (what == "hybrid-bfs-levels") {
     // The answer alone, like pagerank-ranks: a change to how hybrid BFS is
     // staged or scheduled proves it left the levels bit-identical.
-    const core::HybridBfsResult r = core::RunHybridBfs(csr, graph::kQuerySource);
+    const RunReport r = core::EtaGraph().RunHybridBfs(csr, graph::kQuerySource);
     d.U(r.iterations);
     d.U(r.bottom_up_iterations);
-    for (graph::Weight w : r.levels) d.U(w);
+    for (graph::Weight w : r.labels) d.U(w);
   } else if (what == "multisource") {
     std::vector<graph::VertexId> sources;
     for (graph::VertexId v = 0; v < 24; ++v) sources.push_back(v * 7 % csr.NumVertices());

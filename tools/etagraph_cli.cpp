@@ -18,7 +18,7 @@
 //   --source      source vertex, below the vertex count       (default 0)
 //   --k           EtaGraph degree limit in [1, 48]            (default 16)
 //   --mode        um+prefetch | um | explicit | chunked       (default um+prefetch)
-//                 (pagerank: not chunked; hybrid-bfs ignores it)
+//                 (pagerank and hybrid-bfs: not chunked)
 //   --no-smp      disable shared-memory prefetch
 //   --scale       dataset stand-in scale in (0,1]             (default 1)
 //   --verify      check labels against the CPU reference      (default true;
@@ -27,8 +27,7 @@
 //   --timeline    print the transfer/compute strip chart
 //   --check       run etacheck: all, or a comma list of
 //                 memcheck,racecheck,synccheck,leakcheck (etagraph
-//                 framework, pagerank, hybrid-bfs, cc). Exit 1 on any
-//                 error finding.
+//                 framework). Exit 1 on any error finding.
 //   --check-json  also write the findings as JSON to this path
 //   --faults      inject device faults (DESIGN.md section 8): comma list of
 //                 key=value pairs, e.g. --faults=seed=7,uecc=0.02,hang=0.01
@@ -41,11 +40,11 @@
 //                 allocates it one element short (e.g. short=act_set),
 //                 dag=drop-wait|late-record|dup-copy plants an ordering bug
 //                 in the --async stream DAG (requires --async). etagraph
-//                 traversals, cc and pagerank only.
+//                 framework only.
 //                 Exit 1 when the device path fails despite recovery.
 //   --profile     run etaprof (DESIGN.md section 9): record per-launch
 //                 kernel profiles and print the nvprof-style summary table.
-//                 etagraph traversals, cc and pagerank only.
+//                 etagraph framework only.
 //   --trace-json  with --profile: also write the merged Chrome/Perfetto
 //                 trace-event JSON (open at https://ui.perfetto.dev) to
 //                 this path.
@@ -62,7 +61,7 @@
 //                 streams. Exit 1 on any finding.
 //   --trace-requests  etatrace (DESIGN.md section 14): record the query's
 //                 per-attempt fault/retry/rebuild timeline and print it.
-//                 etagraph traversals, cc and pagerank only. Off by
+//                 etagraph framework only. Off by
 //                 default; with it off the run's output is byte-identical.
 //   --trace-request-out  with --trace-requests: write the attempt timeline
 //                 as JSON to this path (self-validated before writing).
@@ -81,7 +80,6 @@
 #include "baselines/tigr.hpp"
 #include "core/framework.hpp"
 #include "core/pagerank.hpp"
-#include "core/hybrid_bfs.hpp"
 #include "cpu/reference.hpp"
 #include "graph/datasets.hpp"
 #include "graph/io.hpp"
@@ -143,6 +141,9 @@ void PrintReport(const core::RunReport& r, bool timeline) {
   std::printf("  kernel      %10.3f ms (simulated)\n", r.kernel_ms);
   std::printf("  total       %10.3f ms (transfers + kernels + stalls)\n", r.total_ms);
   std::printf("  iterations  %10u\n", r.iterations);
+  if (r.bottom_up_iterations > 0) {
+    std::printf("  bottom-up   %10u iterations (pull mode)\n", r.bottom_up_iterations);
+  }
   std::printf("  activated   %10llu (%.2f%%)\n",
               static_cast<unsigned long long>(r.activated),
               r.activated_fraction * 100);
@@ -334,7 +335,7 @@ int main(int argc, char** argv) {
   if (!traversal && framework != "etagraph") {
     return Fail("--algo=" + algo_name + " supports --framework=etagraph only");
   }
-  // One set of EtaGraph options for traversals, CC and PageRank.
+  // One set of EtaGraph options for traversals, CC, PageRank and hybrid BFS.
   core::EtaGraphOptions options;
   options.degree_limit = k;
   options.use_smp = smp;
@@ -353,8 +354,9 @@ int main(int argc, char** argv) {
   } else {
     return Fail("unknown --mode '" + mode_name + "'");
   }
-  if (algo_name == "pagerank" && options.memory_mode == core::MemoryMode::kChunkedStream) {
-    return Fail("--mode=chunked does not support pagerank");
+  if ((algo_name == "pagerank" || algo_name == "hybrid-bfs") &&
+      options.memory_mode == core::MemoryMode::kChunkedStream) {
+    return Fail("--mode=chunked does not support " + algo_name);
   }
   if (async && !traversal) {
     return Fail("--async supports etagraph traversals (bfs, sssp, sswp) only");
@@ -362,15 +364,7 @@ int main(int argc, char** argv) {
   if (fault_cfg.dag != sim::FaultConfig::Dag::kNone && !async) {
     return Fail("--faults key 'dag' requires --async");
   }
-  if (algo_name == "hybrid-bfs") {
-    // Hybrid BFS runs its own device (it needs the transpose): no fault
-    // injector, no plant, no profiler and no attempt loop reach it.
-    if (faulted) return Fail("--faults supports etagraph traversals, cc and pagerank only");
-    if (profile) return Fail("--profile supports etagraph traversals, cc and pagerank only");
-    if (trace_requests) {
-      return Fail("--trace-requests supports etagraph traversals, cc and pagerank only");
-    }
-  } else if (framework != "etagraph") {
+  if (framework != "etagraph") {
     if (check_cfg.Enabled()) return Fail("--check supports --framework=etagraph only");
     if (faulted) return Fail("--faults supports --framework=etagraph only");
     if (profile) return Fail("--profile supports --framework=etagraph only");
@@ -399,28 +393,8 @@ int main(int argc, char** argv) {
   std::printf("graph: %u vertices, %u edges, topology %s\n", csr.NumVertices(),
               csr.NumEdges(), util::FormatBytes(csr.TopologyBytes()).c_str());
 
-  // --- Hybrid BFS path -------------------------------------------------------
-  if (algo_name == "hybrid-bfs") {
-    core::HybridBfsOptions hybrid;
-    hybrid.use_smp = smp;
-    hybrid.degree_limit = k;
-    hybrid.check = check_cfg;
-    auto result = core::RunHybridBfs(csr, source, hybrid);
-    if (result.oom) return Fail("device out of memory");
-    std::printf("Hybrid BFS: %u iterations (%u bottom-up), kernel %.3f ms, "
-                "total %.3f ms\n",
-                result.iterations, result.bottom_up_iterations, result.kernel_ms,
-                result.total_ms);
-    if (verify) {
-      bool ok = result.levels == core::CpuReference(csr, core::Algo::kBfs, source);
-      std::printf("verify: %s\n", ok ? "OK" : "MISMATCH");
-      if (!ok) return 1;
-    }
-    return check_cfg.Enabled() ? EmitCheck(result.check, check_json) : 0;
-  }
-
-  // --- Traversals, CC and PageRank ---------------------------------------------
-  const core::Algo algo = algo_name == "bfs"    ? core::Algo::kBfs
+  // --- Run ------------------------------------------------------------------
+  const core::Algo algo = algo_name == "bfs" || algo_name == "hybrid-bfs" ? core::Algo::kBfs
                           : algo_name == "sssp" ? core::Algo::kSssp
                           : algo_name == "sswp" ? core::Algo::kSswp
                           : algo_name == "cc"   ? core::Algo::kCc
@@ -428,7 +402,9 @@ int main(int argc, char** argv) {
   const core::PageRankOptions pr;
   core::RunReport report;
   bool dag_clean = true;
-  if (algo == core::Algo::kCc) {
+  if (algo_name == "hybrid-bfs") {
+    report = core::EtaGraph(options).RunHybridBfs(csr, source);
+  } else if (algo == core::Algo::kCc) {
     report = core::EtaGraph(options).RunConnectedComponents(csr);
   } else if (algo == core::Algo::kPr) {
     report = core::EtaGraph(options).RunPageRank(csr, pr);
